@@ -1,7 +1,7 @@
 """texmathc: whitelist-validated LaTeX math to presentation MathML."""
 
 from .diagnostics import Diagnostic
-from .generator import to_mathml, translate_node
+from .generator import to_mathml
 from .intent import apply_intent, parse_intent
 from .mathml import GenOptions, MathMLNode, from_xml, serialize
 from .mhchem import expand_ce, expand_pu, preprocess
@@ -51,7 +51,6 @@ __all__ = [
     "render_tex",
     "serialize",
     "to_mathml",
-    "translate_node",
     "tree_edit_distance",
     "validate",
 ]

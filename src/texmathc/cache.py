@@ -1,10 +1,10 @@
 """Content-addressed render cache.
 
 Keys hash the formula bytes together with the option fingerprint and the
-registry version, so identical inputs always hit the same entry and a
-registry upgrade invalidates everything by construction.  Entries are plain
-files under a two-level fan-out; writes go through a temp file + rename so
-concurrent converters never see a torn entry.
+registry's content digest, so identical inputs always hit the same entry
+and any change to the registry invalidates everything by construction.
+Entries are plain files under a two-level fan-out; writes go through a temp
+file + rename so concurrent converters never see a torn entry.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ class RenderCache:
         self.directory = Path(directory) if directory else default_cache_dir()
 
     @staticmethod
-    def key_for(formula: str, options_fingerprint: str, registry_version: str) -> str:
-        payload = "\x1f".join((formula, options_fingerprint, registry_version))
+    def key_for(formula: str, options_fingerprint: str, registry_digest: str) -> str:
+        payload = "\x1f".join((formula, options_fingerprint, registry_digest))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def _path(self, key: str) -> Path:

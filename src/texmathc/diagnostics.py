@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 ERROR = "error"
 WARNING = "warning"
@@ -21,12 +21,6 @@ E_INTENT_SYNTAX = "E_INTENT_SYNTAX"
 E_INTENT_UNBOUND_REF = "E_INTENT_UNBOUND_REF"
 E_INTENT_AMBIGUOUS_REF = "E_INTENT_AMBIGUOUS_REF"
 W_DEPRECATED = "W_DEPRECATED"
-
-ALL_CODES = frozenset(
-    name for name, value in list(globals().items())
-    if isinstance(value, str) and (name.startswith("E_") or name.startswith("W_"))
-)
-
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -56,10 +50,6 @@ class Diagnostic:
         }
 
 
-def error(code: str, message: str, span: tuple[int, int]) -> Diagnostic:
-    return Diagnostic(ERROR, code, message, span)
-
-
 def warning(code: str, message: str, span: tuple[int, int]) -> Diagnostic:
     return Diagnostic(WARNING, code, message, span)
 
@@ -71,6 +61,13 @@ class DiagnosticError(Exception):
         super().__init__(diagnostic.format_line())
         self.diagnostic = diagnostic
 
+    def within(self, outer: str, start: int) -> DiagnosticError:
+        """This error, raised on the text found at codepoint `start` of `outer`,
+        located in `outer` instead."""
+        shift = byte_offsets(outer, [(start, start)])[0][0]
+        d = self.diagnostic
+        return type(self)(replace(d, span=(d.span[0] + shift, d.span[1] + shift)))
+
 
 class ChemError(DiagnosticError):
     pass
@@ -80,15 +77,27 @@ class IntentError(DiagnosticError):
     pass
 
 
-def byte_offsets(text: str) -> list[int]:
-    """Map each codepoint index of `text` (plus the end) to its UTF-8 byte offset.
+def byte_offsets(text: str, spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """UTF-8 byte spans of the codepoint `spans` of `text`, found in one pass.
 
     Diagnostic spans are byte-based so they stay meaningful to non-Python
-    consumers of the CLI output.
+    consumers of the CLI output.  A span is at least one codepoint wide; one
+    that starts at or past the end of a non-empty text moves back onto its
+    last codepoint; an empty text gives (0, 1).
     """
-    offsets = [0]
-    total = 0
-    for ch in text:
-        total += len(ch.encode("utf-8"))
-        offsets.append(total)
-    return offsets
+    n = len(text)
+    if not n:
+        return [(0, 1)] * len(spans)
+    clamped = []
+    for start, end in spans:
+        start = min(start, n - 1)
+        clamped.append((start, min(max(end, start + 1), n)))
+    if text.isascii():  # one byte per codepoint
+        return clamped
+    at = {}
+    pos = total = 0
+    for point in sorted({p for span in clamped for p in span}):
+        total += len(text[pos:point].encode("utf-8"))
+        at[point] = total
+        pos = point
+    return [(at[start], at[end]) for start, end in clamped]

@@ -61,14 +61,6 @@ def to_mathml(ast: AstNode, registry: Registry,
     return root
 
 
-def translate_node(node: AstNode, registry: Registry,
-                   ctx: GenContext | None = None) -> list[MathMLNode]:
-    """Translate one AST node; most nodes yield exactly one element."""
-    if ctx is None:
-        ctx = GenContext(registry, GenOptions())
-    return _translate(node, ctx)
-
-
 def _group(nodes: list[MathMLNode]) -> MathMLNode:
     """mrow inference: multi-child content gets an mrow, single children do not."""
     if len(nodes) == 1:
@@ -351,14 +343,6 @@ def _fn_pmod(ctx, spec, args):
     ])]
 
 
-def _fn_matrix(ctx, spec, args):  # pragma: no cover - reached via Matrix nodes
-    raise RuntimeError("matrix environments are translated structurally")
-
-
-def _fn_intent(ctx, spec, args):  # pragma: no cover - reached via IntentWrap nodes
-    raise RuntimeError("\\intent is translated structurally")
-
-
 TRANSLATION_FNS = {
     "identifier": _fn_identifier,
     "operator": _fn_operator,
@@ -380,6 +364,8 @@ TRANSLATION_FNS = {
     "phantom": _fn_phantom,
     "enclose": _fn_enclose,
     "pmod": _fn_pmod,
-    "matrix": _fn_matrix,
-    "intent": _fn_intent,
 }
+
+# Translation ids of registry entries translated from their own AST nodes
+# (Matrix, IntentWrap) rather than through TRANSLATION_FNS.
+STRUCTURAL_FNS = frozenset({"matrix", "intent"})

@@ -10,7 +10,8 @@ attributes onto the identifier tokens they name.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, replace
 from typing import Union
 
 from .diagnostics import (
@@ -34,6 +35,7 @@ STRUCTURE_KINDS = frozenset({"common", "structure", "chemistry", "matrix"})
 # digit; hyphen, dot, and underscore allowed after the first character.
 _NCNAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*")
 _DIGITS = re.compile(r"[0-9]+")
+_ESCAPED_DOLLAR = re.compile(rb"\\\$")
 
 IntentExpr = Union["Concept", "Number", "Reference", "Structure", "Application"]
 
@@ -87,13 +89,10 @@ class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.offsets = byte_offsets(text)
 
     def fail(self, message: str, start: int | None = None) -> None:
         at = self.pos if start is None else start
-        end = min(max(at + 1, self.pos), len(self.text))
-        at = min(at, max(0, len(self.text) - 1)) if self.text else 0
-        span = (self.offsets[at], self.offsets[end]) if self.text else (0, 1)
+        (span,) = byte_offsets(self.text, [(at, self.pos)])
         raise IntentError(Diagnostic(ERROR, E_INTENT_SYNTAX, message, span))
 
     def skip_ws(self) -> None:
@@ -209,11 +208,23 @@ def parse_macro_options(raw: str) -> tuple[str, tuple[tuple[str, str], ...]]:
     """Parse ``intent='...'[, arg='a=x,b=y']`` from the macro's second argument.
 
     ``\\$`` inside the quoted value is normalized to ``$`` (both spellings
-    appear in the wild).
+    appear in the wild).  Errors are located in `raw`.
     """
+    intent_value, _, binding = _macro_options(raw)
+    return intent_value, binding
+
+
+def parse_macro(raw: str) -> tuple[str, tuple[tuple[str, str], ...]]:
+    """`parse_macro_options`, with the intent expression's grammar checked too."""
+    intent_value, start, binding = _macro_options(raw)
+    _in_value(parse_intent, intent_value, start, raw)
+    return intent_value, binding
+
+
+def _macro_options(raw: str) -> tuple[str, int, tuple[tuple[str, str], ...]]:
+    """The intent value, the codepoint where it starts in `raw`, and the arg binding."""
     scanner = _Scanner(raw)
-    intent_value: str | None = None
-    arg_value: str | None = None
+    values: dict[str, tuple[str, int]] = {}
     scanner.skip_ws()
     while scanner.pos < len(raw):
         key_start = scanner.pos
@@ -224,15 +235,11 @@ def parse_macro_options(raw: str) -> tuple[str, tuple[tuple[str, str], ...]]:
         if not scanner.take("="):
             scanner.fail("expected '=' after option name")
         scanner.skip_ws()
+        start = scanner.pos + 1
         value = _quoted(scanner)
-        if key == "intent":
-            if intent_value is not None:
-                scanner.fail("duplicate intent option", key_start)
-            intent_value = value
-        else:
-            if arg_value is not None:
-                scanner.fail("duplicate arg option", key_start)
-            arg_value = value
+        if key in values:
+            scanner.fail(f"duplicate {key} option", key_start)
+        values[key] = (value, start)
         scanner.skip_ws()
         if scanner.take(","):
             scanner.skip_ws()
@@ -240,10 +247,27 @@ def parse_macro_options(raw: str) -> tuple[str, tuple[tuple[str, str], ...]]:
         break
     if scanner.pos != len(raw):
         scanner.fail("trailing input in intent options")
-    if intent_value is None:
+    if "intent" not in values:
         scanner.fail("missing intent='...' option", 0)
-    assert intent_value is not None
-    return intent_value, _parse_arg_binding(arg_value or "")
+    intent_value, intent_start = values["intent"]
+    binding = _in_value(_parse_arg_binding, *values.get("arg", ("", 0)), raw)
+    return intent_value, intent_start, binding
+
+
+def _in_value(parse, value: str, start: int, raw: str):
+    """`parse(value)`, where `value` was quoted from codepoint `start` of `raw`;
+    its errors are located in `raw`."""
+    try:
+        return parse(value)
+    except IntentError as exc:
+        # _quoted read each `\$` as `$`, so a byte offset into the value moves
+        # one byte on for every escape before it.
+        tail = raw[start:].encode("utf-8")
+        escapes = [m.start() - k for k, m in enumerate(_ESCAPED_DOLLAR.finditer(tail))]
+        d = exc.diagnostic
+        span = (d.span[0] + bisect_left(escapes, d.span[0]),
+                d.span[1] + bisect_left(escapes, d.span[1]))
+        raise IntentError(replace(d, span=span)).within(raw, start) from None
 
 
 def _quoted(s: _Scanner) -> str:
@@ -324,7 +348,7 @@ def apply_intent(node, subtree: MathMLNode,
     for formula_ident, intent_ident in binding:
         by_intent_name.setdefault(intent_ident, []).append(formula_ident)
 
-    raw_span = (0, len(intent_raw.encode("utf-8")) or 1)
+    (raw_span,) = byte_offsets(intent_raw, [(0, len(intent_raw))])
     for name in references(expr):
         targets = by_intent_name.get(name, [name])
         matches = [

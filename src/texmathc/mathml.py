@@ -121,11 +121,6 @@ def from_xml(text: str) -> MathMLNode:
     return _convert(root)
 
 
-def from_xml_file(path) -> MathMLNode:
-    with open(path, "r", encoding="utf-8") as handle:
-        return from_xml(handle.read())
-
-
 def _convert(element: ET.Element) -> MathMLNode:
     name = _NS.sub("", element.tag)
     attributes = {_NS.sub("", k): v for k, v in element.attrib.items()}

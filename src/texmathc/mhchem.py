@@ -22,12 +22,14 @@ from .diagnostics import (
     Diagnostic,
     byte_offsets,
 )
+from .parser import closing_brace
 
 _ELEMENT = re.compile(r"[A-Z][a-z]?")
 _DIGITS = re.compile(r"[0-9]+")
 _NUMBER = re.compile(r"[0-9]+(?:\.[0-9]+)?")
 _PU_NUMBER = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
 _UNIT_ATOM = re.compile(r"[A-Za-z]+[0-9]*")
+_ESCAPE = re.compile(r"\\([a-zA-Z]+|.?)", re.S)  # a command name or one escaped character
 
 ARROWS = (
     ("<=>", "\\longrightleftharpoons"),
@@ -44,66 +46,40 @@ class ChemToken:
     payload: str
 
 
-def _err(message: str, offsets: list[int], start: int, end: int) -> ChemError:
-    end = max(end, start + 1)
-    b = (offsets[min(start, len(offsets) - 1)], offsets[min(end, len(offsets) - 1)])
-    if b[1] <= b[0]:
-        b = (b[0], b[0] + 1)
-    return ChemError(Diagnostic(ERROR, E_CHEM_SYNTAX, message, b))
+def _err(message: str, text: str, start: int, end: int) -> ChemError:
+    (span,) = byte_offsets(text, [(start, end)])
+    return ChemError(Diagnostic(ERROR, E_CHEM_SYNTAX, message, span))
 
 
 def preprocess(source: str) -> str:
     """Expand every chemistry environment; all other bytes pass through untouched."""
     out: list[str] = []
-    offsets = byte_offsets(source)
-    i = 0
+    done = 0  # source[:done] is already in `out`
+    pos = 0
     n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        m = re.match(r"\\([a-zA-Z]+)", source[i:])
-        name = m.group(1) if m else ""
+    while m := _ESCAPE.search(source, pos):
+        name = m.group(1)
+        pos = m.end()
         if name not in ("ce", "pu"):
-            out.append(source[i:i + (m.end() if m else 2)])
-            i += (m.end() if m else min(2, n - i))
             continue
-        j = i + 1 + len(name)
+        j = pos
         while j < n and source[j].isspace():
             j += 1
         if j >= n or source[j] != "{":
-            raise _err(f"\\{name} requires a braced argument", offsets, i, j)
-        body_start = j + 1
-        depth = 0
-        k = j
-        while k < n:
-            c = source[k]
-            if c == "\\":
-                k += 2
-                continue
-            if c == "{":
-                depth += 1
-            elif c == "}":
-                depth -= 1
-                if depth == 0:
-                    break
-            k += 1
-        if k >= n:
+            raise _err(f"\\{name} requires a braced argument", source, m.start(), j)
+        k = closing_brace(source, j)
+        if k < 0:
+            (span,) = byte_offsets(source, [(m.start(), n)])
             raise ChemError(Diagnostic(
-                ERROR, E_UNBALANCED_BRACE, f"unterminated \\{name} argument",
-                (offsets[i], offsets[n])))
-        body = source[body_start:k]
+                ERROR, E_UNBALANCED_BRACE, f"unterminated \\{name} argument", span))
+        body = source[j + 1:k]
         try:
             expansion = expand_ce(body) if name == "ce" else expand_pu(body)
         except ChemError as exc:
-            d = exc.diagnostic
-            base = offsets[body_start]
-            raise ChemError(Diagnostic(
-                ERROR, d.code, d.message, (base + d.span[0], base + d.span[1]))) from None
-        out.append(expansion)
-        i = k + 1
+            raise exc.within(source, j + 1) from None
+        out += (source[done:m.start()], expansion)
+        done = pos = k + 1
+    out.append(source[done:])
     return "".join(out)
 
 
@@ -112,7 +88,6 @@ def preprocess(source: str) -> str:
 
 def tokenize_ce(body: str) -> list[ChemToken]:
     """Scan a ``\\ce`` body into chemistry tokens, enforcing the subset."""
-    offsets = byte_offsets(body)
     toks: list[ChemToken] = []
     i = 0
     n = len(body)
@@ -144,7 +119,7 @@ def tokenize_ce(body: str) -> list[ChemToken]:
         if matched_arrow:
             continue
         if ch == "$":
-            raise _err("nested math inside \\ce is not supported", offsets, i, i + 1)
+            raise _err("nested math inside \\ce is not supported", body, i, i + 1)
         if ch == "+":
             nxt = body[i + 1] if i + 1 < n else ""
             # A charge sign touches its species; a separator is spaced or
@@ -169,19 +144,19 @@ def tokenize_ce(body: str) -> list[ChemToken]:
                     toks.append(ChemToken("charge", "-"))
                 else:
                     raise _err("'-' must bond two species or trail as a charge",
-                               offsets, i, i + 1)
+                               body, i, i + 1)
                 i += 1
                 continue
-            raise _err("'-' must follow an element or count", offsets, i, i + 1)
+            raise _err("'-' must follow an element or count", body, i, i + 1)
         if ch == "=":
             if prev_kind() not in chargeable:
-                raise _err("'=' bond must follow an element", offsets, i, i + 1)
+                raise _err("'=' bond must follow an element", body, i, i + 1)
             toks.append(ChemToken("bond", "="))
             i += 1
             continue
         if ch == "#":
             if prev_kind() not in chargeable:
-                raise _err("'#' bond must follow an element", offsets, i, i + 1)
+                raise _err("'#' bond must follow an element", body, i, i + 1)
             toks.append(ChemToken("bond", "#"))
             i += 1
             continue
@@ -203,10 +178,10 @@ def tokenize_ce(body: str) -> list[ChemToken]:
             i += 1
             continue
         if ch == "^":
-            i = _scan_caret(body, i, toks, offsets, at_species_start())
+            i = _scan_caret(body, i, toks, at_species_start())
             continue
         if ch == "_":
-            count, i = _scan_script_digits(body, i + 1, offsets, "subscript")
+            count, i = _scan_script_digits(body, i + 1, "subscript")
             toks.append(ChemToken("count", count))
             continue
         if ch.isdigit():
@@ -227,15 +202,15 @@ def tokenize_ce(body: str) -> list[ChemToken]:
                 toks.append(ChemToken("count", text))
                 i = end
             else:
-                raise _err("unexpected number", offsets, i, end)
+                raise _err("unexpected number", body, i, end)
             continue
         m = _ELEMENT.match(body, i)
         if m:
             toks.append(ChemToken("element", m.group(0)))
             i = m.end()
             continue
-        raise _err(f"unsupported character {ch!r} in \\ce", offsets, i, i + 1)
-    _check_sequence(toks, offsets, n)
+        raise _err(f"unsupported character {ch!r} in \\ce", body, i, i + 1)
+    _check_sequence(toks, body)
     return toks
 
 
@@ -246,31 +221,30 @@ def _match_state(body: str, i: int) -> str | None:
     return None
 
 
-def _scan_script_digits(body: str, i: int, offsets: list[int], what: str) -> tuple[str, int]:
+def _scan_script_digits(body: str, i: int, what: str) -> tuple[str, int]:
     if i < len(body) and body[i] == "{":
         m = _DIGITS.match(body, i + 1)
         if m and m.end() < len(body) and body[m.end()] == "}":
             return m.group(0), m.end() + 1
-        raise _err(f"malformed {what}", offsets, i, i + 1)
+        raise _err(f"malformed {what}", body, i, i + 1)
     m = _DIGITS.match(body, i)
     if not m:
-        raise _err(f"expected digits in {what}", offsets, i, i + 1)
+        raise _err(f"expected digits in {what}", body, i, i + 1)
     return m.group(0), m.end()
 
 
 _CHARGE_BODY = re.compile(r"([0-9]+)?([+-])")
 
 
-def _scan_caret(body: str, i: int, toks: list[ChemToken],
-                offsets: list[int], species_start: bool) -> int:
+def _scan_caret(body: str, i: int, toks: list[ChemToken], species_start: bool) -> int:
     if species_start:
         # Isotope prescripts: ^{227}_{90}Th or ^227_90Th.
-        mass, j = _scan_script_digits(body, i + 1, offsets, "isotope mass")
+        mass, j = _scan_script_digits(body, i + 1, "isotope mass")
         number = ""
         if j < len(body) and body[j] == "_":
-            number, j = _scan_script_digits(body, j + 1, offsets, "atomic number")
+            number, j = _scan_script_digits(body, j + 1, "atomic number")
         if not (j < len(body) and body[j].isupper()):
-            raise _err("isotope prescript must precede an element", offsets, i, j)
+            raise _err("isotope prescript must precede an element", body, i, j)
         payload = mass + ("/" + number if number else "")
         toks.append(ChemToken("isotope", payload))
         return j
@@ -279,20 +253,20 @@ def _scan_caret(body: str, i: int, toks: list[ChemToken],
     if braced:
         end = body.find("}", j)
         if end < 0:
-            raise _err("unterminated charge", offsets, i, j)
+            raise _err("unterminated charge", body, i, j)
         content = body[j + 1:end]
         if not re.fullmatch(r"[0-9]*[+-]", content):
-            raise _err(f"malformed charge {content!r}", offsets, i, end)
+            raise _err(f"malformed charge {content!r}", body, i, end)
         toks.append(ChemToken("charge", content))
         return end + 1
     m = _CHARGE_BODY.match(body, j)
     if not m:
-        raise _err("malformed charge", offsets, i, j + 1)
+        raise _err("malformed charge", body, i, j + 1)
     toks.append(ChemToken("charge", (m.group(1) or "") + m.group(2)))
     return m.end()
 
 
-def _check_sequence(toks: list[ChemToken], offsets: list[int], length: int) -> None:
+def _check_sequence(toks: list[ChemToken], body: str) -> None:
     depth = 0
     for tok in toks:
         if tok.kind == "open":
@@ -300,9 +274,9 @@ def _check_sequence(toks: list[ChemToken], offsets: list[int], length: int) -> N
         elif tok.kind == "close":
             depth -= 1
             if depth < 0:
-                raise _err("unbalanced ')'", offsets, 0, length)
+                raise _err("unbalanced ')'", body, 0, len(body))
     if depth != 0:
-        raise _err("unbalanced '(' grouping", offsets, 0, length)
+        raise _err("unbalanced '(' grouping", body, 0, len(body))
 
 
 def expand_ce(body: str) -> str:
@@ -358,7 +332,6 @@ def expand_pu(body: str) -> str:
 
     Quotients keep the solidus form (``m/s`` stays a slash, not a fraction).
     """
-    offsets = byte_offsets(body)
     text = body.strip()
     if not text:
         return ""
@@ -380,11 +353,12 @@ def expand_pu(body: str) -> str:
     if unit:
         if chunks:
             chunks.append("\\,")
-        chunks.append(_expand_unit(unit, offsets, shift + i))
+        chunks.append(_expand_unit(body, unit, shift + i))
     return "".join(chunks)
 
 
-def _expand_unit(unit: str, offsets: list[int], base: int) -> str:
+def _expand_unit(body: str, unit: str, base: int) -> str:
+    """Expand `unit`, found at codepoint `base` of `body`."""
     out: list[str] = []
     i = 0
     expect_atom = True
@@ -393,7 +367,7 @@ def _expand_unit(unit: str, offsets: list[int], base: int) -> str:
         if expect_atom:
             m = _UNIT_ATOM.match(unit, i)
             if not m:
-                raise _err(f"expected a unit symbol at {unit[i:]!r}", offsets,
+                raise _err(f"expected a unit symbol at {unit[i:]!r}", body,
                            base + i, base + i + 1)
             atom = m.group(0)
             letters = atom.rstrip("0123456789")
@@ -409,11 +383,11 @@ def _expand_unit(unit: str, offsets: list[int], base: int) -> str:
         elif ch == "/":
             out.append("/")
         else:
-            raise _err(f"unsupported unit separator {ch!r}", offsets,
+            raise _err(f"unsupported unit separator {ch!r}", body,
                        base + i, base + i + 1)
         i += 1
         expect_atom = True
     if expect_atom:
-        raise _err("dangling unit separator", offsets, base + len(unit) - 1,
+        raise _err("dangling unit separator", body, base + len(unit) - 1,
                    base + len(unit))
     return "".join(out)

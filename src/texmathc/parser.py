@@ -24,6 +24,7 @@ from .diagnostics import (
     ERROR,
     W_DEPRECATED,
     Diagnostic,
+    DiagnosticError,
     IntentError,
     byte_offsets,
     warning,
@@ -58,6 +59,7 @@ INFIX_FNS = frozenset({"fraction", "binom", "atop"})
 RAW_ARG_FNS = frozenset({"text", "operatorname"})
 
 _LETTERS = re.compile(r"[A-Za-z]+")
+_BRACE_SCAN = re.compile(r"\\.|[{}]", re.S)
 _CMD_TAIL = re.compile(r"\\[A-Za-z]+$")
 
 
@@ -87,13 +89,11 @@ class ParseResult:
 
 
 class _Fail(Exception):
-    def __init__(self, code: str, message: str, span: tuple[int, int],
-                 ready: Diagnostic | None = None):
+    def __init__(self, code: str, message: str, span: tuple[int, int]):
         super().__init__(message)
         self.code = code
         self.message = message
-        self.span = span  # codepoint span unless `ready` is set
-        self.ready = ready
+        self.span = span  # codepoints
 
 
 def _collapse_arg(node: AstNode) -> AstNode:
@@ -138,6 +138,23 @@ def tokenize(source: str) -> list[Token]:
     return toks
 
 
+def closing_brace(text: str, start: int) -> int:
+    """Index of the ``}`` matching the ``{`` at `start`, or -1 when unclosed.
+
+    A backslash escapes the character after it, so ``\\{`` and ``\\}`` do
+    not count.
+    """
+    depth = 0
+    for m in _BRACE_SCAN.finditer(text, start):
+        if m.group() == "{":
+            depth += 1
+        elif m.group() == "}":
+            depth -= 1
+            if depth == 0:
+                return m.start()
+    return -1
+
+
 class _Parser:
     def __init__(self, source: str, registry: Registry, allow_chem: bool):
         self.source = source
@@ -146,8 +163,7 @@ class _Parser:
         self.toks = tokenize(source)
         self.i = 0
         self.depth = 0
-        self.warnings: list[Diagnostic] = []
-        self.offsets = byte_offsets(source)
+        self.warnings: list[tuple[str, tuple[int, int]]] = []  # message, codepoint span
 
     # -- token plumbing ------------------------------------------------
 
@@ -161,14 +177,7 @@ class _Parser:
         return tok
 
     def fail(self, code: str, message: str, tok: Token) -> None:
-        span = (tok.start, max(tok.end, tok.start + 1))
-        raise _Fail(code, message, span)
-
-    def bspan(self, tok: Token) -> tuple[int, int]:
-        end = max(tok.end, min(tok.start + 1, len(self.source)))
-        if end <= tok.start:
-            end = tok.start + 1
-        return (self.offsets[tok.start], self.offsets[min(end, len(self.source))])
+        raise _Fail(code, message, (tok.start, tok.end))
 
     def enter(self, tok: Token) -> None:
         self.depth += 1
@@ -286,9 +295,7 @@ class _Parser:
 
     def note_deprecated(self, spec: CommandSpec, tok: Token) -> None:
         if spec.deprecated:
-            self.warnings.append(
-                warning(W_DEPRECATED, f"\\{spec.name} is deprecated", self.bspan(tok))
-            )
+            self.warnings.append((f"\\{spec.name} is deprecated", (tok.start, tok.end)))
 
     def command(self) -> AstNode:
         tok = self.advance()
@@ -468,25 +475,10 @@ class _Parser:
         if tok.kind != "lbrace":
             self.fail(E_EMPTY_ARG, f"missing argument of \\{owner.value}",
                       tok if tok.kind != "eof" else owner)
-        start = tok.start
-        pos = start
-        depth = 0
-        n = len(self.source)
-        while pos < n:
-            ch = self.source[pos]
-            if ch == "\\":
-                pos += 2
-                continue
-            if ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    break
-            pos += 1
-        if pos >= n:
+        pos = closing_brace(self.source, tok.start)
+        if pos < 0:
             self.fail(E_UNBALANCED_BRACE, "unterminated argument", tok)
-        content = self.source[start + 1:pos]
+        content = self.source[tok.start + 1:pos]
         while self.peek().kind != "eof" and self.peek().start < pos:
             self.advance()
         self.advance()  # the closing brace token at `pos`
@@ -494,47 +486,42 @@ class _Parser:
 
     def intent_macro(self, tok: Token) -> IntentWrap:
         body = self.argument(tok, "argument 1 of \\intent")
-        spec_start_tok = self.peek()
+        spec_tok = self.peek()
         raw = self.raw_group(tok)
-        base = self.offsets[min(spec_start_tok.start + 1, len(self.source))]
         try:
-            intent_raw, arg_map = intent_mod.parse_macro_options(raw)
-            intent_mod.parse_intent(intent_raw)
+            intent_raw, arg_map = intent_mod.parse_macro(raw)
         except IntentError as exc:
-            d = exc.diagnostic
-            span = (base + d.span[0], base + d.span[1])
-            raise _Fail(d.code, d.message, (0, 0),
-                        ready=Diagnostic(ERROR, d.code, d.message, span)) from None
+            raise exc.within(self.source, spec_tok.start + (spec_tok.kind == "lbrace")) from None
         return IntentWrap(body, intent_raw, arg_map)
 
 
 def parse(source: str, registry: Registry, *, allow_chem: bool = False) -> ParseResult:
     """Validate `source` against the whitelist grammar and build the AST."""
     parser = _Parser(source, registry, allow_chem)
+    ast = fail = None  # fail: code, message and codepoint span of the error
+    errors: tuple[Diagnostic, ...] = ()
     try:
         ast = parser.parse_formula()
-    except _Fail as exc:
-        if exc.ready is not None:
-            diag = exc.ready
-        else:
-            start, end = exc.span
-            start = min(start, len(source))
-            end = min(max(end, start + 1), len(source)) if len(source) else 0
-            if end <= start:
-                start, end = max(0, len(source) - 1), len(source)
-            span = (parser.offsets[start], parser.offsets[end]) if source else (0, 1)
-            diag = Diagnostic(ERROR, exc.code, exc.message, span)
-        return ParseResult(None, (diag,), tuple(parser.warnings))
+    except _Fail as exc:  # keep no reference to it: its traceback holds every frame
+        fail = exc.code, exc.message, exc.span
+    except DiagnosticError as exc:  # already located in `source`
+        errors = (exc.diagnostic,)
     except RecursionError:
-        diag = Diagnostic(ERROR, E_TOO_DEEP, "input too deeply nested", (0, max(1, len(source.encode('utf-8')))))
-        return ParseResult(None, (diag,), tuple(parser.warnings))
-    return ParseResult(ast, (), tuple(parser.warnings))
+        fail = E_TOO_DEEP, "input too deeply nested", (0, len(source))
+    if not (fail or parser.warnings):
+        return ParseResult(ast, errors, ())
+    found = [span for _, span in parser.warnings] + ([fail[2]] if fail else [])
+    spans = byte_offsets(source, found)
+    warnings = tuple(warning(W_DEPRECATED, message, span)
+                     for (message, _), span in zip(parser.warnings, spans))
+    if fail:
+        errors = (Diagnostic(ERROR, fail[0], fail[1], spans[-1]),)
+    return ParseResult(ast, errors, warnings)
 
 
 def validate(source: str, registry: Registry, *, allow_chem: bool = False) -> list[Diagnostic]:
     """Parse minus AST retention: empty result means valid with no warnings."""
-    result = parse(source, registry, allow_chem=allow_chem)
-    return list(result.errors + result.warnings)
+    return list(parse(source, registry, allow_chem=allow_chem).diagnostics)
 
 
 # -- corrected TeX ------------------------------------------------------

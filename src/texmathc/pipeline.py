@@ -9,7 +9,7 @@ from .cache import RenderCache
 from .diagnostics import Diagnostic, DiagnosticError
 from .generator import to_mathml
 from .mathml import GenOptions, serialize
-from .parser import parse
+from .parser import ParseResult, parse
 from .registry import Registry, default_registry
 
 
@@ -21,17 +21,20 @@ class ConversionFailed(Exception):
         self.diagnostics = diagnostics
 
 
-def check_formula(source: str, *, chem: bool = False,
-                  registry: Registry | None = None) -> list[Diagnostic]:
-    """All diagnostics for `source`; empty means valid with no warnings."""
-    registry = registry or default_registry()
+def _front(source: str, chem: bool, registry: Registry) -> ParseResult:
+    """Chemistry preprocessing (when asked for) and parsing."""
     if chem:
         try:
             source = mhchem.preprocess(source)
         except DiagnosticError as exc:
-            return [exc.diagnostic]
-    result = parse(source, registry, allow_chem=chem)
-    return list(result.errors + result.warnings)
+            return ParseResult(None, (exc.diagnostic,), ())
+    return parse(source, registry, allow_chem=chem)
+
+
+def check_formula(source: str, *, chem: bool = False,
+                  registry: Registry | None = None) -> list[Diagnostic]:
+    """All diagnostics for `source`; empty means valid with no warnings."""
+    return list(_front(source, chem, registry or default_registry()).diagnostics)
 
 
 def convert_formula(source: str, *, chem: bool = False,
@@ -48,7 +51,7 @@ def convert_formula(source: str, *, chem: bool = False,
     key = None
     if cache is not None:
         key = RenderCache.key_for(
-            f"{source}\x1fchem={chem}", options.fingerprint(), registry.version)
+            f"{source}\x1fchem={chem}", options.fingerprint(), registry.digest)
         hit = cache.get(key)
         if hit is not None:
             if log:
@@ -56,15 +59,9 @@ def convert_formula(source: str, *, chem: bool = False,
             return hit
         if log:
             log(f"cache miss {key[:12]}")
-    plain = source
-    if chem:
-        try:
-            plain = mhchem.preprocess(source)
-        except DiagnosticError as exc:
-            raise ConversionFailed([exc.diagnostic]) from None
-    result = parse(plain, registry, allow_chem=chem)
+    result = _front(source, chem, registry)
     if not result.ok:
-        raise ConversionFailed(list(result.errors + result.warnings))
+        raise ConversionFailed(list(result.diagnostics))
     assert result.ast is not None
     try:
         tree = to_mathml(result.ast, registry, options)

@@ -9,9 +9,10 @@ widths literally).
 
 from __future__ import annotations
 
+import hashlib
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -78,10 +79,10 @@ class Registry:
     def operator(self, token: str) -> OperatorSpec | None:
         return self.operators.get(token)
 
-    def delimiters(self) -> frozenset[str]:
-        return frozenset(
-            name for name, spec in self.commands.items() if spec.category == "delimiter"
-        )
+    @cached_property
+    def digest(self) -> str:
+        """SHA-256 of the registry's content, computed on first use."""
+        return hashlib.sha256(dump_registry(self).encode("utf-8")).hexdigest()
 
 
 def lookup(registry: Registry, name: str) -> CommandSpec | None:
@@ -189,10 +190,11 @@ def parse_registry_text(text: str) -> Registry:
 
 def _check_translation_fns(registry: Registry) -> None:
     # Imported lazily: the generator imports this module for its types.
-    from .generator import TRANSLATION_FNS
+    from .generator import STRUCTURAL_FNS, TRANSLATION_FNS
 
+    known = TRANSLATION_FNS.keys() | STRUCTURAL_FNS
     for spec in registry.commands.values():
-        if spec.translation_fn not in TRANSLATION_FNS:
+        if spec.translation_fn not in known:
             raise RegistryError(
                 f"command {spec.name!r}: unknown translation function {spec.translation_fn!r}"
             )

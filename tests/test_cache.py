@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+from texmathc import convert_formula, default_registry
 from texmathc.cache import RenderCache
+from texmathc.registry import dump_registry, parse_registry_text
 
 
 def test_key_is_deterministic():
@@ -42,3 +44,15 @@ def test_purge_counts_and_empties(tmp_path):
     assert cache.purge() == 3
     assert cache.stats() == (0, 0)
     assert cache.purge() == 0
+
+
+def test_registries_sharing_a_version_do_not_share_entries(tmp_path):
+    text = dump_registry(default_registry())
+    beta = parse_registry_text(
+        text.replace("alpha\t0\tidentifier\t03B1", "alpha\t0\tidentifier\t03B2"))
+    assert beta.version == default_registry().version
+    cache = RenderCache(tmp_path / "c")
+    alpha_out = convert_formula("\\alpha", registry=default_registry(), cache=cache)
+    beta_out = convert_formula("\\alpha", registry=beta, cache=cache)
+    assert "α" in alpha_out
+    assert "β" in beta_out

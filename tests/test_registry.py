@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from texmathc.generator import TRANSLATION_FNS
+from texmathc.generator import STRUCTURAL_FNS, TRANSLATION_FNS
 from texmathc.registry import (
     Registry,
     RegistryError,
@@ -54,13 +54,13 @@ def test_lookup_absent_is_none(registry):
 def test_default_registry_breadth(registry):
     assert len(registry.commands) >= 200
     used_fns = {spec.translation_fn for spec in registry.commands.values()}
-    assert used_fns == set(TRANSLATION_FNS), (
+    assert used_fns == set(TRANSLATION_FNS) | STRUCTURAL_FNS, (
         "every translation function must be exercised by the shipped data")
 
 
 def test_every_fn_resolves(registry):
     for spec in registry.commands.values():
-        assert spec.translation_fn in TRANSLATION_FNS, spec.name
+        assert spec.translation_fn in TRANSLATION_FNS.keys() | STRUCTURAL_FNS, spec.name
 
 
 def test_categories_and_arities(registry):

@@ -1,0 +1,143 @@
+"""Diagnostic spans: UTF-8 byte offsets into the text each scanner was given.
+
+One rule holds everywhere: a span is at least one codepoint wide, a span at
+or past the end of a non-empty text sits on its last codepoint, and an empty
+text gives (0, 1).  Errors found inside a ``\\ce``/``\\pu`` body or an
+``\\intent`` option block are located in the enclosing formula.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from texmathc import check_formula, parse
+from texmathc.diagnostics import (
+    E_CHEM_SYNTAX,
+    E_INTENT_SYNTAX,
+    E_UNKNOWN_COMMAND,
+    W_DEPRECATED,
+    DiagnosticError,
+)
+from texmathc.intent import parse_intent, parse_macro_options
+from texmathc.mhchem import expand_ce, expand_pu, preprocess
+
+
+def _error(fn, text):
+    with pytest.raises(DiagnosticError) as err:
+        fn(text)
+    return err.value.diagnostic
+
+
+def _slice(text, span):
+    return text.encode("utf-8")[span[0]:span[1]].decode("utf-8")
+
+
+# -- parser -------------------------------------------------------------
+
+
+def test_parser_span_after_non_ascii(registry):
+    source = "\\text{日本} \\badcmd"
+    (diag,) = parse(source, registry).errors
+    assert diag.code == E_UNKNOWN_COMMAND
+    assert diag.span == (14, 21)
+    assert _slice(source, diag.span) == "\\badcmd"
+
+
+def test_parser_end_of_text_moves_onto_last_codepoint(registry):
+    (diag,) = parse("{é", registry).errors
+    assert diag.span == (1, 3)
+
+
+def test_parser_warnings_after_non_ascii(registry):
+    source = "\\text{é} \\and \\text{ü} \\or \\text{日} \\part"
+    result = parse(source, registry)
+    assert result.ok
+    assert [d.code for d in result.warnings] == [W_DEPRECATED] * 3
+    assert [_slice(source, d.span) for d in result.warnings] == ["\\and", "\\or", "\\part"]
+
+
+def test_parser_warning_and_error_together(registry):
+    source = "\\text{日} \\and \\badcmd"
+    result = parse(source, registry)
+    assert _slice(source, result.errors[0].span) == "\\badcmd"
+    assert _slice(source, result.warnings[0].span) == "\\and"
+
+
+# -- mhchem -------------------------------------------------------------
+
+
+def test_chem_span_after_non_ascii_prefix():
+    source = "\\text{é} + \\ce{H@O}"
+    (diag,) = check_formula(source, chem=True)
+    assert diag.code == E_CHEM_SYNTAX
+    assert diag.span == (17, 18)
+    assert _slice(source, diag.span) == "@"
+
+
+def test_ce_end_of_body_stays_in_body():
+    assert _error(expand_ce, "^").span == (0, 1)
+    assert _error(expand_ce, "H_").span == (1, 2)
+    source = "\\ce{H_}"
+    assert _slice(source, _error(preprocess, source).span) == "_"
+
+
+def test_pu_end_of_body_stays_in_body():
+    assert _error(expand_pu, "5 m/").span == (3, 4)
+    source = "é\\pu{5 m/ }"
+    assert _slice(source, _error(preprocess, source).span) == "/"
+
+
+def test_unterminated_chem_argument_runs_to_end():
+    source = "é \\ce{H2O"
+    diag = _error(preprocess, source)
+    assert _slice(source, diag.span) == "\\ce{H2O"
+
+
+# -- intent -------------------------------------------------------------
+
+
+def test_intent_end_of_text():
+    assert _error(parse_intent, "f(").span == (1, 2)
+    assert _error(parse_intent, "").span == (0, 1)
+
+
+@pytest.mark.parametrize(("source", "offending", "span"), [
+    ("\\intent{x}{intent='('}", "(", (19, 20)),
+    ("\\intent{x}{intent='f(x', arg='1=b'}", "1", (30, 31)),
+    ("\\intent{x}{intent='f(\\$x y)'}", "y", (25, 26)),
+    ("\\intent{x}{intent='f', arg='a=\\$x'}", "\\$", (30, 32)),
+    ("\\text{é} \\intent{x}{intent='('}", "(", (29, 30)),
+    ("\\intent{x}a", "a", (10, 11)),
+])
+def test_intent_errors_point_into_the_quoted_value(registry, source, offending, span):
+    (diag,) = parse(source, registry).errors
+    assert diag.code == E_INTENT_SYNTAX
+    assert diag.span == span
+    assert _slice(source, diag.span) == offending
+
+
+def test_arg_binding_error_is_located_in_the_option_block():
+    raw = "intent='f', arg='a=\\$x'"
+    assert _slice(raw, _error(parse_macro_options, raw).span) == "\\$"
+
+
+# -- every scanner ------------------------------------------------------
+
+_PIECES = st.sampled_from([
+    "H", "2", "O", "^", "_", "{", "}", "(", ")", "-", "+", "=", "#", "*", "/",
+    "$", "\\$", "'", ",", "@", ":", "m", "s", " ", "é", "日", "intent=", "arg=",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_PIECES, max_size=10).map("".join))
+def test_every_scanner_keeps_spans_inside_its_text(text):
+    limit = max(1, len(text.encode("utf-8")))
+    for fn in (expand_ce, expand_pu, preprocess, parse_intent, parse_macro_options):
+        try:
+            fn(text)
+        except DiagnosticError as exc:
+            start, end = exc.diagnostic.span
+            assert 0 <= start < end <= limit, (fn.__name__, text, exc.diagnostic)
