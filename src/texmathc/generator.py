@@ -133,7 +133,7 @@ def _translate(node: AstNode, ctx: GenContext) -> list[MathMLNode]:
         return _delimited(node, ctx)
     if isinstance(node, IntentWrap):
         subtree = _slot(node.body, ctx)
-        return [intent_mod.apply_intent(node.intent_raw, subtree, node.arg_map)]
+        return [intent_mod.apply_intent(node, subtree)]
     if isinstance(node, Text):  # only reachable through text-class commands
         return [token("mtext", node.content)]
     raise TypeError(f"unknown AST node {node!r}")  # pragma: no cover

@@ -36,6 +36,10 @@ STRUCTURE_KINDS = frozenset({"common", "structure", "chemistry", "matrix"})
 _NCNAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*")
 _DIGITS = re.compile(r"[0-9]+")
 _ESCAPED_DOLLAR = re.compile(rb"\\\$")
+# A reference as written in an intent value: `$name`, or `\$name` inside the
+# quotes of the macro's option block.  In a value that parses, every `$`
+# starts one.
+_REFERENCE = re.compile(r"\\?\$(" + _NCNAME.pattern + ")")
 
 IntentExpr = Union["Concept", "Number", "Reference", "Structure", "Application"]
 
@@ -214,11 +218,24 @@ def parse_macro_options(raw: str) -> tuple[str, tuple[tuple[str, str], ...]]:
     return intent_value, binding
 
 
-def parse_macro(raw: str) -> tuple[str, tuple[tuple[str, str], ...]]:
-    """`parse_macro_options`, with the intent expression's grammar checked too."""
+def parse_macro(raw: str) -> tuple[str, tuple[tuple[str, str], ...],
+                                   dict[str, tuple[int, int]]]:
+    """`parse_macro_options`, with the intent expression's grammar checked too.
+
+    Also returns where each reference is first written in `raw`, as a
+    codepoint span of its ``$name`` (or ``\\$name``).
+    """
     intent_value, start, binding = _macro_options(raw)
     _in_value(parse_intent, intent_value, start, raw)
-    return intent_value, binding
+    return intent_value, binding, _first_references(raw, start, raw.index("'", start))
+
+
+def _first_references(text: str, start: int, end: int) -> dict[str, tuple[int, int]]:
+    """Codepoint span of each reference's first occurrence in text[start:end]."""
+    spans: dict[str, tuple[int, int]] = {}
+    for m in _REFERENCE.finditer(text, start, end):
+        spans.setdefault(m.group(1), m.span())
+    return spans
 
 
 def _macro_options(raw: str) -> tuple[str, int, tuple[tuple[str, str], ...]]:
@@ -331,13 +348,18 @@ def apply_intent(node, subtree: MathMLNode,
     The raw expression lands on the subtree root verbatim (token roots get
     an mrow to host it).  Every ``$name`` reference must resolve to exactly
     one identifier token, by text, left-to-right depth-first; the binding
-    maps formula identifiers to intent identifiers when they differ.
+    maps formula identifiers to intent identifiers when they differ.  A
+    reference that does not is reported at its first ``$name``: in the
+    formula for an AST node the parser located, else in the intent text.
     """
     if isinstance(node, str):
         intent_raw = node
+        first = _first_references(node, 0, len(node))
+        located = dict(zip(first, byte_offsets(node, list(first.values()))))
     else:  # an IntentWrap AST node
         intent_raw = node.intent_raw
         binding = binding or node.arg_map
+        located = dict(node.ref_spans)
     expr = parse_intent(intent_raw)
     root = subtree
     if root.is_token():
@@ -348,7 +370,6 @@ def apply_intent(node, subtree: MathMLNode,
     for formula_ident, intent_ident in binding:
         by_intent_name.setdefault(intent_ident, []).append(formula_ident)
 
-    (raw_span,) = byte_offsets(intent_raw, [(0, len(intent_raw))])
     for name in references(expr):
         targets = by_intent_name.get(name, [name])
         matches = [
@@ -359,11 +380,11 @@ def apply_intent(node, subtree: MathMLNode,
             raise IntentError(Diagnostic(
                 ERROR, E_INTENT_UNBOUND_REF,
                 f"intent reference ${name} matches no identifier in the formula",
-                raw_span))
+                located[name]))
         if len(matches) > 1:
             raise IntentError(Diagnostic(
                 ERROR, E_INTENT_AMBIGUOUS_REF,
                 f"intent reference ${name} matches {len(matches)} identifiers",
-                raw_span))
+                located[name]))
         matches[0].attributes["arg"] = name
     return root

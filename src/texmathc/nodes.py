@@ -13,7 +13,7 @@ Keeping the two distinct is what makes the corrected-TeX round trip exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 AstNode = Union[
@@ -111,6 +111,8 @@ class IntentWrap:
     body: AstNode
     intent_raw: str
     arg_map: tuple[tuple[str, str], ...]  # (formula identifier, intent identifier)
+    # (reference name, byte span of its first ``$name`` in the parsed source)
+    ref_spans: tuple[tuple[str, tuple[int, int]], ...] = field(compare=False)
 
 
 def children_of(node: AstNode) -> tuple[AstNode, ...]:

@@ -488,11 +488,13 @@ class _Parser:
         body = self.argument(tok, "argument 1 of \\intent")
         spec_tok = self.peek()
         raw = self.raw_group(tok)
+        at = spec_tok.start + (spec_tok.kind == "lbrace")  # codepoint of raw[0]
         try:
-            intent_raw, arg_map = intent_mod.parse_macro(raw)
+            intent_raw, arg_map, refs = intent_mod.parse_macro(raw)
         except IntentError as exc:
-            raise exc.within(self.source, spec_tok.start + (spec_tok.kind == "lbrace")) from None
-        return IntentWrap(body, intent_raw, arg_map)
+            raise exc.within(self.source, at) from None
+        spans = byte_offsets(self.source, [(s + at, e + at) for s, e in refs.values()])
+        return IntentWrap(body, intent_raw, arg_map, tuple(zip(refs, spans)))
 
 
 def parse(source: str, registry: Registry, *, allow_chem: bool = False) -> ParseResult:

@@ -34,7 +34,15 @@ def _front(source: str, chem: bool, registry: Registry) -> ParseResult:
 def check_formula(source: str, *, chem: bool = False,
                   registry: Registry | None = None) -> list[Diagnostic]:
     """All diagnostics for `source`; empty means valid with no warnings."""
-    return list(_front(source, chem, registry or default_registry()).diagnostics)
+    registry = registry or default_registry()
+    result = _front(source, chem, registry)
+    if result.ok and "\\intent" in source:
+        # Intent references bind to the generated tree: the check `convert` makes.
+        try:
+            to_mathml(result.ast, registry, GenOptions())
+        except DiagnosticError as exc:
+            return [exc.diagnostic, *result.warnings]
+    return list(result.diagnostics)
 
 
 def convert_formula(source: str, *, chem: bool = False,

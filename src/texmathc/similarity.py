@@ -180,84 +180,97 @@ def element_fscore(a: MathMLNode, b: MathMLNode,
 # -- tree edit distance ------------------------------------------------------
 
 
-def _label(node: MathMLNode) -> tuple[str, str]:
-    return (node.element, node.text or "")
+def _postorder(root: MathMLNode) -> tuple[list, list[int]]:
+    """Postorder labels and leftmost-leaf indices, both 1-based (slot 0 unused).
 
+    The subtree of node x is the postorder range lmld[x]..x, so the two
+    arrays together fix the labelled ordered tree.
+    """
+    labels: list = [None]
+    lmld = [0]
 
-class _Indexed:
-    """Postorder arrays for the Zhang-Shasha dynamic program."""
-
-    def __init__(self, root: MathMLNode):
-        self.labels: list[tuple[str, str]] = []
-        self.lmld: list[int] = []  # leftmost leaf descendant, postorder index
-        self._index(root)
-        n = len(self.labels)
-        seen: set[int] = set()
-        keyroots = []
-        for i in range(n - 1, -1, -1):
-            if self.lmld[i] not in seen:
-                seen.add(self.lmld[i])
-                keyroots.append(i)
-        self.keyroots = sorted(keyroots)
-
-    def _index(self, node: MathMLNode) -> int:
-        first_leaf = None
+    def visit(node: MathMLNode) -> int:
+        first = 0
         for child in node.children:
-            child_lmld = self._index(child)
-            if first_leaf is None:
-                first_leaf = child_lmld
-        index = len(self.labels)
-        self.labels.append(_label(node))
-        self.lmld.append(first_leaf if first_leaf is not None else index)
-        return self.lmld[index]
+            leaf = visit(child)
+            first = first or leaf
+        labels.append((node.element, node.text or ""))
+        lmld.append(first or len(lmld))
+        return lmld[-1]
+
+    visit(root)
+    return labels, lmld
 
 
 def tree_edit_distance(a: MathMLNode, b: MathMLNode,
                        options: CompareOptions = CompareOptions()) -> TedResult:
-    """Exact ordered tree edit distance with unit costs (Zhang-Shasha)."""
-    ta = _Indexed(normalize(a, options))
-    tb = _Indexed(normalize(b, options))
-    m, n = len(ta.labels), len(tb.labels)
-    if m == 0 or n == 0:
-        return TedResult(max(m, n), m, n)
+    """Exact ordered tree edit distance with unit costs (Zhang-Shasha).
 
-    treedist = [[0] * n for _ in range(m)]
-    for i in ta.keyroots:
-        for j in tb.keyroots:
-            _forest_distance(ta, tb, i, j, treedist)
-    return TedResult(treedist[m - 1][n - 1], m, n)
+    Equal normalized trees are recognised from their postorder arrays in
+    O(n) and skip the dynamic program.
+    """
+    labels_a, lmld_a = _postorder(normalize(a, options))
+    labels_b, lmld_b = _postorder(normalize(b, options))
+    m, n = len(labels_a) - 1, len(labels_b) - 1
+    if labels_a == labels_b and lmld_a == lmld_b:
+        return TedResult(0, m, n)
+    codes: dict = {}
+    la = [codes.setdefault(label, len(codes)) for label in labels_a]
+    lb = [codes.setdefault(label, len(codes)) for label in labels_b]
+    # Row or column lmld[x] - 1 of fd holds the forest left of x's subtree.
+    pa = [x - 1 for x in lmld_a]
+    pb = [y - 1 for y in lmld_b]
+    keyroots_b = [(pb[j], j, range(lmld_b[j], j + 1)) for j in _keyroots(lmld_b)]
+    treedist = [[0] * (n + 1) for _ in range(m + 1)]
+    # fd[x][y]: distance between the forests lmld[i]..x of A and lmld[j]..y
+    # of B for the keyroot pair (i, j) being computed; shared by all pairs.
+    fd = [[0] * (n + 1) for _ in range(m + 1)]
+    for i in _keyroots(lmld_a):
+        li = lmld_a[i]
+        empty = fd[li - 1]
+        for lj1, j, ys in keyroots_b:
+            empty[lj1:j + 1] = range(j + 1 - lj1)
+            prev = empty
+            for x in range(li, i + 1):
+                row = fd[x]
+                left = row[lj1] = prev[lj1] + 1
+                tdx = treedist[x]
+                # min(up + 1, left + 1, cost) with a single addition: the
+                # smaller of up and left, plus one, if it is below cost.
+                if pa[x] == li - 1:  # x's subtree is the whole A forest
+                    ax = la[x]
+                    for y in ys:
+                        q = pb[y]
+                        if q == lj1:  # both forests are whole trees
+                            cost = prev[y - 1] + (ax != lb[y])
+                        else:
+                            cost = q - lj1 + tdx[y]
+                        up = prev[y]
+                        if left < up:
+                            up = left
+                        if up < cost:
+                            cost = up + 1
+                        if q == lj1:
+                            tdx[y] = cost
+                        row[y] = left = cost
+                else:
+                    base = fd[pa[x]]
+                    for y in ys:
+                        cost = base[pb[y]] + tdx[y]
+                        up = prev[y]
+                        if left < up:
+                            up = left
+                        if up < cost:
+                            cost = up + 1
+                        row[y] = left = cost
+                prev = row
+    return TedResult(treedist[m][n], m, n)
 
 
-def _forest_distance(ta: _Indexed, tb: _Indexed, i: int, j: int,
-                     treedist: list[list[int]]) -> None:
-    li, lj = ta.lmld[i], tb.lmld[j]
-    m = i - li + 2
-    n = j - lj + 2
-    fd = [[0] * n for _ in range(m)]
-    for x in range(1, m):
-        fd[x][0] = fd[x - 1][0] + 1  # delete
-    for y in range(1, n):
-        fd[0][y] = fd[0][y - 1] + 1  # insert
-    for x in range(1, m):
-        for y in range(1, n):
-            xi = x + li - 1  # postorder index in a
-            yj = y + lj - 1  # postorder index in b
-            if ta.lmld[xi] == li and tb.lmld[yj] == lj:
-                rename = 0 if ta.labels[xi] == tb.labels[yj] else 1
-                fd[x][y] = min(
-                    fd[x - 1][y] + 1,
-                    fd[x][y - 1] + 1,
-                    fd[x - 1][y - 1] + rename,
-                )
-                treedist[xi][yj] = fd[x][y]
-            else:
-                p = ta.lmld[xi] - li
-                q = tb.lmld[yj] - lj
-                fd[x][y] = min(
-                    fd[x - 1][y] + 1,
-                    fd[x][y - 1] + 1,
-                    fd[p][q] + treedist[xi][yj],
-                )
+def _keyroots(lmld: list[int]) -> list[int]:
+    """The highest node of each leftmost leaf, in postorder."""
+    highest = {leaf: x for x, leaf in enumerate(lmld) if x}
+    return sorted(highest.values())
 
 
 # -- corpus aggregation -------------------------------------------------------

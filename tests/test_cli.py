@@ -34,6 +34,15 @@ def test_check_chem(capsys):
     assert code == 1
 
 
+def test_check_and_convert_agree_on_unbound_intent_reference(capsys):
+    source = "\\intent{x}{intent='f(\\$y)'}"
+    for argv in (("check", source), ("convert", "--no-cache", source)):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:E_INTENT_UNBOUND_REF:21-24:")
+
+
 def test_check_json_on_stdout(capsys):
     code, out, err = run(capsys, "check", "--json", "\\badcmd")
     assert code == 1

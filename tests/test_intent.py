@@ -166,8 +166,9 @@ def test_raw_intent_round_trips_verbatim():
 def test_unbound_reference():
     subtree = token("mi", "z")
     with pytest.raises(IntentError) as err:
-        apply_intent("f($missing)", subtree)
+        apply_intent("f($z, $missing)", subtree)
     assert err.value.diagnostic.code == E_INTENT_UNBOUND_REF
+    assert err.value.diagnostic.span == (6, 14)  # "$missing"
 
 
 def test_ambiguous_reference():
@@ -175,6 +176,7 @@ def test_ambiguous_reference():
     with pytest.raises(IntentError) as err:
         apply_intent("f($x)", row)
     assert err.value.diagnostic.code == E_INTENT_AMBIGUOUS_REF
+    assert err.value.diagnostic.span == (2, 4)  # "$x"
 
 
 def test_injection_preserves_structure_modulo_wrapping():

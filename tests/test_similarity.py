@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CORPORA
 from oracles import ted_mapping_oracle, ted_recursive_oracle
@@ -222,6 +224,56 @@ def test_ted_zero_implies_f1_one():
             assert element_fscore(a, b, FULL_NORMALIZATION).f1 == 1.0
         if element_fscore(a, b, FULL_NORMALIZATION).f1 < 1.0:
             assert tree_edit_distance(a, b, FULL_NORMALIZATION).distance > 0
+
+
+def test_ted_same_postorder_labels_different_shape():
+    # Both postorder label sequences are mi, mo, mrow.
+    a = from_xml("<mrow><mo><mi>x</mi></mo></mrow>")
+    b = from_xml("<mrow><mi>x</mi><mo/></mrow>")
+    got = tree_edit_distance(a, b).distance
+    assert got > 0
+    assert got == ted_mapping_oracle(a, b) == ted_recursive_oracle(a, b)
+
+
+def test_ted_equal_trees_report_normalized_node_counts():
+    a = math("<mrow><mrow><mi>x</mi></mrow><mo>+</mo><mi>y</mi></mrow>")
+    b = math('<mrow><mi mathvariant="italic">x</mi><mo>+</mo><mrow><mi>y</mi></mrow></mrow>')
+    result = tree_edit_distance(a, b, FULL_NORMALIZATION)
+    # math(mi, mo, mi): the mrows are spliced out, the attribute dropped
+    assert (result.distance, result.node_count_a, result.node_count_b) == (0, 4, 4)
+    unnormalized = tree_edit_distance(a, b)
+    assert (unnormalized.node_count_a, unnormalized.node_count_b) == (6, 6)
+
+
+# Up to 30 nodes over a two- or three-letter alphabet, so that equal label
+# sequences and equal subtrees are common: (label, parent pick) per node in
+# preorder, node i hanging under node pick % i.
+_SHAPES = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2 ** 16)),
+                   min_size=1, max_size=30)
+_EDITS = st.lists(st.tuples(st.integers(0, 29), st.integers(0, 2), st.integers(0, 2 ** 16)),
+                  max_size=3)
+
+
+def _tree(shape, alphabet: int) -> MathMLNode:
+    nodes = [MathMLNode(("mi", "mo", "mrow")[label % alphabet]) for label, _ in shape]
+    for i in range(1, len(nodes)):
+        nodes[shape[i][1] % i].children.append(nodes[i])
+    return nodes[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SHAPES, _SHAPES, _EDITS, st.sampled_from([2, 3]))
+def test_ted_matches_recursive_oracle_on_small_alphabets(shape_a, shape_b, edits, alphabet):
+    """An unrelated tree, and A itself after up to three label or parent edits."""
+    a = _tree(shape_a, alphabet)
+    edited = list(shape_a)
+    for index, label, parent in edits:
+        if index < len(edited):
+            edited[index] = (label, parent)
+    for b in (_tree(shape_b, alphabet), _tree(edited, alphabet)):
+        result = tree_edit_distance(a, b)
+        assert result.distance == ted_recursive_oracle(a, b)
+        assert (result.node_count_a, result.node_count_b) == (len(shape_a), len(list(b.iter())))
 
 
 # -- batch comparison -----------------------------------------------------------

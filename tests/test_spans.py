@@ -12,10 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from texmathc import check_formula, parse
+from texmathc import ConversionFailed, check_formula, convert_formula, parse
 from texmathc.diagnostics import (
     E_CHEM_SYNTAX,
+    E_INTENT_AMBIGUOUS_REF,
     E_INTENT_SYNTAX,
+    E_INTENT_UNBOUND_REF,
     E_UNKNOWN_COMMAND,
     W_DEPRECATED,
     DiagnosticError,
@@ -116,6 +118,26 @@ def test_intent_errors_point_into_the_quoted_value(registry, source, offending, 
     assert diag.code == E_INTENT_SYNTAX
     assert diag.span == span
     assert _slice(source, diag.span) == offending
+
+
+@pytest.mark.parametrize(("source", "code", "reference"), [
+    ("\\text{é}\\intent{x}{intent='f(\\$y)'}", E_INTENT_UNBOUND_REF, "\\$y"),
+    ("\\intent{x}{intent='f($x, $y)'}", E_INTENT_UNBOUND_REF, "$y"),
+    ("\\intent{x}{intent='f($y, $x, $y)'}", E_INTENT_UNBOUND_REF, "$y"),
+    ("\\intent{a}{intent='f($x)', arg='b=x'}", E_INTENT_UNBOUND_REF, "$x"),
+    ("\\intent{x+x}{intent='plus($x)'}", E_INTENT_AMBIGUOUS_REF, "$x"),
+    ("\\intent{x}{intent='f($x)'} + \\text{日本}\\intent{y}{ intent = 'g(\\$z)' }",
+     E_INTENT_UNBOUND_REF, "\\$z"),
+])
+def test_intent_reference_errors_point_at_the_reference(source, code, reference):
+    """check and convert agree, and locate the reference in the quoted value."""
+    with pytest.raises(ConversionFailed) as err:
+        convert_formula(source)
+    (diag,) = err.value.diagnostics
+    assert diag.code == code
+    assert _slice(source, diag.span) == reference
+    assert diag.span[0] == source.encode("utf-8").index(reference.encode("utf-8"))
+    assert check_formula(source) == [diag]
 
 
 def test_arg_binding_error_is_located_in_the_option_block():
