@@ -39,7 +39,9 @@ class GenContext:
 
 def to_mathml(ast: AstNode, registry: Registry,
               options: GenOptions | None = None) -> MathMLNode:
-    """Translate a parser-produced AST into a presentation MathML tree."""
+    """Translate a parser-produced AST into a presentation MathML tree.
+
+    An intent reference error is located at a codepoint span of the source."""
     options = options or GenOptions()
     ctx = GenContext(registry, options)
     items = ast.children if isinstance(ast, Sequence) else (ast,)

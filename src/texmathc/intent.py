@@ -340,26 +340,19 @@ def _parse_arg_binding(text: str) -> tuple[tuple[str, str], ...]:
 _REF_TARGET_ELEMENTS = ("mi", "mn")
 
 
-def apply_intent(node, subtree: MathMLNode,
-                 binding: tuple[tuple[str, str], ...] = ()) -> MathMLNode:
+def apply_intent(node, subtree: MathMLNode) -> MathMLNode:
     """Attach ``intent``/``arg`` attributes to a generated MathML subtree.
 
-    `node` is the annotation macro's AST node, or just its raw intent text.
-    The raw expression lands on the subtree root verbatim (token roots get
-    an mrow to host it).  Every ``$name`` reference must resolve to exactly
-    one identifier token, by text, left-to-right depth-first; the binding
-    maps formula identifiers to intent identifiers when they differ.  A
-    reference that does not is reported at its first ``$name``: in the
-    formula for an AST node the parser located, else in the intent text.
+    `node` is the annotation macro's AST node (an ``IntentWrap``).  The raw
+    expression lands on the subtree root verbatim (token roots get an mrow
+    to host it).  Every ``$name`` reference must resolve to exactly one
+    identifier token, by text, left-to-right depth-first; the macro's arg
+    binding maps formula identifiers to intent identifiers when they differ.
+    A reference that does not is reported at its first ``$name``, as a
+    codepoint span of the parsed formula; the caller maps it to bytes.
     """
-    if isinstance(node, str):
-        intent_raw = node
-        first = _first_references(node, 0, len(node))
-        located = dict(zip(first, byte_offsets(node, list(first.values()))))
-    else:  # an IntentWrap AST node
-        intent_raw = node.intent_raw
-        binding = binding or node.arg_map
-        located = dict(node.ref_spans)
+    intent_raw = node.intent_raw
+    located = dict(node.ref_spans)
     expr = parse_intent(intent_raw)
     root = subtree
     if root.is_token():
@@ -367,14 +360,14 @@ def apply_intent(node, subtree: MathMLNode,
     root.attributes["intent"] = intent_raw
 
     by_intent_name: dict[str, list[str]] = {}
-    for formula_ident, intent_ident in binding:
+    for formula_ident, intent_ident in node.arg_map:
         by_intent_name.setdefault(intent_ident, []).append(formula_ident)
 
     for name in references(expr):
         targets = by_intent_name.get(name, [name])
         matches = [
-            node for node in root.iter()
-            if node.element in _REF_TARGET_ELEMENTS and node.text in targets
+            tok for tok in root.iter()
+            if tok.element in _REF_TARGET_ELEMENTS and tok.text in targets
         ]
         if not matches:
             raise IntentError(Diagnostic(

@@ -111,7 +111,7 @@ class IntentWrap:
     body: AstNode
     intent_raw: str
     arg_map: tuple[tuple[str, str], ...]  # (formula identifier, intent identifier)
-    # (reference name, byte span of its first ``$name`` in the parsed source)
+    # (reference name, codepoint span of its first ``$name`` in the parsed source)
     ref_spans: tuple[tuple[str, tuple[int, int]], ...] = field(compare=False)
 
 

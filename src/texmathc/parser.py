@@ -493,8 +493,8 @@ class _Parser:
             intent_raw, arg_map, refs = intent_mod.parse_macro(raw)
         except IntentError as exc:
             raise exc.within(self.source, at) from None
-        spans = byte_offsets(self.source, [(s + at, e + at) for s, e in refs.values()])
-        return IntentWrap(body, intent_raw, arg_map, tuple(zip(refs, spans)))
+        spans = tuple((name, (s + at, e + at)) for name, (s, e) in refs.items())
+        return IntentWrap(body, intent_raw, arg_map, spans)
 
 
 def parse(source: str, registry: Registry, *, allow_chem: bool = False) -> ParseResult:

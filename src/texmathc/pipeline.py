@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable
 
 from . import mhchem
 from .cache import RenderCache
-from .diagnostics import Diagnostic, DiagnosticError
+from .diagnostics import Diagnostic, DiagnosticError, byte_offsets
 from .generator import to_mathml
 from .mathml import GenOptions, serialize
 from .parser import ParseResult, parse
@@ -21,27 +22,35 @@ class ConversionFailed(Exception):
         self.diagnostics = diagnostics
 
 
-def _front(source: str, chem: bool, registry: Registry) -> ParseResult:
-    """Chemistry preprocessing (when asked for) and parsing."""
+def _front(source: str, chem: bool, registry: Registry) -> tuple[str, ParseResult]:
+    """Chemistry preprocessing (when asked for) and parsing: the parsed text and result."""
     if chem:
         try:
             source = mhchem.preprocess(source)
         except DiagnosticError as exc:
-            return ParseResult(None, (exc.diagnostic,), ())
-    return parse(source, registry, allow_chem=chem)
+            return source, ParseResult(None, (exc.diagnostic,), ())
+    return source, parse(source, registry, allow_chem=chem)
+
+
+def _located(exc: DiagnosticError, parsed: str) -> Diagnostic:
+    """The generator's error, an intent reference at a codepoint span of the
+    `parsed` text, located in bytes of that text."""
+    d = exc.diagnostic
+    (span,) = byte_offsets(parsed, [d.span])
+    return replace(d, span=span)
 
 
 def check_formula(source: str, *, chem: bool = False,
                   registry: Registry | None = None) -> list[Diagnostic]:
     """All diagnostics for `source`; empty means valid with no warnings."""
     registry = registry or default_registry()
-    result = _front(source, chem, registry)
-    if result.ok and "\\intent" in source:
+    parsed, result = _front(source, chem, registry)
+    if result.ok and "\\intent" in parsed:
         # Intent references bind to the generated tree: the check `convert` makes.
         try:
             to_mathml(result.ast, registry, GenOptions())
         except DiagnosticError as exc:
-            return [exc.diagnostic, *result.warnings]
+            return [_located(exc, parsed), *result.warnings]
     return list(result.diagnostics)
 
 
@@ -67,14 +76,14 @@ def convert_formula(source: str, *, chem: bool = False,
             return hit
         if log:
             log(f"cache miss {key[:12]}")
-    result = _front(source, chem, registry)
+    parsed, result = _front(source, chem, registry)
     if not result.ok:
         raise ConversionFailed(list(result.diagnostics))
     assert result.ast is not None
     try:
         tree = to_mathml(result.ast, registry, options)
     except DiagnosticError as exc:
-        raise ConversionFailed([exc.diagnostic]) from None
+        raise ConversionFailed([_located(exc, parsed)]) from None
     output = serialize(tree)
     if cache is not None and key is not None:
         cache.put(key, output)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from texmathc import convert_formula, from_xml, parse_intent
+from texmathc import convert_formula, from_xml, parse, parse_intent
 from texmathc.diagnostics import (
     E_INTENT_AMBIGUOUS_REF,
     E_INTENT_SYNTAX,
@@ -163,20 +163,28 @@ def test_raw_intent_round_trips_verbatim():
     assert f'intent="{raw}"' in out
 
 
-def test_unbound_reference():
-    subtree = token("mi", "z")
+def _wrap(source, registry):
+    """The IntentWrap node of a formula that is one ``\\intent`` macro."""
+    return parse(source, registry).ast.children[0]
+
+
+def test_unbound_reference(registry):
+    source = "\\intent{z}{intent='f($z, $missing)'}"
     with pytest.raises(IntentError) as err:
-        apply_intent("f($z, $missing)", subtree)
+        apply_intent(_wrap(source, registry), token("mi", "z"))
     assert err.value.diagnostic.code == E_INTENT_UNBOUND_REF
-    assert err.value.diagnostic.span == (6, 14)  # "$missing"
+    start, end = err.value.diagnostic.span
+    assert source[start:end] == "$missing"
 
 
-def test_ambiguous_reference():
+def test_ambiguous_reference(registry):
+    source = "\\intent{x+x}{intent='f($x)'}"
     row = from_xml("<mrow><mi>x</mi><mo>+</mo><mi>x</mi></mrow>")
     with pytest.raises(IntentError) as err:
-        apply_intent("f($x)", row)
+        apply_intent(_wrap(source, registry), row)
     assert err.value.diagnostic.code == E_INTENT_AMBIGUOUS_REF
-    assert err.value.diagnostic.span == (2, 4)  # "$x"
+    start, end = err.value.diagnostic.span
+    assert source[start:end] == "$x"
 
 
 def test_injection_preserves_structure_modulo_wrapping():
@@ -197,11 +205,8 @@ def test_bad_intent_syntax_is_a_parse_error(registry):
 
 
 def test_apply_intent_accepts_ast_node(registry):
-    from texmathc.parser import parse
-
-    ast = parse("\\intent{z}{intent='imaginary-part'}", registry).ast
-    wrap = ast.children[0]
-    out = apply_intent(wrap, token("mi", "z"))
+    out = apply_intent(_wrap("\\intent{z}{intent='imaginary-part'}", registry),
+                       token("mi", "z"))
     assert out.attributes["intent"] == "imaginary-part"
 
 

@@ -11,15 +11,14 @@ pairs are timed per size:
 
 Trees are compared without normalization (``CompareOptions()``), so the
 node counts are exact; the time includes the copy that ``normalize``
-makes.  Each cell is the best of N timed calls of ``tree_edit_distance``.
+makes.  Each cell is the best of REPEAT timed calls of ``tree_edit_distance``.
 Nothing is asserted.
 
-    PYTHONPATH=src python3 tools/ted_scaling.py [--repeat N] [--sizes 50,100,...]
+    PYTHONPATH=src python3 tools/ted_scaling.py
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import platform
 import random
@@ -34,6 +33,7 @@ from texmathc.mathml import MathMLNode, from_xml  # noqa: E402
 from texmathc.similarity import CompareOptions, tree_edit_distance  # noqa: E402
 
 SIZES = (50, 100, 200, 300, 400, 600)
+REPEAT = 3  # N of best-of-N
 SEED = 2024
 
 
@@ -73,10 +73,10 @@ def relabel(rng: random.Random, tree: MathMLNode, size: int) -> MathMLNode:
     return out
 
 
-def best_of(repeat: int, a: MathMLNode, b: MathMLNode) -> tuple[float, int]:
+def best_of(a: MathMLNode, b: MathMLNode) -> tuple[float, int]:
     options = CompareOptions()
     best = float("inf")
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         start = perf_counter()
         result = tree_edit_distance(a, b, options)
         best = min(best, perf_counter() - start)
@@ -93,27 +93,18 @@ def cpu_name() -> str:
     return platform.processor() or platform.machine()
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeat", type=int, default=3, help="N of best-of-N (default 3)")
-    parser.add_argument("--sizes", default=",".join(map(str, SIZES)),
-                        help="comma-separated node counts (each at least 3)")
-    args = parser.parse_args(argv)
-    sizes = [int(s) for s in args.sizes.split(",")]
-    if args.repeat < 1 or any(size < 3 for size in sizes):
-        parser.error("--repeat must be at least 1 and every size at least 3")
-
+def main() -> int:
     print(f"# Python {platform.python_version()} ({platform.python_implementation()}), "
           f"CPU: {cpu_name()}")
-    print(f"# best of {args.repeat} calls of tree_edit_distance, CompareOptions(), seed {SEED}")
+    print(f"# best of {REPEAT} calls of tree_edit_distance, CompareOptions(), seed {SEED}")
     print("| nodes | identical | relabelled | relabelled TED |")
     print("|---:|---:|---:|---:|")
     rng = random.Random(SEED)
     pieces = _pieces()
-    for size in sizes:
+    for size in SIZES:
         a = build(rng, pieces, size)
-        same, _ = best_of(args.repeat, a, a.copy())
-        changed, distance = best_of(args.repeat, a, relabel(rng, a, size))
+        same, _ = best_of(a, a.copy())
+        changed, distance = best_of(a, relabel(rng, a, size))
         print(f"| {size} | {same * 1e3:.2f} ms | {changed * 1e3:.1f} ms | {distance} |",
               flush=True)
     return 0
