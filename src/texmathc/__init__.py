@@ -5,7 +5,7 @@ from .generator import to_mathml
 from .intent import apply_intent, parse_intent
 from .mathml import GenOptions, MathMLNode, from_xml, serialize
 from .mhchem import expand_ce, expand_pu, preprocess
-from .parser import ParseResult, parse, render_tex, validate
+from .parser import ParseResult, parse, render_tex
 from .pipeline import ConversionFailed, check_formula, convert_formula
 from .registry import CommandSpec, Registry, default_registry, load_registry, lookup
 from .similarity import (
@@ -52,5 +52,4 @@ __all__ = [
     "serialize",
     "to_mathml",
     "tree_edit_distance",
-    "validate",
 ]

@@ -72,23 +72,6 @@ class Application:
     args: tuple[IntentExpr, ...]
 
 
-def references(expr: IntentExpr) -> list[str]:
-    """Reference names in document order, de-duplicated."""
-    seen: list[str] = []
-
-    def visit(node: IntentExpr) -> None:
-        if isinstance(node, Reference):
-            if node.name not in seen:
-                seen.append(node.name)
-        elif isinstance(node, Application):
-            visit(node.head)
-            for arg in node.args:
-                visit(arg)
-
-    visit(expr)
-    return seen
-
-
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
@@ -352,8 +335,6 @@ def apply_intent(node, subtree: MathMLNode) -> MathMLNode:
     codepoint span of the parsed formula; the caller maps it to bytes.
     """
     intent_raw = node.intent_raw
-    located = dict(node.ref_spans)
-    expr = parse_intent(intent_raw)
     root = subtree
     if root.is_token():
         root = MathMLNode("mrow", {}, [subtree])
@@ -363,7 +344,7 @@ def apply_intent(node, subtree: MathMLNode) -> MathMLNode:
     for formula_ident, intent_ident in node.arg_map:
         by_intent_name.setdefault(intent_ident, []).append(formula_ident)
 
-    for name in references(expr):
+    for name, span in node.ref_spans:  # each reference once, in document order
         targets = by_intent_name.get(name, [name])
         matches = [
             tok for tok in root.iter()
@@ -373,11 +354,11 @@ def apply_intent(node, subtree: MathMLNode) -> MathMLNode:
             raise IntentError(Diagnostic(
                 ERROR, E_INTENT_UNBOUND_REF,
                 f"intent reference ${name} matches no identifier in the formula",
-                located[name]))
+                span))
         if len(matches) > 1:
             raise IntentError(Diagnostic(
                 ERROR, E_INTENT_AMBIGUOUS_REF,
                 f"intent reference ${name} matches {len(matches)} identifiers",
-                located[name]))
+                span))
         matches[0].attributes["arg"] = name
     return root

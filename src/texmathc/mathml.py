@@ -45,9 +45,12 @@ class MathMLNode:
         )
 
     def iter(self):
-        yield self
-        for child in self.children:
-            yield from child.iter()
+        """This node and its descendants in document order, at any depth."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
 
 def token(element: str, text: str, **attributes: str) -> MathMLNode:
@@ -124,7 +127,9 @@ def from_xml(text: str) -> MathMLNode:
 def _convert(element: ET.Element) -> MathMLNode:
     name = _NS.sub("", element.tag)
     attributes = {_NS.sub("", k): v for k, v in element.attrib.items()}
-    children = [_convert(child) for child in element]
+    children = []
+    for child in element:  # a loop, not a comprehension: one frame per level
+        children.append(_convert(child))
     if children:
         return MathMLNode(name, attributes, children)
     text = (element.text or "").strip()

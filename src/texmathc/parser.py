@@ -237,7 +237,18 @@ class _Parser:
             items.append(self.item())
 
     def item(self) -> AstNode:
-        node = self.atom()
+        """An atom (group, character or command) and its scripts."""
+        tok = self.peek()
+        if tok.kind == "lbrace":
+            node: AstNode = self.group()
+        elif tok.kind == "char":
+            node = self.char_literal()
+        elif tok.kind == "cmd":
+            node = self.command()
+        elif tok.kind in ("sup", "sub"):
+            self.fail(E_EMPTY_ARG, "script without a base", tok)
+        else:
+            self.fail(E_UNKNOWN_COMMAND, f"unexpected token {tok.value!r}", tok)
         sub: AstNode | None = None
         sup: AstNode | None = None
         while True:
@@ -261,19 +272,6 @@ class _Parser:
         if sup is not None:
             return Sup(node, sup)
         return node
-
-    def atom(self) -> AstNode:
-        tok = self.peek()
-        if tok.kind == "lbrace":
-            return self.group()
-        if tok.kind == "char":
-            return self.char_literal()
-        if tok.kind == "cmd":
-            return self.command()
-        if tok.kind in ("sup", "sub"):
-            self.fail(E_EMPTY_ARG, "script without a base", tok)
-        self.fail(E_UNKNOWN_COMMAND, f"unexpected token {tok.value!r}", tok)
-        raise AssertionError  # unreachable
 
     def group(self) -> Curly:
         open_tok = self.advance()
@@ -328,8 +326,9 @@ class _Parser:
         if spec.translation_fn == "radical" and self.peek().kind == "char" \
                 and self.peek().value == "[":
             return self.radical_with_index(tok)
-        args = [self.argument(tok, f"argument {k + 1} of \\{name}")
-                for k in range(spec.arity)]
+        args = []
+        for k in range(spec.arity):  # a loop, not a comprehension: fewer frames per level
+            args.append(self.argument(tok, f"argument {k + 1} of \\{name}"))
         if spec.arity == 1:
             return Fun1(name, args[0])
         if spec.arity == 2:
@@ -338,18 +337,20 @@ class _Parser:
         raise AssertionError
 
     def argument(self, owner: Token, what: str) -> AstNode:
+        """One argument: one level of nesting, braced or not."""
         tok = self.peek()
         if tok.kind == "lbrace":
-            return _collapse_arg(self.group())
-        if tok.kind == "char":
-            return self.char_literal()
-        if tok.kind == "cmd" and tok.value not in ("right", "end"):
-            return self.command()
+            return _collapse_arg(self.group())  # the group counts the level
+        if tok.kind == "char" or tok.kind == "cmd" and tok.value not in ("right", "end"):
+            self.enter(tok)
+            node = self.char_literal() if tok.kind == "char" else self.command()
+            self.leave()
+            return node
         self.fail(E_EMPTY_ARG, f"missing {what}", tok if tok.kind != "eof" else owner)
         raise AssertionError
 
     def radical_with_index(self, cmd_tok: Token) -> AstNode:
-        self.advance()  # consume "["
+        self.enter(self.advance())  # "[": the index is one level
         items: list[AstNode] = []
         while True:
             tok = self.peek()
@@ -359,6 +360,7 @@ class _Parser:
             if tok.kind == "eof":
                 self.fail(E_EMPTY_ARG, "unterminated root index", cmd_tok)
             items.append(self.item())
+        self.leave()
         radicand = self.argument(cmd_tok, "argument of \\sqrt")
         if not items:
             return Fun1("sqrt", radicand)
@@ -508,8 +510,6 @@ def parse(source: str, registry: Registry, *, allow_chem: bool = False) -> Parse
         fail = exc.code, exc.message, exc.span
     except DiagnosticError as exc:  # already located in `source`
         errors = (exc.diagnostic,)
-    except RecursionError:
-        fail = E_TOO_DEEP, "input too deeply nested", (0, len(source))
     if not (fail or parser.warnings):
         return ParseResult(ast, errors, ())
     found = [span for _, span in parser.warnings] + ([fail[2]] if fail else [])
@@ -519,11 +519,6 @@ def parse(source: str, registry: Registry, *, allow_chem: bool = False) -> Parse
     if fail:
         errors = (Diagnostic(ERROR, fail[0], fail[1], spans[-1]),)
     return ParseResult(ast, errors, warnings)
-
-
-def validate(source: str, registry: Registry, *, allow_chem: bool = False) -> list[Diagnostic]:
-    """Parse minus AST retention: empty result means valid with no warnings."""
-    return list(parse(source, registry, allow_chem=allow_chem).diagnostics)
 
 
 # -- corrected TeX ------------------------------------------------------

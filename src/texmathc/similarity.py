@@ -88,61 +88,42 @@ class CorpusReport:
 
 
 def normalize(tree: MathMLNode, options: CompareOptions) -> MathMLNode:
-    """Apply the comparison normalizations; the result is a fresh tree."""
-    root = tree.copy()
-    if options.require_semantics_wrapper and root.element == "math":
-        if not any(child.element == "semantics" for child in root.children):
-            root.children = [MathMLNode("semantics", {}, root.children)]
-    changed = True
-    while changed:
-        root, changed = _normalize_pass(root, options)
-    return root
+    """The tree as compared, built bottom-up in one pass; `tree` is not changed.
+
+    A node's children are normalized first.  Then a stripped element gives
+    way to its normalized children, and so (under `ignore_inferred_mrow`)
+    does an mrow left with one child; an inferred-mrow parent left with one
+    attribute-free mrow takes that mrow's children; and the ignored
+    attributes are dropped.  The root is never replaced.
+    """
+    if (options.require_semantics_wrapper and tree.element == "math"
+            and not any(child.element == "semantics" for child in tree.children)):
+        tree = MathMLNode("math", tree.attributes,
+                          [MathMLNode("semantics", {}, tree.children)])
+    out: list[MathMLNode] = []
+    _normalize_into(out, tree, options, root=True)
+    return out[0]
 
 
-def _normalize_pass(node: MathMLNode, options: CompareOptions) -> tuple[MathMLNode, bool]:
-    changed = False
+def _normalize_into(out: list[MathMLNode], node: MathMLNode, options: CompareOptions,
+                    root: bool = False) -> None:
+    """Append what takes `node`'s place in its normalized parent to `out`."""
+    mrows = options.ignore_inferred_mrow
+    children: list[MathMLNode] = []
+    for child in node.children:  # a loop, not a comprehension: one frame per level
+        _normalize_into(children, child, options)
+    if not root and (node.element in options.strip_elements
+                     or mrows and node.element == "mrow" and len(children) == 1):
+        out.extend(children)
+        return
+    if (mrows and node.element in _INFERRED_MROW_PARENTS and len(children) == 1
+            and children[0].element == "mrow" and not children[0].attributes):
+        children = children[0].children
     if options.ignored_attributes == "all":
-        if node.attributes:
-            node.attributes = {}
-            changed = True
+        attributes = {}
     else:
-        for name in list(node.attributes):
-            if options.ignores_attr(name):
-                del node.attributes[name]
-                changed = True
-
-    new_children: list[MathMLNode] = []
-    for child in node.children:
-        if child.element in options.strip_elements:
-            # Splice the stripped wrapper's children into this node.
-            new_children.extend(child.children)
-            changed = True
-        else:
-            new_children.append(child)
-    node.children = new_children
-
-    if options.ignore_inferred_mrow:
-        replaced: list[MathMLNode] = []
-        for child in node.children:
-            if child.element == "mrow" and len(child.children) == 1:
-                replaced.append(child.children[0])
-                changed = True
-            else:
-                replaced.append(child)
-        node.children = replaced
-        if (node.element in _INFERRED_MROW_PARENTS and len(node.children) == 1
-                and node.children[0].element == "mrow"
-                and not node.children[0].attributes):
-            node.children = node.children[0].children
-            changed = True
-
-    out_children = []
-    for child in node.children:
-        new_child, child_changed = _normalize_pass(child, options)
-        out_children.append(new_child)
-        changed = changed or child_changed
-    node.children = out_children
-    return node, changed
+        attributes = {k: v for k, v in node.attributes.items() if not options.ignores_attr(k)}
+    out.append(MathMLNode(node.element, attributes, children, node.text))
 
 
 # -- element F-score --------------------------------------------------------
@@ -287,8 +268,9 @@ def batch_compare(pairs: list[ComparePair],
                   options: CompareOptions = CompareOptions()) -> CorpusReport:
     """Per-pair TED and F-score plus Table-style aggregates.
 
-    Pairs that fail to parse as XML are excluded from the aggregates and
-    surfaced in the report header.
+    Pairs that fail to parse as XML, or that are nested too deeply for the
+    interpreter's stack, are excluded from the aggregates and surfaced in
+    the report header.
     """
     rows: list[PairRow] = []
     errors: list[str] = []
@@ -299,12 +281,16 @@ def batch_compare(pairs: list[ComparePair],
             tree_a = from_xml(pair.a)
             tree_b = from_xml(pair.b)
         except Exception as exc:
-            message = f"{pair.id}: XML parse failure: {exc}"
-            errors.append(message)
+            errors.append(f"{pair.id}: XML parse failure: {exc}")
             rows.append(PairRow(pair.id, None, None, error=str(exc)))
             continue
-        ted = tree_edit_distance(tree_a, tree_b, options)
-        score = element_fscore(tree_a, tree_b, options)
+        try:
+            ted = tree_edit_distance(tree_a, tree_b, options)
+            score = element_fscore(tree_a, tree_b, options)
+        except RecursionError as exc:  # read, but nested too deeply to walk
+            errors.append(f"{pair.id}: too deeply nested to compare: {exc}")
+            rows.append(PairRow(pair.id, None, None, error=str(exc)))
+            continue
         rows.append(PairRow(pair.id, ted.distance, score.f1))
         overall += ted.distance
         counted += 1

@@ -19,7 +19,6 @@ from texmathc.intent import (
     Structure,
     apply_intent,
     parse_macro_options,
-    references,
 )
 from texmathc.mathml import token
 
@@ -73,9 +72,12 @@ def test_whitespace_tolerated():
     assert parse_intent("f( $x , $y )") == parse_intent("f($x,$y)")
 
 
-def test_references_in_order():
-    expr = parse_intent("f($b,$a,$b)")
-    assert references(expr) == ["b", "a"]
+def test_references_in_order(registry):
+    source = "\\intent{ab}{intent='f($b,\\$a,$b)'}"
+    (wrap,) = parse(source, registry).ast.children
+    assert [(name, source[s:e]) for name, (s, e) in wrap.ref_spans] == [
+        ("b", "$b"), ("a", "\\$a")]
+    assert wrap.ref_spans[0][1][0] == source.index("$b")
 
 
 NEGATIVES = [

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from conftest import CORPORA
-from texmathc import convert_formula, validate
+from texmathc import convert_formula, parse
 from texmathc.diagnostics import E_CHEM_SYNTAX, E_UNBALANCED_BRACE, ChemError
 from texmathc.mhchem import expand_ce, expand_pu, preprocess, tokenize_ce
 
@@ -56,8 +56,8 @@ def test_equilibrium_arrow_uses_chem_only_command(registry):
     spec = registry.lookup("longrightleftharpoons")
     assert spec.category == "chem-only"
     # plain-mode validation must reject the expansion, chem mode accepts it
-    assert any(d.code == "E_UNKNOWN_COMMAND" for d in validate(expansion, registry))
-    assert validate(expansion, registry, allow_chem=True) == []
+    assert any(d.code == "E_UNKNOWN_COMMAND" for d in parse(expansion, registry).diagnostics)
+    assert parse(expansion, registry, allow_chem=True).diagnostics == ()
 
 
 def test_empty_bodies():
@@ -143,8 +143,7 @@ def test_conformance_corpus_expands_and_parses(registry):
     for case in cases:
         expanded = preprocess(case["input"])
         assert "\\ce" not in expanded and "\\pu" not in expanded
-        diagnostics = validate(expanded, registry, allow_chem=True)
-        errors = [d for d in diagnostics if d.severity == "error"]
+        errors = parse(expanded, registry, allow_chem=True).errors
         assert not errors, (case["id"], errors)
         convert_formula(case["input"], chem=True)
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from texmathc import convert_formula
 from texmathc.diagnostics import (
     E_AMBIGUOUS_INFIX,
     E_BAD_DELIM,
@@ -30,7 +31,8 @@ from texmathc.nodes import (
     Text,
     command_names,
 )
-from texmathc.parser import parse, render_tex, validate
+from texmathc.mathml import GenOptions
+from texmathc.parser import parse, render_tex
 
 
 def ok(registry, source):
@@ -163,6 +165,37 @@ def test_too_deep(registry):
     assert first_error(registry, source).code == E_TOO_DEEP
 
 
+def _frames_deeper(frames: int, call):
+    return _frames_deeper(frames - 1, call) if frames else call()
+
+
+# Every argument and every root index is one level, braced or not.
+NESTINGS = {
+    "braced": lambda n: "\\sqrt{" * n + "x" + "}" * n,
+    "unbraced": lambda n: "\\sqrt " * n + "x",
+    "root index": lambda n: "\\sqrt[" * n + "x" + "]{y}" * n,
+    "unbraced fraction": lambda n: "\\frac a" * n + "x",
+    "script": lambda n: "x^{" * n + "x" + "}" * n,
+    "intent": lambda n: "\\intent{" * n + "x" + "}{intent='a'}" * n,
+    "fence": lambda n: "\\left(" * n + "x" + "\\right)" * n,
+    "matrix": lambda n: "\\begin{pmatrix}" * n + "x" + "\\end{pmatrix}" * n,
+}
+
+
+@pytest.mark.parametrize("form", list(NESTINGS))
+@pytest.mark.parametrize("frames", [0, 50])
+def test_depth_cap_is_exact_at_any_stack_depth(registry, form, frames):
+    for n, accepted in [(128, True), (129, False), (300, False), (330, False)]:
+        source = NESTINGS[form](n)
+        result = _frames_deeper(frames, lambda: parse(source, registry))
+        assert result.ok == accepted, (n, result.errors)
+        assert accepted or [d.code for d in result.errors] == [E_TOO_DEEP]
+    # what the parser accepts, the rest of the pipeline converts
+    deepest = NESTINGS[form](128)
+    options = GenOptions(wrap_semantics=True, annotate_tex=True)
+    assert _frames_deeper(frames, lambda: convert_formula(deepest, options=options))
+
+
 def test_chem_only_rejected_in_plain_mode(registry):
     diag = first_error(registry, "\\ce{H2O}")
     assert diag.code == E_UNKNOWN_COMMAND
@@ -180,14 +213,16 @@ def test_deprecated_warning(registry):
     result = parse("a \\and b", registry)
     assert result.ok
     assert [w.code for w in result.warnings] == [W_DEPRECATED]
-    diags = validate("a \\and b", registry)
-    assert [d.code for d in diags] == [W_DEPRECATED]
+    assert [d.code for d in result.diagnostics] == [W_DEPRECATED]
 
 
 def test_validate_examples(registry):
-    assert validate("\\frac{a}{b}", registry) == []
-    assert [d.code for d in validate("{a", registry)] == [E_UNBALANCED_BRACE]
-    assert [d.code for d in validate("\\ce{H2O}", registry)] == [E_UNKNOWN_COMMAND]
+    def codes(source):
+        return [d.code for d in parse(source, registry).diagnostics]
+
+    assert codes("\\frac{a}{b}") == []
+    assert codes("{a") == [E_UNBALANCED_BRACE]
+    assert codes("\\ce{H2O}") == [E_UNKNOWN_COMMAND]
 
 
 BAD_INPUTS = [

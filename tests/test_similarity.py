@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 
 from conftest import CORPORA
 from oracles import ted_mapping_oracle, ted_recursive_oracle
-from texmathc.mathml import MathMLNode, from_xml, serialize
+from texmathc import convert_formula
+from texmathc.mathml import GenOptions, MathMLNode, from_xml, serialize
 from texmathc.similarity import (
+    _INFERRED_MROW_PARENTS,
     FULL_NORMALIZATION,
     CompareOptions,
     ComparePair,
@@ -92,6 +95,69 @@ def test_normalize_idempotent(options):
         "<annotation>x+sqrt(y)</annotation></semantics></math>")
     once = normalize(tree, options)
     assert normalize(once, options) == once
+
+
+def test_stripped_wrapper_is_transparent():
+    wrapped = from_xml("<math><msqrt><mrow><semantics><mi>a</mi><mi>b</mi></semantics></mrow>"
+                       "<mo>+</mo></msqrt></math>")
+    bare = from_xml("<math><msqrt><mrow><mi>a</mi><mi>b</mi></mrow><mo>+</mo></msqrt></math>")
+    assert normalize(wrapped, FULL_NORMALIZATION) == normalize(bare, FULL_NORMALIZATION)
+    assert tree_edit_distance(wrapped, bare, FULL_NORMALIZATION).distance == 0
+    # the mrow keeps its two children; they are not spliced into the msqrt
+    assert normalize(wrapped, FULL_NORMALIZATION) == bare
+
+
+_NORMALIZE_OPTIONS = [
+    FULL_NORMALIZATION,
+    CompareOptions(ignore_inferred_mrow=True, ignored_attributes="all",
+                   strip_elements=frozenset({"annotation", "semantics"}),
+                   require_semantics_wrapper=True),
+    CompareOptions(strip_elements=frozenset({"semantics"})),
+    CompareOptions(ignore_inferred_mrow=True, ignored_attributes=frozenset({"x"}),
+                   strip_elements=frozenset({"annotation"})),
+]
+_LEAVES = st.builds(lambda element, text: MathMLNode(element, {}, [], text),
+                    st.sampled_from(["mi", "mo", "mn"]), st.sampled_from("ab"))
+_LAYOUT = ["mrow", "mrow", "semantics", "annotation", "msqrt", "mfrac", "mstyle"]
+_NESTED = st.recursive(_LEAVES, lambda children: st.builds(
+    MathMLNode, st.sampled_from(_LAYOUT),
+    st.sampled_from([{}, {"x": "1"}, {"y": "2"}]), st.lists(children, max_size=3)),
+    max_leaves=24)
+_MATH = st.builds(lambda children: MathMLNode("math", {}, children),
+                  st.lists(_NESTED, max_size=3))
+
+
+def _rule_applies(node: MathMLNode, options: CompareOptions, root: bool = True) -> bool:
+    """Whether some normalization rule would still change `node`'s subtree."""
+    kids = node.children
+    if any(options.ignores_attr(name) for name in node.attributes):
+        return True
+    if not root and node.element in options.strip_elements:
+        return True
+    if options.ignore_inferred_mrow and (
+            not root and node.element == "mrow" and len(kids) == 1
+            or node.element in _INFERRED_MROW_PARENTS and len(kids) == 1
+            and kids[0].element == "mrow" and not kids[0].attributes):
+        return True
+    return any(_rule_applies(child, options, root=False) for child in kids)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_MATH, st.sampled_from(_NORMALIZE_OPTIONS), st.data())
+def test_normalize_properties(tree, options, data):
+    snapshot = serialize(tree)
+    once = normalize(tree, options)
+    assert serialize(tree) == snapshot  # the input is not changed
+    assert not _rule_applies(once, options)
+    assert normalize(once, options) == once
+    # Wrapping a run of siblings in a stripped element changes nothing.
+    parents = [node for node in tree.iter() if not node.is_token()]
+    parent = data.draw(st.sampled_from(parents))
+    start = data.draw(st.integers(0, len(parent.children)))
+    stop = data.draw(st.integers(start, len(parent.children)))
+    wrapper = data.draw(st.sampled_from(sorted(options.strip_elements)))
+    parent.children[start:stop] = [MathMLNode(wrapper, {}, parent.children[start:stop])]
+    assert normalize(tree, options) == once
 
 
 # -- F-score ------------------------------------------------------------------
@@ -312,6 +378,30 @@ def test_batch_surfaces_xml_failures():
     assert "broken" in report.errors[0]
     assert any(r.error for r in report.rows)
     assert format_report_table(report).startswith("!")
+
+
+def test_batch_reads_back_the_deepest_conversion():
+    # 128 nested matrices with a TeX annotation: about 640 levels of MathML
+    doc = convert_formula("\\begin{pmatrix} a " * 128 + "\\end{pmatrix}" * 128,
+                          options=GenOptions(wrap_semantics=True, annotate_tex=True))
+    (row,) = batch_compare([ComparePair("deep", doc, doc)]).rows
+    assert (row.ted, row.f1, row.error) == (0, 1.0, None)
+
+
+@pytest.mark.parametrize("options", [CompareOptions(), FULL_NORMALIZATION])
+def test_batch_survives_any_nesting_depth(options):
+    """A deep pair gives a row, with or without an error, never an exception.
+
+    Every depth just under the recursion limit is tried, where reading a
+    document succeeds but walking it may not.
+    """
+    limit = sys.getrecursionlimit()
+    for depth in [400, *range(limit - 100, limit + 1), 2000]:
+        doc = "<math>" + "<mrow>" * depth + "<mi>x</mi>" + "</mrow>" * depth + "</math>"
+        report = batch_compare([ComparePair("chain", doc, doc)], options)
+        (row,) = report.rows
+        assert (row.ted == 0) != (row.error is not None), depth
+        assert len(report.errors) == report.formula_count ^ 1
 
 
 def test_report_table_shape():

@@ -17,7 +17,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from texmathc import convert_formula, default_registry, preprocess, validate  # noqa: E402
+from texmathc import convert_formula, default_registry, parse, preprocess  # noqa: E402
 from texmathc.coverage import coverage_corpus  # noqa: E402
 from texmathc.mathml import GenOptions  # noqa: E402
 
@@ -131,8 +131,7 @@ def gen_mhchem() -> None:
     for case in cases:
         expanded = preprocess(case["input"])
         assert "\\ce" not in expanded and "\\pu" not in expanded, case
-        diags = validate(expanded, default_registry(), allow_chem=True)
-        errors = [d for d in diags if d.severity == "error"]
+        errors = parse(expanded, default_registry(), allow_chem=True).errors
         assert not errors, (case, errors)
         check_valid(case["input"], chem=True)
     assert len(cases) >= 116, len(cases)
