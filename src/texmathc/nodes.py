@@ -9,6 +9,7 @@ containers exist alongside the user-visible ones:
   ``\\left``/``\\right`` pair, and multi-item matrix cells.
 
 Keeping the two distinct is what makes the corrected-TeX round trip exact.
+Equal ``Literal`` nodes may be one object; nodes are frozen, so that is safe.
 """
 
 from __future__ import annotations

@@ -58,12 +58,27 @@ INFIX_FNS = frozenset({"fraction", "binom", "atop"})
 # Commands whose argument is raw text rather than math.
 RAW_ARG_FNS = frozenset({"text", "operatorname"})
 
-_LETTERS = re.compile(r"[A-Za-z]+")
+# One alternative per token kind, named after it; a command's value is its
+# name without the backslash: ASCII letters, one other character, or none at
+# the end of the input.  Whitespace (`str.isspace`) matches nothing.
+_TOKEN = re.compile(r"(?P<newrow>\\\\)|\\(?P<cmd>[A-Za-z]+|.?)|(?P<lbrace>\{)|(?P<rbrace>\})"
+                    r"|(?P<sup>\^)|(?P<sub>_)|(?P<amp>&)|(?P<char>\S)", re.S)
+
+# The tokens that end a sequence of each construct, besides eof.
+_STOP_TOP: frozenset[str] = frozenset()
+_STOP_GROUP = frozenset({"rbrace"})
+_STOP_FENCE = frozenset({"right"})
+_STOP_CELL = frozenset({"amp", "newrow", "end"})
+
+# One shared Literal per token text (nodes are frozen, so sharing is safe).
+# Only whitelisted characters and arity-0 commands are put in it.
+_LITERALS: dict[str, Literal] = {}
+
 _BRACE_SCAN = re.compile(r"\\.|[{}]", re.S)
 _CMD_TAIL = re.compile(r"\\[A-Za-z]+$")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
     kind: str  # cmd, char, lbrace, rbrace, sup, sub, amp, newrow, eof
     value: str
@@ -105,36 +120,9 @@ def _collapse_arg(node: AstNode) -> AstNode:
 
 def tokenize(source: str) -> list[Token]:
     """Total tokenization: any input yields a token list ending in eof."""
-    toks: list[Token] = []
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "\\":
-            if i + 1 < n and source[i + 1] == "\\":
-                toks.append(Token("newrow", "\\\\", i, i + 2))
-                i += 2
-                continue
-            m = _LETTERS.match(source, i + 1)
-            if m:
-                toks.append(Token("cmd", m.group(0), i, m.end()))
-                i = m.end()
-            elif i + 1 < n:
-                toks.append(Token("cmd", source[i + 1], i, i + 2))
-                i += 2
-            else:
-                toks.append(Token("cmd", "", i, i + 1))
-                i += 1
-            continue
-        kind = {
-            "{": "lbrace", "}": "rbrace", "^": "sup", "_": "sub", "&": "amp",
-        }.get(ch, "char")
-        toks.append(Token(kind, ch, i, i + 1))
-        i += 1
-    toks.append(Token("eof", "", n, n))
+    toks = [Token(m.lastgroup, m[m.lastindex], m.start(), m.end())
+            for m in _TOKEN.finditer(source)]
+    toks.append(Token("eof", "", len(source), len(source)))
     return toks
 
 
@@ -190,7 +178,7 @@ class _Parser:
     # -- grammar -------------------------------------------------------
 
     def parse_formula(self) -> Sequence:
-        items = self.sequence(stop=frozenset(), eof_ok=True)
+        items = self.sequence(_STOP_TOP, eof_ok=True)
         tok = self.peek()
         if tok.kind != "eof":  # pragma: no cover - sequence consumes to eof
             self.fail(E_UNBALANCED_BRACE, "unexpected trailing input", tok)
@@ -199,8 +187,9 @@ class _Parser:
     def sequence(self, stop: frozenset[str], eof_ok: bool,
                  in_infix: bool = False) -> list[AstNode]:
         items: list[AstNode] = []
+        toks = self.toks
         while True:
-            tok = self.peek()
+            tok = toks[self.i]
             kind = tok.kind
             if kind == "cmd" and tok.value in ("right", "end"):
                 kind = tok.value
@@ -238,21 +227,23 @@ class _Parser:
 
     def item(self) -> AstNode:
         """An atom (group, character or command) and its scripts."""
-        tok = self.peek()
-        if tok.kind == "lbrace":
+        toks = self.toks
+        tok = toks[self.i]
+        kind = tok.kind
+        if kind == "lbrace":
             node: AstNode = self.group()
-        elif tok.kind == "char":
+        elif kind == "char":
             node = self.char_literal()
-        elif tok.kind == "cmd":
+        elif kind == "cmd":
             node = self.command()
-        elif tok.kind in ("sup", "sub"):
+        elif kind in ("sup", "sub"):
             self.fail(E_EMPTY_ARG, "script without a base", tok)
         else:
             self.fail(E_UNKNOWN_COMMAND, f"unexpected token {tok.value!r}", tok)
         sub: AstNode | None = None
         sup: AstNode | None = None
         while True:
-            tok = self.peek()
+            tok = toks[self.i]
             if tok.kind == "sup":
                 if sup is not None:
                     self.fail(E_DOUBLE_SCRIPT, "double superscript", tok)
@@ -276,7 +267,7 @@ class _Parser:
     def group(self) -> Curly:
         open_tok = self.advance()
         self.enter(open_tok)
-        items = self.sequence(stop=frozenset({"rbrace"}), eof_ok=False)
+        items = self.sequence(_STOP_GROUP, eof_ok=False)
         self.advance()  # rbrace, guaranteed by sequence()
         self.leave()
         return Curly(tuple(items))
@@ -284,10 +275,9 @@ class _Parser:
     def char_literal(self) -> Literal:
         tok = self.advance()
         ch = tok.value
-        if ch.isascii() and (ch.isalpha() or ch.isdigit()):
-            return Literal(ch)
-        if self.registry.operator(ch) is not None:
-            return Literal(ch)
+        if (ch.isascii() and (ch.isalpha() or ch.isdigit())
+                or self.registry.operator(ch) is not None):
+            return _LITERALS.get(ch) or _LITERALS.setdefault(ch, Literal(ch))
         self.fail(E_UNKNOWN_COMMAND, f"character {ch!r} is not whitelisted", tok)
         raise AssertionError
 
@@ -317,9 +307,15 @@ class _Parser:
                           f"\\{name} is only available after chemistry preprocessing", tok)
         if spec.category == "environment":
             self.fail(E_BAD_ENV, f"{name} is an environment; use \\begin{{{name}}}", tok)
+        # sequence() takes an infix command that divides a group; here, as an
+        # argument or in a root index, it would have nothing to divide.
+        if spec.arity == 0 and spec.translation_fn in INFIX_FNS:
+            self.fail(E_AMBIGUOUS_INFIX,
+                      f"\\{name} cannot be an argument or index; brace it as {{a \\{name} b}}", tok)
         self.note_deprecated(spec, tok)
         if spec.arity == 0:
-            return Literal("\\" + name)
+            token = "\\" + name
+            return _LITERALS.get(token) or _LITERALS.setdefault(token, Literal(token))
         if spec.translation_fn in RAW_ARG_FNS:
             content = self.raw_group(tok)
             return Fun1(name, Text(content))
@@ -370,7 +366,7 @@ class _Parser:
     def delimited(self, left_tok: Token) -> Delimited:
         self.enter(left_tok)
         open_tok = self.read_delimiter(left_tok)
-        items = self.sequence(stop=frozenset({"right"}), eof_ok=False)
+        items = self.sequence(_STOP_FENCE, eof_ok=False)
         right_tok = self.advance()  # the \right command
         close_tok = self.read_delimiter(right_tok)
         self.leave()
@@ -404,7 +400,7 @@ class _Parser:
         row: list[AstNode] = []
         saw_newrow = False
         while True:
-            items = self.sequence(stop=frozenset({"amp", "newrow", "end"}), eof_ok=False)
+            items = self.sequence(_STOP_CELL, eof_ok=False)
             cell: AstNode = items[0] if len(items) == 1 else Sequence(tuple(items))
             tok = self.advance()
             if tok.kind == "amp":

@@ -1,7 +1,7 @@
-"""Independent tree-edit-distance oracles.
+"""Independent oracles: tree edit distance and TeX tokenization.
 
-Two deliberately different formulations, neither sharing code with the
-production algorithm:
+Two deliberately different tree-edit-distance formulations, neither sharing
+code with the production algorithm:
 
 * ``ted_mapping_oracle`` enumerates every valid edit mapping (Tai mapping)
   between the two node sets and takes the cheapest; this is the textbook
@@ -9,10 +9,14 @@ production algorithm:
 * ``ted_recursive_oracle`` is the plain memoized forest recursion (delete /
   insert / match on the leftmost roots) with no keyroot machinery; handles
   the bundled fixture corpora (tens of nodes).
+
+``tokenize_oracle`` is the parser's earlier tokenizer, one character at a
+time, kept as the reference for the regex scanner in ``texmathc.parser``.
 """
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 
 from texmathc.mathml import MathMLNode
@@ -130,3 +134,41 @@ def _sizes(children: list[list[int]]) -> list[int]:
         for child in children[idx]:
             sizes[idx] += sizes[child]
     return sizes
+
+
+_LETTERS = re.compile(r"[A-Za-z]+")
+
+
+def tokenize_oracle(source: str) -> list[tuple[str, str, int, int]]:
+    """The parser's tokens as (kind, value, start, end), ending in eof."""
+    toks: list[tuple[str, str, int, int]] = []
+    i = 0
+    n = len(source)
+    while i < n:
+        ch = source[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch == "\\":
+            if i + 1 < n and source[i + 1] == "\\":
+                toks.append(("newrow", "\\\\", i, i + 2))
+                i += 2
+                continue
+            m = _LETTERS.match(source, i + 1)
+            if m:
+                toks.append(("cmd", m.group(0), i, m.end()))
+                i = m.end()
+            elif i + 1 < n:
+                toks.append(("cmd", source[i + 1], i, i + 2))
+                i += 2
+            else:
+                toks.append(("cmd", "", i, i + 1))
+                i += 1
+            continue
+        kind = {
+            "{": "lbrace", "}": "rbrace", "^": "sup", "_": "sub", "&": "amp",
+        }.get(ch, "char")
+        toks.append((kind, ch, i, i + 1))
+        i += 1
+    toks.append(("eof", "", n, n))
+    return toks

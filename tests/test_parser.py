@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from texmathc import convert_formula
+from oracles import tokenize_oracle
+from texmathc import ConversionFailed, check_formula, convert_formula, default_registry
 from texmathc.diagnostics import (
     E_AMBIGUOUS_INFIX,
     E_BAD_DELIM,
@@ -15,6 +16,7 @@ from texmathc.diagnostics import (
     E_UNBALANCED_BRACE,
     E_UNKNOWN_COMMAND,
     W_DEPRECATED,
+    DiagnosticError,
 )
 from texmathc.nodes import (
     Curly,
@@ -32,7 +34,8 @@ from texmathc.nodes import (
     command_names,
 )
 from texmathc.mathml import GenOptions
-from texmathc.parser import parse, render_tex
+from texmathc.mhchem import preprocess
+from texmathc.parser import parse, render_tex, tokenize
 
 
 def ok(registry, source):
@@ -158,6 +161,27 @@ def test_double_script(registry):
 
 def test_ambiguous_infix(registry):
     assert first_error(registry, "a \\over b \\over c").code == E_AMBIGUOUS_INFIX
+
+
+# An infix command divides the group it stands in; anywhere else it has no
+# operands, so it is rejected where it stands (and never reaches the generator).
+INFIX_OUT_OF_PLACE = [
+    ("\\sqrt\\over", "\\over"), ("x^\\over", "\\over"), ("\\frac\\over x", "\\over"),
+    ("\\frac x\\choose", "\\choose"), ("a_\\atop b", "\\atop"), ("\\hat\\choose", "\\choose"),
+    ("\\sqrt[\\over]{x}", "\\over"), ("\\sqrt[a\\atop b]{x}", "\\atop"),
+    ("\\sqrt \\atop_{\\sin}", "\\atop"),
+]
+
+
+@pytest.mark.parametrize("source,command", INFIX_OUT_OF_PLACE)
+def test_infix_outside_a_group_is_rejected(source, command):
+    (diag,) = check_formula(source)
+    at = source.index(command)
+    assert diag.code == E_AMBIGUOUS_INFIX and diag.span == (at, at + len(command))
+    assert "{a " + command + " b}" in diag.message
+    with pytest.raises(ConversionFailed) as failed:  # and no other exception
+        convert_formula(source)
+    assert failed.value.diagnostics == [diag]
 
 
 def test_too_deep(registry):
@@ -359,6 +383,76 @@ def test_fuzz_never_crashes(source):
         limit = max(1, len(source.encode("utf-8")))
         for diag in result.errors:
             assert 0 <= diag.span[0] < diag.span[1] <= limit
+
+
+# -- tokenizer against the per-character oracle ------------------------------
+
+_TOKEN_PIECES = st.sampled_from([
+    "\\", "\\\\", "\\é", "\\日", "{", "}", "^", "_", "&", "a", "Zb", "1", "[", "]",
+    "+", "é", "日", " ", "\n", "\t", "\x1c", "\x85", "\u3000", "\xa0", "\u2028",
+])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_TOKEN_PIECES, max_size=24).map("".join), st.booleans())
+@example("\\", False)
+@example("a\\", False)
+@example("\\\\\\", False)
+@example("\\ \\\n\\\x85x", False)
+def test_tokenize_matches_oracle(source, lone_backslash):
+    source += "\\" if lone_backslash else ""
+    got = [(t.kind, t.value, t.start, t.end) for t in tokenize(source)]
+    assert got == tokenize_oracle(source)
+
+
+# -- grammar fuzz past the parser ---------------------------------------------
+
+_pipeline_leaf = st.sampled_from([
+    "x", "2", "+", "\\alpha", "\\sin", "\\over", "\\choose", "\\atop",
+    "\\sqrt[3]{x}", "\\sqrt[n] y", "\\ce{H2O}", "\\ce{A + B -> C}", "\\ce{SO4^2-}",
+])
+
+
+def _compose_unbraced(children):
+    pair = st.tuples(children, children)
+    return st.one_of(
+        pair.map(lambda ab: f"{ab[0]} {ab[1]}"),
+        children.map(lambda a: "{" + a + "}"),
+        children.map(lambda a: f"\\sqrt {a}"),
+        children.map(lambda a: f"\\hat {a}"),
+        children.map(lambda a: f"x^{a}"),
+        children.map(lambda a: f"x_{{{a}}}"),
+        pair.map(lambda ab: f"\\frac {ab[0]} {ab[1]}"),
+        pair.map(lambda ab: f"\\sqrt[{ab[0]}]{{{ab[1]}}}"),
+        pair.map(lambda ab: f"\\left( {ab[0]} \\right) {ab[1]}"),
+        pair.map(lambda ab: f"\\begin{{matrix}} {ab[0]} & {ab[1]} \\end{{matrix}}"),
+    )
+
+
+pipeline_strings = st.recursive(_pipeline_leaf, _compose_unbraced, max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pipeline_strings, st.booleans())
+@example("\\sqrt \\atop_{\\sin}", False)
+@example("x^\\ce{H2O} \\over 2", True)
+def test_what_parses_converts_and_round_trips(source, chem):
+    registry = default_registry()
+    try:
+        parsed = preprocess(source) if chem else source
+    except DiagnosticError:
+        return
+    first = parse(parsed, registry, allow_chem=chem)
+    if not first.ok:
+        return
+    options = GenOptions(wrap_semantics=True, annotate_tex=True)
+    try:
+        assert isinstance(convert_formula(source, chem=chem, options=options), str)
+    except ConversionFailed:
+        pass
+    rendered = render_tex(first.ast)
+    second = parse(rendered, registry, allow_chem=chem)
+    assert second.ok and second.ast == first.ast, (parsed, rendered, second.errors)
 
 
 def test_parse_determinism(registry):

@@ -10,8 +10,9 @@ pairs are timed per size:
 * relabelled: A against a copy with max(1, size // 15) token texts changed.
 
 Trees are compared without normalization (``CompareOptions()``), so the
-node counts are exact; the time includes the copy that ``normalize``
-makes.  Each cell is the best of REPEAT timed calls of ``tree_edit_distance``.
+node counts are exact; the time includes the one bottom-up pass in which
+``normalize`` builds each tree as compared.  Each cell is the best of
+REPEAT timed calls of ``tree_edit_distance``.
 Nothing is asserted.
 
     PYTHONPATH=src python3 tools/ted_scaling.py
