@@ -7,7 +7,7 @@ from .mathml import GenOptions, MathMLNode, from_xml, serialize
 from .mhchem import expand_ce, expand_pu, preprocess
 from .parser import ParseResult, parse, render_tex
 from .pipeline import ConversionFailed, check_formula, convert_formula
-from .registry import CommandSpec, Registry, default_registry, load_registry, lookup
+from .registry import CommandSpec, Registry, default_registry, load_registry
 from .similarity import (
     CompareOptions,
     CorpusReport,
@@ -43,7 +43,6 @@ __all__ = [
     "expand_pu",
     "from_xml",
     "load_registry",
-    "lookup",
     "normalize",
     "parse",
     "parse_intent",

@@ -15,7 +15,7 @@ Equal ``Literal`` nodes may be one object; nodes are frozen, so that is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Union
 
 AstNode = Union[
     "Literal", "Fun1", "Fun2", "Curly", "Sub", "Sup", "SubSup",
@@ -114,54 +114,3 @@ class IntentWrap:
     arg_map: tuple[tuple[str, str], ...]  # (formula identifier, intent identifier)
     # (reference name, codepoint span of its first ``$name`` in the parsed source)
     ref_spans: tuple[tuple[str, tuple[int, int]], ...] = field(compare=False)
-
-
-def children_of(node: AstNode) -> tuple[AstNode, ...]:
-    """All direct child nodes, in source order."""
-    if isinstance(node, (Curly, Sequence)):
-        return node.children
-    if isinstance(node, Fun1):
-        return (node.arg,)
-    if isinstance(node, Fun2):
-        return (node.arg1, node.arg2)
-    if isinstance(node, Sub):
-        return (node.base, node.sub)
-    if isinstance(node, Sup):
-        return (node.base, node.sup)
-    if isinstance(node, SubSup):
-        return (node.base, node.sub, node.sup)
-    if isinstance(node, Infix):
-        return (node.left, node.right)
-    if isinstance(node, Matrix):
-        return tuple(cell for row in node.rows for cell in row)
-    if isinstance(node, Delimited):
-        return (node.body,)
-    if isinstance(node, IntentWrap):
-        return (node.body,)
-    return ()
-
-
-def walk(node: AstNode) -> Iterator[AstNode]:
-    """Depth-first pre-order traversal."""
-    yield node
-    for child in children_of(node):
-        yield from walk(child)
-
-
-def command_names(node: AstNode) -> Iterator[str]:
-    """Every command name referenced anywhere in the tree (without backslash)."""
-    for item in walk(node):
-        if isinstance(item, Literal) and item.token.startswith("\\"):
-            yield item.token[1:]
-        elif isinstance(item, (Fun1, Infix)):
-            yield item.command
-        elif isinstance(item, Fun2):
-            yield item.command
-        elif isinstance(item, Matrix):
-            yield item.env
-        elif isinstance(item, Delimited):
-            for tok in (item.open, item.close):
-                if tok.startswith("\\"):
-                    yield tok[1:]
-        elif isinstance(item, IntentWrap):
-            yield "intent"

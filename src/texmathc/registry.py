@@ -85,10 +85,6 @@ class Registry:
         return hashlib.sha256(dump_registry(self).encode("utf-8")).hexdigest()
 
 
-def lookup(registry: Registry, name: str) -> CommandSpec | None:
-    return registry.lookup(name)
-
-
 def decode_param(param: str) -> str:
     """Decode a table parameter: uppercase-hex codepoints become characters,
     anything else is taken literally."""

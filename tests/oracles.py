@@ -12,14 +12,33 @@ code with the production algorithm:
 
 ``tokenize_oracle`` is the parser's earlier tokenizer, one character at a
 time, kept as the reference for the regex scanner in ``texmathc.parser``.
+
+``command_names`` lists the commands an AST references, for tests that
+check every parsed command against the registry.
 """
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache
+from typing import Iterator
 
 from texmathc.mathml import MathMLNode
+from texmathc.nodes import (
+    AstNode,
+    Curly,
+    Delimited,
+    Fun1,
+    Fun2,
+    Infix,
+    IntentWrap,
+    Literal,
+    Matrix,
+    Sequence,
+    Sub,
+    SubSup,
+    Sup,
+)
 
 
 def _flatten(root: MathMLNode):
@@ -172,3 +191,54 @@ def tokenize_oracle(source: str) -> list[tuple[str, str, int, int]]:
         i += 1
     toks.append(("eof", "", n, n))
     return toks
+
+
+def children_of(node: AstNode) -> tuple[AstNode, ...]:
+    """All direct child nodes, in source order."""
+    if isinstance(node, (Curly, Sequence)):
+        return node.children
+    if isinstance(node, Fun1):
+        return (node.arg,)
+    if isinstance(node, Fun2):
+        return (node.arg1, node.arg2)
+    if isinstance(node, Sub):
+        return (node.base, node.sub)
+    if isinstance(node, Sup):
+        return (node.base, node.sup)
+    if isinstance(node, SubSup):
+        return (node.base, node.sub, node.sup)
+    if isinstance(node, Infix):
+        return (node.left, node.right)
+    if isinstance(node, Matrix):
+        return tuple(cell for row in node.rows for cell in row)
+    if isinstance(node, Delimited):
+        return (node.body,)
+    if isinstance(node, IntentWrap):
+        return (node.body,)
+    return ()
+
+
+def walk(node: AstNode) -> Iterator[AstNode]:
+    """Depth-first pre-order traversal."""
+    yield node
+    for child in children_of(node):
+        yield from walk(child)
+
+
+def command_names(node: AstNode) -> Iterator[str]:
+    """Every command name referenced anywhere in the tree (without backslash)."""
+    for item in walk(node):
+        if isinstance(item, Literal) and item.token.startswith("\\"):
+            yield item.token[1:]
+        elif isinstance(item, (Fun1, Infix)):
+            yield item.command
+        elif isinstance(item, Fun2):
+            yield item.command
+        elif isinstance(item, Matrix):
+            yield item.env
+        elif isinstance(item, Delimited):
+            for tok in (item.open, item.close):
+                if tok.startswith("\\"):
+                    yield tok[1:]
+        elif isinstance(item, IntentWrap):
+            yield "intent"

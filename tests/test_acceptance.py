@@ -14,7 +14,7 @@ import xml.dom.minidom as minidom
 import pytest
 
 from conftest import CORPORA, FIXTURES
-from oracles import ted_mapping_oracle, ted_recursive_oracle
+from oracles import command_names, ted_mapping_oracle, ted_recursive_oracle
 from texmathc import (
     check_formula,
     convert_formula,
@@ -29,7 +29,6 @@ from texmathc.diagnostics import E_INTENT_SYNTAX, IntentError
 from texmathc.intent import HINTS, STRUCTURE_KINDS
 from texmathc.mathml import GenOptions
 from texmathc.mhchem import preprocess
-from texmathc.nodes import command_names
 from texmathc.similarity import (
     CompareOptions,
     ComparePair,

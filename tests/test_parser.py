@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import tokenize_oracle
+from oracles import command_names, tokenize_oracle
 from texmathc import ConversionFailed, check_formula, convert_formula, default_registry
 from texmathc.diagnostics import (
     E_AMBIGUOUS_INFIX,
@@ -31,7 +31,6 @@ from texmathc.nodes import (
     SubSup,
     Sup,
     Text,
-    command_names,
 )
 from texmathc.mathml import GenOptions
 from texmathc.mhchem import preprocess

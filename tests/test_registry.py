@@ -9,7 +9,6 @@ from texmathc.registry import (
     decode_param,
     dump_registry,
     load_registry,
-    lookup,
     parse_registry_text,
 )
 
@@ -25,30 +24,30 @@ pmatrix\t0\tmatrix\t(,)\tenvironment
 
 
 def test_table1_rows_in_default(registry):
-    ddot = lookup(registry, "ddot")
+    ddot = registry.lookup("ddot")
     assert ddot is not None
     assert ddot.translation_fn == "accent"
     assert ddot.params == ("00A8",)
 
-    tilde = lookup(registry, "tilde")
+    tilde = registry.lookup("tilde")
     assert tilde.translation_fn == "accent"
     assert tilde.params == ("007E",)
 
-    bar = lookup(registry, "bar")
+    bar = registry.lookup("bar")
     assert bar.translation_fn == "accent"
     assert bar.params == ("00AF",)
 
-    pmatrix = lookup(registry, "pmatrix")
+    pmatrix = registry.lookup("pmatrix")
     assert pmatrix.translation_fn == "matrix"
     assert pmatrix.params == ("(", ")")
 
-    matrix = lookup(registry, "matrix")
+    matrix = registry.lookup("matrix")
     assert matrix.translation_fn == "matrix"
     assert matrix.params == ()
 
 
 def test_lookup_absent_is_none(registry):
-    assert lookup(registry, "notacommand") is None
+    assert registry.lookup("notacommand") is None
 
 
 def test_default_registry_breadth(registry):

@@ -5,15 +5,19 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPORA
 from oracles import ted_mapping_oracle, ted_recursive_oracle
-from texmathc import convert_formula
+from texmathc import convert_formula, similarity
 from texmathc.mathml import GenOptions, MathMLNode, from_xml, serialize
 from texmathc.similarity import (
     _INFERRED_MROW_PARENTS,
+    _bounds,
+    _postorder,
+    _ted_within,
+    FULL_BAND_SHARE,
     FULL_NORMALIZATION,
     CompareOptions,
     ComparePair,
@@ -340,6 +344,127 @@ def test_ted_matches_recursive_oracle_on_small_alphabets(shape_a, shape_b, edits
         result = tree_edit_distance(a, b)
         assert result.distance == ted_recursive_oracle(a, b)
         assert (result.node_count_a, result.node_count_b) == (len(shape_a), len(list(b.iter())))
+
+
+def _arrays(a: MathMLNode, b: MathMLNode):
+    """The kernel's input: postorder label codes and leftmost leaves of a and b."""
+    (labels_a, lmld_a), (labels_b, lmld_b) = _postorder(a), _postorder(b)
+    codes: dict = {}
+    la = [codes.setdefault(label, len(codes)) for label in labels_a]
+    lb = [codes.setdefault(label, len(codes)) for label in labels_b]
+    return la, lmld_a, lb, lmld_b
+
+
+@settings(max_examples=400, deadline=None)
+@given(_SHAPES, _SHAPES, _EDITS, st.sampled_from([2, 3]))
+# Two pairs whose runs read just outside a band, cells that hold values of an
+# earlier keyroot pair unless guarded: mo(mi, mi(mo(mo), mo)) against
+# mi(mi(mi), mi(mi), mo(mo)) at k = 5, the cell right of a row's band, and
+# mrow(mrow(mi(mrow(mrow)), mo), mrow(mi(mrow))) against
+# mo(mi(mrow), mrow(mo(mi(mo(mrow))), mrow)) at k = 6, the cell left of the
+# band of the row left of a subtree.
+@example([(1, 0), (0, 0), (0, 0), (1, 2), (1, 3), (1, 2)],
+         [(0, 0), (0, 0), (0, 1), (0, 0), (0, 3), (1, 0), (1, 5)], [], 3)
+@example([(2, 0), (2, 0), (0, 1), (2, 2), (2, 3), (1, 1), (2, 0), (0, 6), (2, 7)],
+         [(1, 0), (0, 0), (2, 1), (2, 0), (1, 3), (0, 4), (1, 5), (2, 6), (2, 3)], [], 3)
+def test_cutoff_kernel_is_exact_up_to_its_cutoff(shape_a, shape_b, edits, alphabet):
+    """min(TED, k + 1) for every cutoff k from 0 to m + n, and TED without one."""
+    a = _tree(shape_a[:20], alphabet)
+    edited = list(shape_a[:20])
+    for index, label, parent in edits:
+        if index < len(edited):
+            edited[index] = (label, parent)
+    for b in (_tree(shape_b[:20], alphabet), _tree(edited, alphabet)):
+        arrays = _arrays(a, b)
+        expected = ted_recursive_oracle(a, b)
+        assert _ted_within(*arrays) == expected
+        size = len(arrays[0]) + len(arrays[2]) - 2
+        assert [_ted_within(*arrays, k) for k in range(size + 1)] == \
+            [min(expected, k + 1) for k in range(size + 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SHAPES, _SHAPES, _EDITS, st.sampled_from([2, 3]))
+def test_bounds_enclose_the_distance(shape_a, shape_b, edits, alphabet):
+    a = _tree(shape_a, alphabet)
+    edited = list(shape_a)
+    for index, label, parent in edits:
+        if index < len(edited):
+            edited[index] = (label, parent)
+    for b in (_tree(shape_b, alphabet), _tree(edited, alphabet)):
+        low, high = _bounds(*_arrays(a, b))
+        assert low <= ted_recursive_oracle(a, b) <= high
+
+
+def _corpus_pieces() -> list[MathMLNode]:
+    cases = json.loads((CORPORA / "combined_423.json").read_text("utf-8"))["cases"]
+    return [body for case in cases for body in from_xml(case["expect"]["mathml"]).children]
+
+
+def _edited(rng: random.Random, tree: MathMLNode, edits: int) -> MathMLNode:
+    """A copy of `tree` after `edits` renames, node deletions or node insertions."""
+    out = tree.copy()
+    for _ in range(edits):
+        kind = rng.choice(("rename", "delete", "insert"))
+        if kind == "rename":
+            node = rng.choice(list(out.iter())[1:])  # never the root
+            if node.text is None:
+                node.element = "mstyle" if node.element != "mstyle" else "mpadded"
+            else:
+                node.text = "q" if node.text != "q" else "+"
+            continue
+        node = rng.choice([node for node in out.iter() if node.children])
+        if kind == "delete":  # a child gives way to its children
+            spot = rng.randrange(len(node.children))
+            child = node.children[spot]
+            if child.text is None:
+                node.children[spot:spot + 1] = child.children
+            else:
+                del node.children[spot]
+        else:  # a new mrow above a run of the node's children
+            start = rng.randrange(len(node.children) + 1)
+            end = rng.randrange(start, len(node.children) + 1)
+            node.children[start:end] = [MathMLNode("mrow", {}, node.children[start:end])]
+    return out
+
+
+def test_banded_kernel_matches_the_unbanded_one_on_corpus_trees():
+    """80-200 node trees from corpus formulas against copies with up to five
+    edits: small distances, so tree_edit_distance takes the band."""
+    rng = random.Random(2005)
+    pieces = [piece for piece in _corpus_pieces() if len(list(piece.iter())) <= 40]
+    for _ in range(40):
+        target = rng.randint(80, 200)
+        children: list[MathMLNode] = []
+        while sum(len(list(child.iter())) for child in children) < target:
+            children.append(rng.choice(pieces).copy())
+        a = MathMLNode("math", {}, [MathMLNode("mrow", {}, children)])
+        b = _edited(rng, a, rng.randint(1, 5))
+        arrays = _arrays(a, b)
+        full = _ted_within(*arrays)
+        size = len(arrays[0]) + len(arrays[2]) - 2
+        assert 0 < full < FULL_BAND_SHARE * size
+        assert tree_edit_distance(a, b).distance == full
+        for k in range(2 * full + 2):
+            assert _ted_within(*arrays, k) == min(full, k + 1), k
+
+
+def test_loose_bounds_make_the_cutoff_double(monkeypatch):
+    """Two swapped labels leave the histograms equal: L = 0, TED = 2."""
+    names = [f"<mi>{c}</mi>" for c in "abcdefghijklmnopqrst"]
+    a = math("<mrow>" + "".join(names) + "</mrow>")
+    names[3], names[11] = names[11], names[3]
+    b = math("<mrow>" + "".join(names) + "</mrow>")
+    assert _bounds(*_arrays(a, b)) == (0, 2)
+    cutoffs = []
+
+    def recording(*args):
+        cutoffs.append(args[4] if len(args) > 4 else None)
+        return _ted_within(*args)
+
+    monkeypatch.setattr(similarity, "_ted_within", recording)
+    assert tree_edit_distance(a, b).distance == 2 == ted_recursive_oracle(a, b)
+    assert cutoffs == [1, 2]
 
 
 # -- batch comparison -----------------------------------------------------------

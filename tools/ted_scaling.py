@@ -3,11 +3,13 @@
 
 For each size, side A is built from the frozen reference MathML of
 ``corpora/combined_423.json``: whole formula bodies, picked with a fixed
-seed, under one ``mrow`` until the tree has exactly that many nodes.  Two
+seed, under one ``mrow`` until the tree has exactly that many nodes.  Three
 pairs are timed per size:
 
 * identical: A against a deep copy of itself;
-* relabelled: A against a copy with max(1, size // 15) token texts changed.
+* relabelled: A against a copy with max(1, size // 15) token texts changed;
+* unrelated: A against a tree of the same size built independently (its
+  own seeded picks), the case where a small distance cannot be exploited.
 
 Trees are compared without normalization (``CompareOptions()``), so the
 node counts are exact; the time includes the one bottom-up pass in which
@@ -98,16 +100,17 @@ def main() -> int:
     print(f"# Python {platform.python_version()} ({platform.python_implementation()}), "
           f"CPU: {cpu_name()}")
     print(f"# best of {REPEAT} calls of tree_edit_distance, CompareOptions(), seed {SEED}")
-    print("| nodes | identical | relabelled | relabelled TED |")
-    print("|---:|---:|---:|---:|")
+    print("| nodes | identical | relabelled | relabelled TED | unrelated | unrelated TED |")
+    print("|---:|---:|---:|---:|---:|---:|")
     rng = random.Random(SEED)
     pieces = _pieces()
     for size in SIZES:
         a = build(rng, pieces, size)
         same, _ = best_of(a, a.copy())
         changed, distance = best_of(a, relabel(rng, a, size))
-        print(f"| {size} | {same * 1e3:.2f} ms | {changed * 1e3:.1f} ms | {distance} |",
-              flush=True)
+        other, far = best_of(a, build(random.Random(SEED + size), pieces, size))
+        print(f"| {size} | {same * 1e3:.2f} ms | {changed * 1e3:.1f} ms | {distance} "
+              f"| {other * 1e3:.1f} ms | {far} |", flush=True)
     return 0
 
 
