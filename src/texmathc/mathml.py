@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
@@ -35,14 +34,6 @@ class MathMLNode:
 
     def is_token(self) -> bool:
         return self.text is not None
-
-    def copy(self) -> "MathMLNode":
-        return MathMLNode(
-            self.element,
-            dict(self.attributes),
-            [child.copy() for child in self.children],
-            self.text,
-        )
 
     def iter(self):
         """This node and its descendants in document order, at any depth."""
@@ -109,31 +100,44 @@ def _write(node: MathMLNode, out: list[str]) -> None:
     out.append("</" + node.element + ">")
 
 
-_NS = re.compile(r"^\{[^}]*\}")
-
-
 def from_xml(text: str) -> MathMLNode:
     """Read any MathML document into a MathMLNode tree.
 
     Lenient by design: reference renderers emit elements and attributes
-    outside our generated subset, and comparison must still work.
-    Namespace prefixes are stripped; pure-whitespace text is ignored;
-    token text is whitespace-trimmed.
+    outside our generated subset, and comparison must still work.  Each
+    element is read by `xml_parts`.
     """
-    root = ET.fromstring(text)
-    return _convert(root)
+    return _convert(ET.fromstring(text))
 
 
 def _convert(element: ET.Element) -> MathMLNode:
-    name = _NS.sub("", element.tag)
-    attributes = {_NS.sub("", k): v for k, v in element.attrib.items()}
-    children = []
-    for child in element:  # a loop, not a comprehension: one frame per level
-        children.append(_convert(child))
-    if children:
-        return MathMLNode(name, attributes, children)
-    text = (element.text or "").strip()
-    if text:
-        return MathMLNode(name, attributes, [], text)
-    # Empty element: layout node with no children (e.g. an empty mrow).
-    return MathMLNode(name, attributes, [])
+    name, text, attributes, children = xml_parts(element)
+    nodes = []
+    for child in children:  # a loop, not a comprehension: one frame per level
+        nodes.append(_convert(child))
+    return MathMLNode(name, dict(attributes), nodes, text)
+
+
+def xml_parts(element: ET.Element) -> tuple[str, str | None, dict[str, str], ET.Element]:
+    """(name, text, attributes, children) of a parsed element, as read.
+
+    Namespace prefixes are stripped from element and attribute names.  An
+    element with children has no text; otherwise its text is
+    whitespace-trimmed, and pure-whitespace text is none (an empty layout
+    node such as `<mrow/>`).  The children are the element itself, which
+    iterates over them, and the attributes may be the element's own dict.
+    """
+    name = element.tag
+    if "}" in name:
+        name = _local(name)
+    attributes = element.attrib
+    if attributes and any("}" in key for key in attributes):
+        attributes = {_local(key): value for key, value in attributes.items()}
+    if len(element):
+        return name, None, attributes, element
+    return name, (element.text or "").strip() or None, attributes, element
+
+
+def _local(name: str) -> str:
+    """`name` less the `{namespace}` prefix that ElementTree gives it."""
+    return name[name.index("}") + 1:] if name[:1] == "{" and "}" in name else name

@@ -9,11 +9,13 @@ renderers do not count as differences.
 
 from __future__ import annotations
 
+import xml.etree.ElementTree as ET
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 
-from .mathml import MathMLNode, from_xml
+from .mathml import MathMLNode, xml_parts
 
 # Elements whose single-child mrow is structural bookkeeping, not content.
 _INFERRED_MROW_PARENTS = frozenset({
@@ -88,64 +90,124 @@ class CorpusReport:
         }
 
 
-def normalize(tree: MathMLNode, options: CompareOptions) -> MathMLNode:
-    """The tree as compared, built bottom-up in one pass; `tree` is not changed.
+# -- the normalizing walk ------------------------------------------------------
+#
+# A tree is read through an accessor that gives a node's (name, text,
+# attributes, children): `xml_parts` for a parsed XML element, `_node_parts`
+# for a MathMLNode.  `batch_compare` walks the parsed documents themselves,
+# so no MathMLNode tree is built on its path.
 
-    A node's children are normalized first.  Then a stripped element gives
-    way to its normalized children, and so (under `ignore_inferred_mrow`)
-    does an mrow left with one child; an inferred-mrow parent left with one
-    attribute-free mrow takes that mrow's children; and the ignored
-    attributes are dropped.  The root is never replaced.
+
+_node_parts = attrgetter("element", "text", "attributes", "children")
+
+
+def _node_wrapper(children: list[MathMLNode]) -> MathMLNode:
+    return MathMLNode("semantics", {}, children)
+
+
+def _xml_wrapper(children: ET.Element) -> ET.Element:
+    wrapper = ET.Element("semantics")
+    wrapper.extend(children)
+    return wrapper
+
+
+def _walk(root, parts, wrapper, options: CompareOptions) -> tuple[list[int], list]:
+    """The normalized tree in postorder: the leftmost-leaf indices, 1-based
+    (slot 0 unused), and the (element, text, attribute items) of every
+    node, node x at items[x - 1].
+
+    The subtree of node x is the postorder range lmld[x]..x, so the two
+    arrays together fix the ordered tree.  The rules, applied bottom-up as
+    each node closes:
+
+    * a stripped element gives way to its normalized children, and so
+      (under `ignore_inferred_mrow`) does an mrow left with one child;
+    * an inferred-mrow parent left with one attribute-free mrow takes that
+      mrow's children;
+    * the ignored attributes are dropped;
+    * the root is never replaced.  Under `require_semantics_wrapper` a
+      `math` root with no `semantics` child has its children wrapped in
+      one, and so has no text.
     """
-    if (options.require_semantics_wrapper and tree.element == "math"
-            and not any(child.element == "semantics" for child in tree.children)):
-        tree = MathMLNode("math", tree.attributes,
-                          [MathMLNode("semantics", {}, tree.children)])
-    out: list[MathMLNode] = []
-    _normalize_into(out, tree, options, root=True)
-    return out[0]
+    element, text, attributes, children = parts(root)
+    if (options.require_semantics_wrapper and element == "math"
+            and all(parts(child)[0] != "semantics" for child in children)):
+        text, children = None, [wrapper(children)]
+    lmld = [0]
+    items: list = []
+    _emit((element, text, attributes, children), parts, options, lmld, items, True)
+    return lmld, items
 
 
-def _normalize_into(out: list[MathMLNode], node: MathMLNode, options: CompareOptions,
-                    root: bool = False) -> None:
-    """Append what takes `node`'s place in its normalized parent to `out`."""
+def _emit(node: tuple, parts, options: CompareOptions, lmld: list[int], items: list,
+          root: bool = False) -> int:
+    """Append what takes the node with these parts in its normalized parent
+    to the postorder arrays; return how many nodes that is."""
+    element, text, attributes, children = node
+    start = len(lmld)  # the index of the first node emitted below
+    count = 0
+    for child in children:  # one frame per level
+        count += _emit(parts(child), parts, options, lmld, items)
     mrows = options.ignore_inferred_mrow
-    children: list[MathMLNode] = []
-    for child in node.children:  # a loop, not a comprehension: one frame per level
-        _normalize_into(children, child, options)
-    if not root and (node.element in options.strip_elements
-                     or mrows and node.element == "mrow" and len(children) == 1):
-        out.extend(children)
-        return
-    if (mrows and node.element in _INFERRED_MROW_PARENTS and len(children) == 1
-            and children[0].element == "mrow" and not children[0].attributes):
-        children = children[0].children
-    if options.ignored_attributes == "all":
-        attributes = {}
+    if not root and (element in options.strip_elements
+                     or mrows and count == 1 and element == "mrow"):
+        return count
+    # A single child is the last node emitted; dropping it leaves its
+    # children in place, as the parent's.
+    if (mrows and count == 1 and element in _INFERRED_MROW_PARENTS
+            and items[-1][0] == "mrow" and not items[-1][2]):
+        lmld.pop()
+        items.pop()
+    if not attributes or options.ignored_attributes == "all":
+        kept = ()
     else:
-        attributes = {k: v for k, v in node.attributes.items() if not options.ignores_attr(k)}
-    out.append(MathMLNode(node.element, attributes, children, node.text))
+        kept = tuple(item for item in attributes.items() if not options.ignores_attr(item[0]))
+    lmld.append(start)
+    items.append((element, text, kept))
+    return 1
+
+
+def normalize(tree: MathMLNode, options: CompareOptions) -> MathMLNode:
+    """The tree as compared (see `_walk`), rebuilt from the walk's postorder
+    output; `tree` is not changed."""
+    lmld, items = _walk(tree, _node_parts, _node_wrapper, options)
+    built: list = [None]  # built[x]: node x
+    for x, (element, text, attributes) in enumerate(items, 1):
+        children = []
+        y = x - 1  # the last child; each earlier one ends just left of the next's subtree
+        while y >= lmld[x]:
+            children.append(built[y])
+            y = lmld[y] - 1
+        children.reverse()
+        built.append(MathMLNode(element, dict(attributes), children, text))
+    return built[-1]
 
 
 # -- element F-score --------------------------------------------------------
 
 
-def _items(tree: MathMLNode) -> Counter:
-    counter: Counter = Counter()
-    for node in tree.iter():
-        attrs = frozenset(node.attributes.items())
-        counter[(node.element, node.text, attrs)] += 1
-    return counter
-
-
 def element_fscore(a: MathMLNode, b: MathMLNode,
                    options: CompareOptions = CompareOptions()) -> FScoreReport:
     """Order-insensitive multiset overlap of (element, token text, attributes)."""
-    items_a = _items(normalize(a, options))
-    items_b = _items(normalize(b, options))
-    matched = sum((items_a & items_b).values())
-    total_a = sum(items_a.values())
-    total_b = sum(items_b.values())
+    return _fscore(_walk(a, _node_parts, _node_wrapper, options)[1],
+                   _walk(b, _node_parts, _node_wrapper, options)[1])
+
+
+def _multiset(items: list) -> Counter:
+    """The F-score multiset of the walk's items: attributes count as a set."""
+    counter = Counter(items)
+    for key in [key for key in counter if len(key[2]) > 1]:
+        count = counter.pop(key)
+        element, text, attributes = key
+        counter[element, text, tuple(sorted(attributes))] += count
+    return counter
+
+
+def _fscore(items_a: list, items_b: list) -> FScoreReport:
+    multiset_a = _multiset(items_a)
+    matched = sum((multiset_a & _multiset(items_b)).values())
+    total_a = len(items_a)
+    total_b = len(items_b)
     precision = matched / total_a if total_a else 0.0
     recall = matched / total_b if total_b else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
@@ -162,28 +224,6 @@ def element_fscore(a: MathMLNode, b: MathMLNode,
 # -- tree edit distance ------------------------------------------------------
 
 
-def _postorder(root: MathMLNode) -> tuple[list, list[int]]:
-    """Postorder labels and leftmost-leaf indices, both 1-based (slot 0 unused).
-
-    The subtree of node x is the postorder range lmld[x]..x, so the two
-    arrays together fix the labelled ordered tree.
-    """
-    labels: list = [None]
-    lmld = [0]
-
-    def visit(node: MathMLNode) -> int:
-        first = 0
-        for child in node.children:
-            leaf = visit(child)
-            first = first or leaf
-        labels.append((node.element, node.text or ""))
-        lmld.append(first or len(lmld))
-        return lmld[-1]
-
-    visit(root)
-    return labels, lmld
-
-
 def tree_edit_distance(a: MathMLNode, b: MathMLNode,
                        options: CompareOptions = CompareOptions()) -> TedResult:
     """Exact ordered tree edit distance with unit costs.
@@ -195,24 +235,36 @@ def tree_edit_distance(a: MathMLNode, b: MathMLNode,
     until the distance is found; past `FULL_BAND_SHARE` of the node count
     it runs unbanded.
     """
-    labels_a, lmld_a = _postorder(normalize(a, options))
-    labels_b, lmld_b = _postorder(normalize(b, options))
-    m, n = len(labels_a) - 1, len(labels_b) - 1
-    if labels_a == labels_b and lmld_a == lmld_b:
-        return TedResult(0, m, n)
+    lmld_a, items_a = _walk(a, _node_parts, _node_wrapper, options)
+    lmld_b, items_b = _walk(b, _node_parts, _node_wrapper, options)
+    return TedResult(_distance(lmld_a, items_a, lmld_b, items_b), len(items_a), len(items_b))
+
+
+def _distance(lmld_a: list[int], items_a: list, lmld_b: list[int], items_b: list) -> int:
+    """The tree edit distance between two trees given as the walk's arrays.
+
+    A node's label is its (element, text), coded as an int shared by both
+    trees; slot 0 holds -1.  Trees equal but for attributes are settled by
+    the bounds, which meet at 0.
+    """
+    if lmld_a == lmld_b and items_a == items_b:  # equal trees, attributes and all
+        return 0
     codes: dict = {}
-    la = [codes.setdefault(label, len(codes)) for label in labels_a]
-    lb = [codes.setdefault(label, len(codes)) for label in labels_b]
+    la = [-1] + [codes.setdefault((element, text or ""), len(codes))
+                 for element, text, _ in items_a]
+    lb = [-1] + [codes.setdefault((element, text or ""), len(codes))
+                 for element, text, _ in items_b]
+    m, n = len(items_a), len(items_b)
     low, high = _bounds(la, lmld_a, lb, lmld_b)
     if low == high:
-        return TedResult(low, m, n)
+        return low
     k = high if high <= 2 * low else max(low, 1)
     while k < FULL_BAND_SHARE * (m + n):
         distance = _ted_within(la, lmld_a, lb, lmld_b, k)
         if distance <= k:
-            return TedResult(distance, m, n)
+            return distance
         k = min(2 * k, high)
-    return TedResult(_ted_within(la, lmld_a, lb, lmld_b), m, n)
+    return _ted_within(la, lmld_a, lb, lmld_b)
 
 
 def _bounds(la: list[int], lmld_a: list[int], lb: list[int], lmld_b: list[int]) -> tuple[int, int]:
@@ -447,9 +499,10 @@ def batch_compare(pairs: list[ComparePair],
                   options: CompareOptions = CompareOptions()) -> CorpusReport:
     """Per-pair TED and F-score plus Table-style aggregates.
 
-    Pairs that fail to parse as XML, or that are nested too deeply for the
-    interpreter's stack, are excluded from the aggregates and surfaced in
-    the report header.
+    Each document is parsed and then walked once (`_walk`), and both
+    measures read the walk's arrays.  Pairs that fail to parse as XML, or
+    that are nested too deeply for the interpreter's stack, are excluded
+    from the aggregates and surfaced in the report header.
     """
     rows: list[PairRow] = []
     errors: list[str] = []
@@ -457,21 +510,22 @@ def batch_compare(pairs: list[ComparePair],
     counted = 0
     for pair in sorted(pairs, key=lambda p: p.id):
         try:
-            tree_a = from_xml(pair.a)
-            tree_b = from_xml(pair.b)
+            root_a = ET.fromstring(pair.a)
+            root_b = ET.fromstring(pair.b)
         except Exception as exc:
             errors.append(f"{pair.id}: XML parse failure: {exc}")
             rows.append(PairRow(pair.id, None, None, error=str(exc)))
             continue
         try:
-            ted = tree_edit_distance(tree_a, tree_b, options)
-            score = element_fscore(tree_a, tree_b, options)
+            lmld_a, items_a = _walk(root_a, xml_parts, _xml_wrapper, options)
+            lmld_b, items_b = _walk(root_b, xml_parts, _xml_wrapper, options)
         except RecursionError as exc:  # read, but nested too deeply to walk
             errors.append(f"{pair.id}: too deeply nested to compare: {exc}")
             rows.append(PairRow(pair.id, None, None, error=str(exc)))
             continue
-        rows.append(PairRow(pair.id, ted.distance, score.f1))
-        overall += ted.distance
+        ted = _distance(lmld_a, items_a, lmld_b, items_b)
+        rows.append(PairRow(pair.id, ted, _fscore(items_a, items_b).f1))
+        overall += ted
         counted += 1
     average = overall / counted if counted else 0.0
     return CorpusReport(

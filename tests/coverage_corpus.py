@@ -7,7 +7,7 @@ plausible argument shapes per translation function.
 
 from __future__ import annotations
 
-from .registry import CommandSpec, Registry
+from texmathc.registry import CommandSpec, Registry
 
 
 def example_for_command(spec: CommandSpec) -> tuple[str, bool]:

@@ -13,6 +13,12 @@ code with the production algorithm:
 ``tokenize_oracle`` is the parser's earlier tokenizer, one character at a
 time, kept as the reference for the regex scanner in ``texmathc.parser``.
 
+``normalize_oracle``, ``postorder_oracle`` and ``items_oracle`` are the
+comparison's earlier path, kept as the reference for the normalizing walk
+in ``texmathc.similarity``: a normalized copy of a ``MathMLNode`` tree
+built bottom-up, then its postorder labels and leftmost leaves, and its
+F-score multiset.  ``copy_tree`` deep-copies a ``MathMLNode`` tree.
+
 ``command_names`` lists the commands an AST references, for tests that
 check every parsed command against the registry.
 """
@@ -20,6 +26,7 @@ check every parsed command against the registry.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from functools import lru_cache
 from typing import Iterator
 
@@ -39,6 +46,7 @@ from texmathc.nodes import (
     SubSup,
     Sup,
 )
+from texmathc.similarity import _INFERRED_MROW_PARENTS, CompareOptions
 
 
 def _flatten(root: MathMLNode):
@@ -153,6 +161,84 @@ def _sizes(children: list[list[int]]) -> list[int]:
         for child in children[idx]:
             sizes[idx] += sizes[child]
     return sizes
+
+
+def copy_tree(node: MathMLNode) -> MathMLNode:
+    return MathMLNode(
+        node.element,
+        dict(node.attributes),
+        [copy_tree(child) for child in node.children],
+        node.text,
+    )
+
+
+def normalize_oracle(tree: MathMLNode, options: CompareOptions) -> MathMLNode:
+    """The tree as compared, built bottom-up in one pass; `tree` is not changed.
+
+    A node's children are normalized first.  Then a stripped element gives
+    way to its normalized children, and so (under `ignore_inferred_mrow`)
+    does an mrow left with one child; an inferred-mrow parent left with one
+    attribute-free mrow takes that mrow's children; and the ignored
+    attributes are dropped.  The root is never replaced.
+    """
+    if (options.require_semantics_wrapper and tree.element == "math"
+            and not any(child.element == "semantics" for child in tree.children)):
+        tree = MathMLNode("math", tree.attributes,
+                          [MathMLNode("semantics", {}, tree.children)])
+    out: list[MathMLNode] = []
+    _normalize_into(out, tree, options, root=True)
+    return out[0]
+
+
+def _normalize_into(out: list[MathMLNode], node: MathMLNode, options: CompareOptions,
+                    root: bool = False) -> None:
+    """Append what takes `node`'s place in its normalized parent to `out`."""
+    mrows = options.ignore_inferred_mrow
+    children: list[MathMLNode] = []
+    for child in node.children:  # a loop, not a comprehension: one frame per level
+        _normalize_into(children, child, options)
+    if not root and (node.element in options.strip_elements
+                     or mrows and node.element == "mrow" and len(children) == 1):
+        out.extend(children)
+        return
+    if (mrows and node.element in _INFERRED_MROW_PARENTS and len(children) == 1
+            and children[0].element == "mrow" and not children[0].attributes):
+        children = children[0].children
+    if options.ignored_attributes == "all":
+        attributes = {}
+    else:
+        attributes = {k: v for k, v in node.attributes.items() if not options.ignores_attr(k)}
+    out.append(MathMLNode(node.element, attributes, children, node.text))
+
+
+def items_oracle(tree: MathMLNode) -> Counter:
+    counter: Counter = Counter()
+    for node in tree.iter():
+        attrs = frozenset(node.attributes.items())
+        counter[(node.element, node.text, attrs)] += 1
+    return counter
+
+
+def postorder_oracle(root: MathMLNode) -> tuple[list, list[int]]:
+    """Postorder labels and leftmost-leaf indices, both 1-based (slot 0 unused).
+
+    The subtree of node x is the postorder range lmld[x]..x, so the two
+    arrays together fix the labelled ordered tree.
+    """
+    labels: list = [None]
+    lmld = [0]
+
+    def visit(node: MathMLNode) -> int:
+        first = 0
+        for child in node.children:
+            leaf = visit(child)
+            first = first or leaf
+        labels.append((node.element, node.text or ""))
+        lmld.append(first or len(lmld))
+        return lmld[-1]
+
+    visit(root)
+    return labels, lmld
 
 
 _LETTERS = re.compile(r"[A-Za-z]+")

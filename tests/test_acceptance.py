@@ -14,6 +14,7 @@ import xml.dom.minidom as minidom
 import pytest
 
 from conftest import CORPORA, FIXTURES
+from coverage_corpus import coverage_corpus
 from oracles import command_names, ted_mapping_oracle, ted_recursive_oracle
 from texmathc import (
     check_formula,
@@ -24,7 +25,6 @@ from texmathc import (
     render_tex,
 )
 from texmathc.cache import RenderCache
-from texmathc.coverage import coverage_corpus
 from texmathc.diagnostics import E_INTENT_SYNTAX, IntentError
 from texmathc.intent import HINTS, STRUCTURE_KINDS
 from texmathc.mathml import GenOptions

@@ -1,21 +1,34 @@
 from __future__ import annotations
 
+import gc
 import json
 import random
+import re
 import sys
+import xml.etree.ElementTree as ET
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPORA
-from oracles import ted_mapping_oracle, ted_recursive_oracle
+from oracles import (
+    copy_tree,
+    items_oracle,
+    normalize_oracle,
+    postorder_oracle,
+    ted_mapping_oracle,
+    ted_recursive_oracle,
+)
 from texmathc import convert_formula, similarity
-from texmathc.mathml import GenOptions, MathMLNode, from_xml, serialize
+from texmathc.mathml import GenOptions, MathMLNode, from_xml, serialize, xml_parts
 from texmathc.similarity import (
     _INFERRED_MROW_PARENTS,
     _bounds,
-    _postorder,
+    _multiset,
+    _walk,
+    _xml_wrapper,
     _ted_within,
     FULL_BAND_SHARE,
     FULL_NORMALIZATION,
@@ -40,6 +53,9 @@ def test_single_child_mrow_unwrapped():
     tree = math("<mrow><mi>x</mi></mrow>")
     out = normalize(tree, CompareOptions(ignore_inferred_mrow=True))
     assert out == math("<mi>x</mi>")
+    # ...but never at the root
+    root = from_xml("<mrow><mi>x</mi></mrow>")
+    assert normalize(root, CompareOptions(ignore_inferred_mrow=True)) == root
 
 
 def test_strip_semantics_and_annotation():
@@ -63,6 +79,22 @@ def test_require_semantics_wrapper():
     # already wrapped: unchanged
     again = normalize(out, CompareOptions(require_semantics_wrapper=True))
     assert again == out
+    # only a math root is wrapped, and one with any semantics child is not
+    for unchanged in ("<mrow><mi>x</mi></mrow>",
+                      "<math><mi>x</mi><semantics><mi>y</mi></semantics></math>"):
+        tree = from_xml(unchanged)
+        assert normalize(tree, CompareOptions(require_semantics_wrapper=True)) == tree
+    empty = normalize(math(), CompareOptions(require_semantics_wrapper=True))
+    assert empty == math("<semantics></semantics>")
+    # a root with only text: the wrapper takes the place of the text
+    options = CompareOptions(require_semantics_wrapper=True)
+    text_only = from_xml("<math>x</math>")
+    expected = normalize_oracle(text_only, options)
+    assert expected == math("<semantics></semantics>")
+    assert normalize(text_only, options) == expected
+    (row,) = batch_compare([ComparePair("p", "<math>x</math>",
+                                        "<math><semantics/></math>")], options).rows
+    assert (row.ted, row.f1) == (ted_recursive_oracle(expected, expected), 1.0)
 
 
 def test_ignored_attributes():
@@ -77,6 +109,9 @@ def test_inferred_mrow_inside_layout_slot():
     tree = from_xml("<math><msqrt><mrow><mi>a</mi><mi>b</mi></mrow></msqrt></math>")
     out = normalize(tree, CompareOptions(ignore_inferred_mrow=True))
     assert [c.element for c in out.children[0].children] == ["mi", "mi"]
+    # an mrow with attributes is not inferred
+    kept = from_xml('<math><msqrt><mrow y="2"><mi>a</mi><mi>b</mi></mrow></msqrt></math>')
+    assert normalize(kept, CompareOptions(ignore_inferred_mrow=True)) == kept
 
 
 def test_mfrac_slots_not_flattened():
@@ -162,6 +197,71 @@ def test_normalize_properties(tree, options, data):
     wrapper = data.draw(st.sampled_from(sorted(options.strip_elements)))
     parent.children[start:stop] = [MathMLNode(wrapper, {}, parent.children[start:stop])]
     assert normalize(tree, options) == once
+
+
+_MATHML_NS = ' xmlns="http://www.w3.org/1998/Math/MathML"'
+# Root tags, each with a dressed variant that reads the same: in the MathML
+# namespace, its attributes namespaced or in another order.
+_ROOTS = [
+    ("<math>", f"<math{_MATHML_NS}>"),
+    ('<math display="block" x="1">', f'<math{_MATHML_NS} xmlns:m="urn:m" display="block" m:x="1">'),
+    ('<math x="1" y="2">', f'<math{_MATHML_NS} y="2" x="1">'),
+]
+
+
+def _documents(tree: MathMLNode, roots: tuple[str, str]) -> tuple[str, str]:
+    """`tree` serialized under the plain root, and dressed: under the other
+    root, with whitespace around token text and between elements, and text
+    before each first child."""
+    plain, dressed = roots
+    inner = serialize(tree)[len("<math>"):]
+    padded = re.sub(r">([^<]+)<", r"> \1 <", inner)
+    padded = re.sub(r"(<[a-z]+[^>]*>)(?=<[a-z])", r"\1 t ", padded).replace("><", ">\n  <")
+    return plain + inner, dressed + padded
+
+
+def _read(document: str, options: CompareOptions) -> tuple[list[int], list]:
+    """The walk's arrays for a serialized document, as `batch_compare` reads it."""
+    return _walk(ET.fromstring(document), xml_parts, _xml_wrapper, options)
+
+
+def _oracle_f1(a: MathMLNode, b: MathMLNode) -> float:
+    items_a, items_b = items_oracle(a), items_oracle(b)
+    matched = sum((items_a & items_b).values())
+    precision = matched / sum(items_a.values())
+    recall = matched / sum(items_b.values())
+    return 2 * precision * recall / (precision + recall) if matched else 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(_MATH, _MATH, st.sampled_from(_ROOTS), st.sampled_from(_ROOTS),
+       st.sampled_from([CompareOptions(), *_NORMALIZE_OPTIONS, CompareOptions(
+           strip_elements=frozenset({"annotation"}), require_semantics_wrapper=True)]))
+def test_walk_matches_the_reference_path(tree_a, tree_b, roots_a, roots_b, options):
+    """One walk over the parsed XML gives what reading, normalizing and
+    walking the normalized copy gave, and reads a dressed document as the
+    plain one."""
+    expected = []
+    documents = []
+    for tree, roots in ((tree_a, roots_a), (tree_b, roots_b)):
+        plain, dressed = _documents(tree, roots)
+        lmld, items = _read(dressed, options)
+        again = _read(plain, options)
+        assert (lmld, _multiset(items)) == (again[0], _multiset(again[1]))
+        read = from_xml(dressed)
+        reference = normalize_oracle(read, options)
+        labels = [None] + [(element, text or "") for element, text, _ in items]
+        assert (labels, lmld) == postorder_oracle(reference)
+        multiset = Counter()
+        for (element, text, attributes), count in _multiset(items).items():
+            multiset[element, text, frozenset(attributes)] += count
+        assert multiset == items_oracle(reference)
+        assert serialize(normalize(read, options)) == serialize(reference)
+        expected.append(reference)
+        documents.append(dressed)
+    (row,) = batch_compare([ComparePair("p", *documents)], options).rows
+    assert row.ted == ted_recursive_oracle(*expected)
+    assert row.f1 == _oracle_f1(*expected)
 
 
 # -- F-score ------------------------------------------------------------------
@@ -348,7 +448,7 @@ def test_ted_matches_recursive_oracle_on_small_alphabets(shape_a, shape_b, edits
 
 def _arrays(a: MathMLNode, b: MathMLNode):
     """The kernel's input: postorder label codes and leftmost leaves of a and b."""
-    (labels_a, lmld_a), (labels_b, lmld_b) = _postorder(a), _postorder(b)
+    (labels_a, lmld_a), (labels_b, lmld_b) = postorder_oracle(a), postorder_oracle(b)
     codes: dict = {}
     la = [codes.setdefault(label, len(codes)) for label in labels_a]
     lb = [codes.setdefault(label, len(codes)) for label in labels_b]
@@ -403,7 +503,7 @@ def _corpus_pieces() -> list[MathMLNode]:
 
 def _edited(rng: random.Random, tree: MathMLNode, edits: int) -> MathMLNode:
     """A copy of `tree` after `edits` renames, node deletions or node insertions."""
-    out = tree.copy()
+    out = copy_tree(tree)
     for _ in range(edits):
         kind = rng.choice(("rename", "delete", "insert"))
         if kind == "rename":
@@ -437,7 +537,7 @@ def test_banded_kernel_matches_the_unbanded_one_on_corpus_trees():
         target = rng.randint(80, 200)
         children: list[MathMLNode] = []
         while sum(len(list(child.iter())) for child in children) < target:
-            children.append(rng.choice(pieces).copy())
+            children.append(copy_tree(rng.choice(pieces)))
         a = MathMLNode("math", {}, [MathMLNode("mrow", {}, children)])
         b = _edited(rng, a, rng.randint(1, 5))
         arrays = _arrays(a, b)
@@ -527,6 +627,34 @@ def test_batch_survives_any_nesting_depth(options):
         (row,) = report.rows
         assert (row.ted == 0) != (row.error is not None), depth
         assert len(report.errors) == report.formula_count ^ 1
+        assert not any("XML parse failure" in error for error in report.errors), depth
+
+
+def test_batch_reports_a_deep_document_as_too_deeply_nested():
+    doc = "<math>" + "<mrow>" * 2000 + "<mi>x</mi>" + "</mrow>" * 2000 + "</math>"
+    report = batch_compare([ComparePair("chain", doc, "<math><mi>x</mi></math>")])
+    (row,) = report.rows
+    assert (row.ted, row.f1) == (None, None) and row.error
+    (error,) = report.errors
+    assert error.startswith("chain: too deeply nested to compare: ")
+
+
+def test_comparison_leaves_no_garbage():
+    """No call leaves a reference cycle behind for the cyclic collector."""
+    a = math("<mrow><mi>x</mi><mo>+</mo><msqrt><mrow><mi>y</mi></mrow></msqrt></mrow>")
+    b = math('<mrow><mi>x</mi><mo stretchy="false">-</mo><mi>z</mi></mrow>')
+    pair = ComparePair("p", serialize(a), _MATHML_NS.join(["<math", serialize(b)[5:]]))
+    options = CompareOptions(ignore_inferred_mrow=True, require_semantics_wrapper=True)
+    calls = [lambda: tree_edit_distance(a, b, options), lambda: element_fscore(a, b, options),
+             lambda: batch_compare([pair], options)]
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            call()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_report_table_shape():

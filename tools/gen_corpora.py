@@ -16,10 +16,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))  # coverage_corpus
 
 from texmathc import convert_formula, default_registry, parse, preprocess  # noqa: E402
-from texmathc.coverage import coverage_corpus  # noqa: E402
 from texmathc.mathml import GenOptions  # noqa: E402
+
+from coverage_corpus import coverage_corpus  # noqa: E402
 
 CORPORA = ROOT / "corpora"
 FIXTURES = ROOT / "tests" / "fixtures"

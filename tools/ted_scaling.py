@@ -6,16 +6,17 @@ For each size, side A is built from the frozen reference MathML of
 seed, under one ``mrow`` until the tree has exactly that many nodes.  Three
 pairs are timed per size:
 
-* identical: A against a deep copy of itself;
+* identical: A against a copy of itself;
 * relabelled: A against a copy with max(1, size // 15) token texts changed;
 * unrelated: A against a tree of the same size built independently (its
   own seeded picks), the case where a small distance cannot be exploited.
 
 Trees are compared without normalization (``CompareOptions()``), so the
-node counts are exact; the time includes the one bottom-up pass in which
-``normalize`` builds each tree as compared.  Each cell is the best of
-REPEAT timed calls of ``tree_edit_distance``.
-Nothing is asserted.
+node counts are exact.  Each pair gets two times, each the best of REPEAT
+calls: ``tree_edit_distance`` on the two trees (which includes the
+normalizing walk over each), and ``batch_compare`` on the two serialized
+documents, the whole compare path: parsing, one walk per document, the
+distance and the F-score.  Nothing is asserted.
 
     PYTHONPATH=src python3 tools/ted_scaling.py
 """
@@ -32,12 +33,23 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from texmathc.mathml import MathMLNode, from_xml  # noqa: E402
-from texmathc.similarity import CompareOptions, tree_edit_distance  # noqa: E402
+from texmathc.mathml import MathMLNode, from_xml, serialize  # noqa: E402
+from texmathc.similarity import (  # noqa: E402
+    CompareOptions,
+    ComparePair,
+    batch_compare,
+    tree_edit_distance,
+)
 
 SIZES = (50, 100, 200, 300, 400, 600)
 REPEAT = 3  # N of best-of-N
 SEED = 2024
+
+
+def _copy(tree: MathMLNode) -> MathMLNode:
+    """An equal, independent tree: every tree here is read by ``from_xml``,
+    which reads a serialized tree back as it was."""
+    return from_xml(serialize(tree))
 
 
 def _size(node: MathMLNode) -> int:
@@ -61,14 +73,14 @@ def build(rng: random.Random, pieces, size: int) -> MathMLNode:
     remaining = size - 2  # math and its mrow
     while remaining > 0:
         fitting = [body for count, body in pieces if count <= remaining]
-        body = rng.choice(fitting).copy() if fitting else MathMLNode("mi", {}, [], "x")
+        body = _copy(rng.choice(fitting)) if fitting else MathMLNode("mi", {}, [], "x")
         children.append(body)
         remaining -= _size(body)
     return MathMLNode("math", {}, [MathMLNode("mrow", {}, children)])
 
 
 def relabel(rng: random.Random, tree: MathMLNode, size: int) -> MathMLNode:
-    out = tree.copy()
+    out = _copy(tree)
     tokens = [node for node in out.iter() if not node.children and node.text]
     for node in rng.sample(tokens, min(len(tokens), max(1, size // 15))):
         node.text = rng.choice([c for c in "abcdefghijklmnopqrstuvwxyz0123456789"
@@ -76,14 +88,19 @@ def relabel(rng: random.Random, tree: MathMLNode, size: int) -> MathMLNode:
     return out
 
 
-def best_of(a: MathMLNode, b: MathMLNode) -> tuple[float, int]:
+def best_of(a: MathMLNode, b: MathMLNode) -> tuple[float, float, int]:
+    """Best TED time, best batch_compare time, and the distance."""
     options = CompareOptions()
-    best = float("inf")
+    pair = [ComparePair("pair", serialize(a), serialize(b))]
+    ted = batch = float("inf")
     for _ in range(REPEAT):
         start = perf_counter()
         result = tree_edit_distance(a, b, options)
-        best = min(best, perf_counter() - start)
-    return best, result.distance
+        ted = min(ted, perf_counter() - start)
+        start = perf_counter()
+        batch_compare(pair, options)
+        batch = min(batch, perf_counter() - start)
+    return ted, batch, result.distance
 
 
 def cpu_name() -> str:
@@ -99,18 +116,22 @@ def cpu_name() -> str:
 def main() -> int:
     print(f"# Python {platform.python_version()} ({platform.python_implementation()}), "
           f"CPU: {cpu_name()}")
-    print(f"# best of {REPEAT} calls of tree_edit_distance, CompareOptions(), seed {SEED}")
-    print("| nodes | identical | relabelled | relabelled TED | unrelated | unrelated TED |")
-    print("|---:|---:|---:|---:|---:|---:|")
+    print(f"# best of {REPEAT} calls of tree_edit_distance (TED) and of batch_compare "
+          f"(batch), CompareOptions(), seed {SEED}")
+    print("| nodes | identical TED | batch | relabelled TED | batch | distance "
+          "| unrelated TED | batch | distance |")
+    print("|---:|---:|---:|---:|---:|---:|---:|---:|---:|")
     rng = random.Random(SEED)
     pieces = _pieces()
+    ms = 1e3
     for size in SIZES:
         a = build(rng, pieces, size)
-        same, _ = best_of(a, a.copy())
-        changed, distance = best_of(a, relabel(rng, a, size))
-        other, far = best_of(a, build(random.Random(SEED + size), pieces, size))
-        print(f"| {size} | {same * 1e3:.2f} ms | {changed * 1e3:.1f} ms | {distance} "
-              f"| {other * 1e3:.1f} ms | {far} |", flush=True)
+        same, same_batch, _ = best_of(a, _copy(a))
+        changed, changed_batch, distance = best_of(a, relabel(rng, a, size))
+        other, other_batch, far = best_of(a, build(random.Random(SEED + size), pieces, size))
+        print(f"| {size} | {same * ms:.2f} ms | {same_batch * ms:.2f} ms "
+              f"| {changed * ms:.1f} ms | {changed_batch * ms:.1f} ms | {distance} "
+              f"| {other * ms:.1f} ms | {other_batch * ms:.1f} ms | {far} |", flush=True)
     return 0
 
 
