@@ -4,7 +4,7 @@ from .diagnostics import Diagnostic
 from .generator import to_mathml
 from .intent import apply_intent, parse_intent
 from .mathml import GenOptions, MathMLNode, from_xml, serialize
-from .mhchem import expand_ce, expand_pu, preprocess
+from .mhchem import expand_ce, expand_pu
 from .parser import ParseResult, parse, render_tex
 from .pipeline import ConversionFailed, check_formula, convert_formula
 from .registry import CommandSpec, Registry, default_registry, load_registry
@@ -46,7 +46,6 @@ __all__ = [
     "normalize",
     "parse",
     "parse_intent",
-    "preprocess",
     "render_tex",
     "serialize",
     "to_mathml",

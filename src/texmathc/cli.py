@@ -238,7 +238,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                          help="formula, or - for stdin")
     p_check.add_argument("--file", help="read the formula from a file")
     p_check.add_argument("--chem", action="store_true",
-                         help="run chemistry preprocessing first")
+                         help="allow \\ce{...}/\\pu{...} chemistry (mhchem subset)")
     p_check.add_argument("--json", action="store_true",
                          help="emit diagnostics as a JSON array on stdout")
     p_check.set_defaults(func=cmd_check)

@@ -1,10 +1,11 @@
-"""Chemistry preprocessing: rewrites ``\\ce{...}`` and ``\\pu{...}`` to plain math.
+"""Chemistry: expands the body of ``\\ce{...}`` and ``\\pu{...}`` to plain math.
 
-This is a pure string rewriter that runs before validation.  The implemented
-subset covers elements, numeric subscripts, charges, stoichiometric
-coefficients (integer, decimal, and a/b fractions), isotope prescripts,
-aggregate states, single/double/triple bonds, reaction arrows, ``+``
-separators, hydrate dots (``*``), and the number-unit forms of ``\\pu``.
+Under chemistry mode the parser calls ``preprocess`` on each body it meets
+and parses the expansion in place (see ``parser``).  The implemented subset
+covers elements, numeric subscripts, charges, stoichiometric coefficients
+(integer, decimal, and a/b fractions), isotope prescripts, aggregate states,
+single/double/triple bonds, reaction arrows, ``+`` separators, hydrate dots
+(``*``), and the number-unit forms of ``\\pu``.
 Everything outside the subset is rejected with a positioned diagnostic
 rather than guessed at.
 """
@@ -16,20 +17,17 @@ from dataclasses import dataclass
 
 from .diagnostics import (
     E_CHEM_SYNTAX,
-    E_UNBALANCED_BRACE,
     ERROR,
     ChemError,
     Diagnostic,
     byte_offsets,
 )
-from .parser import closing_brace
 
 _ELEMENT = re.compile(r"[A-Z][a-z]?")
 _DIGITS = re.compile(r"[0-9]+")
 _NUMBER = re.compile(r"[0-9]+(?:\.[0-9]+)?")
 _PU_NUMBER = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
 _UNIT_ATOM = re.compile(r"[A-Za-z]+[0-9]*")
-_ESCAPE = re.compile(r"\\([a-zA-Z]+|.?)", re.S)  # a command name or one escaped character
 
 ARROWS = (
     ("<=>", "\\longrightleftharpoons"),
@@ -37,7 +35,10 @@ ARROWS = (
     ("->", "\\longrightarrow"),
     ("<-", "\\longleftarrow"),
 )
-STATES = ("aq", "s", "l", "g")
+_ARROW = re.compile("|".join(re.escape(text) for text, _ in ARROWS))  # in ARROWS' order
+_STATE = re.compile(r"\((aq|s|l|g)\)")
+# The TeX of an arrow, plus, bond or parenthesis where it is not the payload itself.
+_TEX = {**dict(ARROWS), "#": "\\equiv", "*": "\\cdot"}
 
 
 @dataclass(frozen=True)
@@ -51,36 +52,12 @@ def _err(message: str, text: str, start: int, end: int) -> ChemError:
     return ChemError(Diagnostic(ERROR, E_CHEM_SYNTAX, message, span))
 
 
-def preprocess(source: str) -> str:
-    """Expand every chemistry environment; all other bytes pass through untouched."""
-    out: list[str] = []
-    done = 0  # source[:done] is already in `out`
-    pos = 0
-    n = len(source)
-    while m := _ESCAPE.search(source, pos):
-        name = m.group(1)
-        pos = m.end()
-        if name not in ("ce", "pu"):
-            continue
-        j = pos
-        while j < n and source[j].isspace():
-            j += 1
-        if j >= n or source[j] != "{":
-            raise _err(f"\\{name} requires a braced argument", source, m.start(), j)
-        k = closing_brace(source, j)
-        if k < 0:
-            (span,) = byte_offsets(source, [(m.start(), n)])
-            raise ChemError(Diagnostic(
-                ERROR, E_UNBALANCED_BRACE, f"unterminated \\{name} argument", span))
-        body = source[j + 1:k]
-        try:
-            expansion = expand_ce(body) if name == "ce" else expand_pu(body)
-        except ChemError as exc:
-            raise exc.within(source, j + 1) from None
-        out += (source[done:m.start()], expansion)
-        done = pos = k + 1
-    out.append(source[done:])
-    return "".join(out)
+def preprocess(body: str, command: str) -> str:
+    """The expansion of ``\\ce{body}``, or of ``\\pu{body}`` when `command` is "pu".
+
+    Per-layer tracing times the chemistry under this name.
+    """
+    return expand_pu(body) if command == "pu" else expand_ce(body)
 
 
 # -- \ce ------------------------------------------------------------------
@@ -109,14 +86,10 @@ def tokenize_ce(body: str) -> list[ChemToken]:
             continue
         spaced = pending_space
         pending_space = False
-        matched_arrow = False
-        for text, _ in ARROWS:
-            if body.startswith(text, i):
-                toks.append(ChemToken("arrow", text))
-                i += len(text)
-                matched_arrow = True
-                break
-        if matched_arrow:
+        arrow = _ARROW.match(body, i) if ch in "<-" else None
+        if arrow:
+            toks.append(ChemToken("arrow", arrow[0]))
+            i = arrow.end()
             continue
         if ch == "$":
             raise _err("nested math inside \\ce is not supported", body, i, i + 1)
@@ -136,7 +109,7 @@ def tokenize_ce(body: str) -> list[ChemToken]:
             while j < n and body[j].isspace():
                 j += 1
             after = body[j] if j < n else ""
-            bonds_to_group = after == "(" and not _match_state(body, j)
+            bonds_to_group = after == "(" and not _STATE.match(body, j)
             if prev_kind() in chargeable:
                 if after.isupper() or bonds_to_group:
                     toks.append(ChemToken("bond", "-"))
@@ -148,16 +121,10 @@ def tokenize_ce(body: str) -> list[ChemToken]:
                 i += 1
                 continue
             raise _err("'-' must follow an element or count", body, i, i + 1)
-        if ch == "=":
+        if ch in "=#":
             if prev_kind() not in chargeable:
-                raise _err("'=' bond must follow an element", body, i, i + 1)
-            toks.append(ChemToken("bond", "="))
-            i += 1
-            continue
-        if ch == "#":
-            if prev_kind() not in chargeable:
-                raise _err("'#' bond must follow an element", body, i, i + 1)
-            toks.append(ChemToken("bond", "#"))
+                raise _err(f"'{ch}' bond must follow an element", body, i, i + 1)
+            toks.append(ChemToken("bond", ch))
             i += 1
             continue
         if ch == "*":
@@ -165,10 +132,10 @@ def tokenize_ce(body: str) -> list[ChemToken]:
             i += 1
             continue
         if ch == "(":
-            state = _match_state(body, i)
+            state = _STATE.match(body, i)
             if state and prev_kind() in ("element", "count", "close", "charge"):
-                toks.append(ChemToken("state", state))
-                i += len(state) + 2
+                toks.append(ChemToken("state", state[1]))
+                i = state.end()
                 continue
             toks.append(ChemToken("open", "("))
             i += 1
@@ -212,13 +179,6 @@ def tokenize_ce(body: str) -> list[ChemToken]:
         raise _err(f"unsupported character {ch!r} in \\ce", body, i, i + 1)
     _check_sequence(toks, body)
     return toks
-
-
-def _match_state(body: str, i: int) -> str | None:
-    for state in STATES:
-        if body.startswith("(" + state + ")", i):
-            return state
-    return None
 
 
 def _scan_script_digits(body: str, i: int, what: str) -> tuple[str, int]:
@@ -302,12 +262,8 @@ def expand_ce(body: str) -> str:
                 chunks.append("{}_{" + number + "}^{" + mass + "}")
             else:
                 chunks.append("{}^{" + mass + "}")
-        elif tok.kind == "arrow":
-            chunks.append(dict(ARROWS)[tok.payload])
-        elif tok.kind == "plus":
-            chunks.append("+")
-        elif tok.kind == "bond":
-            chunks.append({"-": "-", "=": "=", "#": "\\equiv", "*": "\\cdot"}[tok.payload])
+        elif tok.kind in ("arrow", "plus", "bond", "open", "close"):
+            chunks.append(_TEX.get(tok.payload, tok.payload))
         elif tok.kind == "state":
             chunks.append("(\\mathrm{" + tok.payload + "})")
         elif tok.kind == "stoich_coeff":
@@ -316,10 +272,6 @@ def expand_ce(body: str) -> str:
                 chunks.append("\\frac{" + num + "}{" + den + "}\\,")
             else:
                 chunks.append(tok.payload)
-        elif tok.kind == "open":
-            chunks.append("(")
-        elif tok.kind == "close":
-            chunks.append(")")
         i += 1
     return " ".join(chunks)
 

@@ -9,13 +9,16 @@ validation verdicts and for MathML generation.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 
 from . import intent as intent_mod
 from .diagnostics import (
     E_AMBIGUOUS_INFIX,
     E_BAD_DELIM,
     E_BAD_ENV,
+    E_CHEM_SYNTAX,
     E_DOUBLE_SCRIPT,
     E_EMPTY_ARG,
     E_TOO_DEEP,
@@ -23,12 +26,14 @@ from .diagnostics import (
     E_UNKNOWN_COMMAND,
     ERROR,
     W_DEPRECATED,
+    ChemError,
     Diagnostic,
     DiagnosticError,
     IntentError,
     byte_offsets,
     warning,
 )
+from .mhchem import preprocess
 from .nodes import (
     AstNode,
     Curly,
@@ -58,6 +63,9 @@ INFIX_FNS = frozenset({"fraction", "binom", "atop"})
 # Commands whose argument is raw text rather than math.
 RAW_ARG_FNS = frozenset({"text", "operatorname"})
 
+# The chemistry commands, expanded in place when chemistry is allowed.
+CHEM_COMMANDS = frozenset({"ce", "pu"})
+
 # One alternative per token kind, named after it; a command's value is its
 # name without the backslash: ASCII letters, one other character, or none at
 # the end of the input.  Whitespace (`str.isspace`) matches nothing.
@@ -76,6 +84,7 @@ _LITERALS: dict[str, Literal] = {}
 
 _BRACE_SCAN = re.compile(r"\\.|[{}]", re.S)
 _CMD_TAIL = re.compile(r"\\[A-Za-z]+$")
+_START = attrgetter("start")
 
 
 @dataclass(slots=True)
@@ -214,6 +223,9 @@ class _Parser:
                     self.fail(E_BAD_DELIM, "\\right without matching \\left", tok)
                 self.fail(E_BAD_ENV, "\\end without matching \\begin", tok)
             if kind == "cmd":
+                if self.allow_chem and tok.value in CHEM_COMMANDS:
+                    self.expand_chem(braced=False)
+                    continue
                 spec = self.registry.lookup(tok.value)
                 if spec is not None and spec.arity == 0 and spec.translation_fn in INFIX_FNS:
                     if in_infix:
@@ -294,17 +306,18 @@ class _Parser:
             return self.environment(tok)
         if name == "intent":
             return self.intent_macro(tok)
+        if self.allow_chem and name in CHEM_COMMANDS:  # an argument or a root index item
+            self.i -= 1
+            self.expand_chem(braced=True)
+            return _collapse_arg(self.group())
         spec = self.registry.lookup(name)
         if spec is None:
             self.fail(E_UNKNOWN_COMMAND, f"\\{name} is not a whitelisted command", tok)
         assert spec is not None
-        if spec.category == "chem-only":
-            if name in ("ce", "pu"):
-                self.fail(E_UNKNOWN_COMMAND,
-                          f"\\{name} requires chemistry preprocessing", tok)
-            if not self.allow_chem:
-                self.fail(E_UNKNOWN_COMMAND,
-                          f"\\{name} is only available after chemistry preprocessing", tok)
+        if spec.category == "chem-only" and not self.allow_chem:
+            self.fail(E_UNKNOWN_COMMAND, f"\\{name} requires chemistry preprocessing"
+                      if name in CHEM_COMMANDS else
+                      f"\\{name} is only available after chemistry preprocessing", tok)
         if spec.category == "environment":
             self.fail(E_BAD_ENV, f"{name} is an environment; use \\begin{{{name}}}", tok)
         # sequence() takes an infix command that divides a group; here, as an
@@ -481,6 +494,31 @@ class _Parser:
             self.advance()
         self.advance()  # the closing brace token at `pos`
         return content
+
+    def expand_chem(self, braced: bool) -> None:
+        """Replace the ``\\ce{…}``/``\\pu{…}`` at the current token by the tokens
+        of its expansion, each spanning the whole command (`braced`: as one
+        group)."""
+        toks, i = self.toks, self.i
+        cmd, open_tok = toks[i], toks[i + 1]
+        if open_tok.kind != "lbrace":
+            raise _Fail(E_CHEM_SYNTAX, f"\\{cmd.value} requires a braced argument",
+                        (cmd.start, open_tok.start))
+        close = closing_brace(self.source, open_tok.start)
+        if close < 0:
+            raise _Fail(E_UNBALANCED_BRACE, f"unterminated \\{cmd.value} argument",
+                        (cmd.start, len(self.source)))
+        try:
+            expansion = preprocess(self.source[open_tok.end:close], cmd.value)
+        except ChemError as exc:
+            raise exc.within(self.source, open_tok.end) from None
+        start, end = cmd.start, close + 1
+        new = [Token(m.lastgroup, m[m.lastindex], start, end)
+               for m in _TOKEN.finditer(expansion)]
+        if braced:
+            new = [Token("lbrace", "{", start, end), *new, Token("rbrace", "}", start, end)]
+        # The tokens after the command are the source's own, in order.
+        toks[i:bisect_left(toks, close, i + 2, key=_START) + 1] = new
 
     def intent_macro(self, tok: Token) -> IntentWrap:
         body = self.argument(tok, "argument 1 of \\intent")

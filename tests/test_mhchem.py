@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import json
+import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CORPORA
-from texmathc import convert_formula, parse
-from texmathc.diagnostics import E_CHEM_SYNTAX, E_UNBALANCED_BRACE, ChemError
+from oracles import preprocess_oracle
+from texmathc import convert_formula, default_registry, parse
+from texmathc.diagnostics import E_CHEM_SYNTAX, E_UNBALANCED_BRACE, ChemError, DiagnosticError
 from texmathc.mhchem import expand_ce, expand_pu, preprocess, tokenize_ce
 
 
@@ -16,14 +20,14 @@ def conformance_cases():
 
 
 def test_identity_outside_chem():
-    assert preprocess("a^2") == "a^2"
-    assert preprocess("\\frac{1}{2} + x") == "\\frac{1}{2} + x"
-    assert preprocess("") == ""
+    assert preprocess_oracle("a^2") == "a^2"
+    assert preprocess_oracle("\\frac{1}{2} + x") == "\\frac{1}{2} + x"
+    assert preprocess_oracle("") == ""
 
 
 def test_locality():
     source = "x + \\ce{H2O} = y"
-    out = preprocess(source)
+    out = preprocess_oracle(source)
     assert out.startswith("x + ")
     assert out.endswith(" = y")
     assert "\\ce" not in out
@@ -63,7 +67,7 @@ def test_equilibrium_arrow_uses_chem_only_command(registry):
 def test_empty_bodies():
     assert expand_ce("") == ""
     assert expand_pu("") == ""
-    assert preprocess("\\ce{}") == ""
+    assert preprocess_oracle("\\ce{}") == ""
 
 
 def test_isotope():
@@ -116,9 +120,16 @@ def test_ce_rejections(body, code):
     assert err.value.diagnostic.code == code
 
 
+def test_bond_without_element_is_located():
+    for body in ("=O", "#N"):
+        with pytest.raises(ChemError) as err:
+            expand_ce(body)
+        assert err.value.diagnostic.span == (0, 1)
+
+
 def test_unbalanced_ce_braces():
     with pytest.raises(ChemError) as err:
-        preprocess("\\ce{H2O")
+        preprocess_oracle("\\ce{H2O")
     assert err.value.diagnostic.code == E_UNBALANCED_BRACE
 
 
@@ -132,7 +143,7 @@ def test_pu_rejections():
 def test_error_spans_are_rebased():
     source = "abc + \\ce{H@O}"
     with pytest.raises(ChemError) as err:
-        preprocess(source)
+        preprocess_oracle(source)
     start, end = err.value.diagnostic.span
     assert source.encode("utf-8")[start:end] == b"@"
 
@@ -141,7 +152,7 @@ def test_conformance_corpus_expands_and_parses(registry):
     cases = conformance_cases()
     assert len(cases) >= 116
     for case in cases:
-        expanded = preprocess(case["input"])
+        expanded = preprocess_oracle(case["input"])
         assert "\\ce" not in expanded and "\\pu" not in expanded
         errors = parse(expanded, registry, allow_chem=True).errors
         assert not errors, (case["id"], errors)
@@ -150,5 +161,102 @@ def test_conformance_corpus_expands_and_parses(registry):
 
 def test_preprocess_idempotent_on_corpus():
     for case in conformance_cases():
-        once = preprocess(case["input"])
-        assert preprocess(once) == once, case["id"]
+        once = preprocess_oracle(case["input"])
+        assert preprocess_oracle(once) == once, case["id"]
+
+
+# -- \ce and \pu inside the parser ------------------------------------------
+
+
+def _chem_corpus_inputs():
+    combined = json.loads((CORPORA / "combined_423.json").read_text("utf-8"))["cases"]
+    return ([case["input"] for case in combined if case["options"].get("chem")]
+            + [case["input"] for case in conformance_cases()])
+
+
+def test_in_place_expansion_matches_the_text_pass_on_the_corpus(registry):
+    inputs = _chem_corpus_inputs()
+    assert len(inputs) == 141
+    for source in inputs:
+        expanded = preprocess_oracle(source)
+        got = parse(source, registry, allow_chem=True)
+        assert got.ok and got.ast == parse(expanded, registry, allow_chem=True).ast, source
+        assert convert_formula(source, chem=True) == convert_formula(expanded, chem=True)
+
+
+def test_ce_argument_is_one_group(registry):
+    # one item is the argument itself, as a braced one would be
+    assert parse("\\sqrt\\ce{H}", registry, allow_chem=True).ast == \
+        parse("\\sqrt{\\mathrm{H}}", registry).ast
+    root = ET.fromstring(convert_formula("\\sqrt\\ce{H2O}", chem=True))
+    (sqrt,) = root
+    assert sqrt.tag == "msqrt"
+    assert [e.text for e in sqrt.iter() if e.text] == ["H", "2", "O"]
+    root = ET.fromstring(convert_formula("x^\\ce{2H2}", chem=True))
+    (sup,) = root
+    assert sup.tag == "msup"
+    assert [e.text for e in sup[1].iter() if e.text] == ["2", "H", "2"]
+
+
+def test_ce_root_index_output_is_unchanged(registry):
+    source = "\\sqrt[\\ce{H2}]{x}"
+    assert convert_formula(source, chem=True) == \
+        convert_formula(preprocess_oracle(source), chem=True)
+    # beside other items, the expansion is one group of the index
+    grouped = parse("\\sqrt[{\\mathrm{H} {}_{2}} n]{x}", registry, allow_chem=True)
+    assert parse("\\sqrt[\\ce{H2} n]{x}", registry, allow_chem=True).ast == grouped.ast
+
+
+@pytest.mark.parametrize("source", ["\\ce{A->}x", "\\ce{->}x"])
+def test_expansion_does_not_run_into_the_next_letter(source):
+    mathml = convert_formula(source, chem=True)
+    assert mathml.endswith("<mo>⟶</mo><mi>x</mi></mrow></math>")
+
+
+def test_raw_arguments_are_not_expanded():
+    source = "\\text{\\ce{H2O}}"
+    assert convert_formula(source, chem=True) == convert_formula(source)
+    assert "<mtext>\\ce{H2O}</mtext>" in convert_formula(source, chem=True)
+
+
+_PLAIN = st.sampled_from(["x", "2", "+", "\\text{é}", "\\alpha", "{a b}", "\\frac{1}{2}"])
+_CE_BODY = st.lists(st.sampled_from([
+    "H", "2", "O", "Na", "+", "-", "^", "^{2-}", "_{2}", "^{14}", "(", ")", "(aq)",
+    "->", "<=>", " ", "*", "=", "#", "1/2", "0.5", "$", "@", "é", "h",
+]), max_size=6).map("".join)
+_PU_BODY = st.lists(st.sampled_from(
+    ["1.2e3", "5", " ", "kJ", "m", "/", "s2", "*", "mol", "@"]), max_size=5).map("".join)
+_CHEM = st.one_of(
+    _CE_BODY.map(lambda body: "\\ce{" + body + "}"),
+    _PU_BODY.map(lambda body: "\\pu{" + body + "}"),
+    st.sampled_from(["\\ce", "\\pu", "\\ce {H2O}"]),
+)
+# \ce and \pu in sequence position: side by side, in a group, a fence or a cell.
+chem_sequences = st.recursive(st.one_of(_PLAIN, _CHEM), lambda children: st.one_of(
+    st.lists(children, min_size=2, max_size=3).map(" ".join),
+    children.map(lambda a: "{" + a + "}"),
+    children.map(lambda a: f"\\left( {a} \\right)"),
+    st.tuples(children, children).map(
+        lambda ab: f"\\begin{{matrix}} {ab[0]} & {ab[1]} \\end{{matrix}}"),
+), max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(chem_sequences)
+def test_in_place_expansion_matches_the_text_pass_in_sequence_position(source):
+    registry = default_registry()
+    got = parse(source, registry, allow_chem=True)
+    try:
+        expanded = preprocess_oracle(source)
+    except DiagnosticError as exc:
+        assert got.diagnostics == (exc.diagnostic,), source
+        return
+    want = parse(expanded, registry, allow_chem=True)
+    assert want.ok, (source, expanded, want.errors)
+    assert got.ok and got.ast == want.ast, (source, got.errors)
+    assert convert_formula(source, chem=True) == convert_formula(expanded, chem=True)
+
+
+def test_preprocess_expands_one_body():
+    assert preprocess("H2O", "ce") == expand_ce("H2O")
+    assert preprocess("5 m/s", "pu") == expand_pu("5 m/s")

@@ -16,7 +16,6 @@ from texmathc.diagnostics import (
     E_UNBALANCED_BRACE,
     E_UNKNOWN_COMMAND,
     W_DEPRECATED,
-    DiagnosticError,
 )
 from texmathc.nodes import (
     Curly,
@@ -33,7 +32,6 @@ from texmathc.nodes import (
     Text,
 )
 from texmathc.mathml import GenOptions
-from texmathc.mhchem import preprocess
 from texmathc.parser import parse, render_tex, tokenize
 
 
@@ -228,8 +226,9 @@ def test_chem_only_rejected_in_plain_mode(registry):
 def test_chem_only_allowed_after_preprocessing(registry):
     result = parse("a \\longrightleftharpoons b", registry, allow_chem=True)
     assert result.ok
-    # \ce itself is never parseable, even in chem mode
-    assert not parse("\\ce{H2O}", registry, allow_chem=True).ok
+    # in chem mode \ce parses to the AST of its expansion
+    expansion = parse("\\mathrm{H} {}_{2} \\mathrm{O}", registry, allow_chem=True)
+    assert parse("\\ce{H2O}", registry, allow_chem=True).ast == expansion.ast
 
 
 def test_deprecated_warning(registry):
@@ -437,11 +436,7 @@ pipeline_strings = st.recursive(_pipeline_leaf, _compose_unbraced, max_leaves=8)
 @example("x^\\ce{H2O} \\over 2", True)
 def test_what_parses_converts_and_round_trips(source, chem):
     registry = default_registry()
-    try:
-        parsed = preprocess(source) if chem else source
-    except DiagnosticError:
-        return
-    first = parse(parsed, registry, allow_chem=chem)
+    first = parse(source, registry, allow_chem=chem)
     if not first.ok:
         return
     options = GenOptions(wrap_semantics=True, annotate_tex=True)
@@ -451,7 +446,7 @@ def test_what_parses_converts_and_round_trips(source, chem):
         pass
     rendered = render_tex(first.ast)
     second = parse(rendered, registry, allow_chem=chem)
-    assert second.ok and second.ast == first.ast, (parsed, rendered, second.errors)
+    assert second.ok and second.ast == first.ast, (source, rendered, second.errors)
 
 
 def test_parse_determinism(registry):

@@ -12,18 +12,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import preprocess_oracle
 from texmathc import ConversionFailed, check_formula, convert_formula, parse
 from texmathc.diagnostics import (
     E_CHEM_SYNTAX,
     E_INTENT_AMBIGUOUS_REF,
     E_INTENT_SYNTAX,
     E_INTENT_UNBOUND_REF,
+    E_TOO_DEEP,
     E_UNKNOWN_COMMAND,
     W_DEPRECATED,
     DiagnosticError,
 )
 from texmathc.intent import parse_intent, parse_macro_options
-from texmathc.mhchem import expand_ce, expand_pu, preprocess
+from texmathc.mhchem import expand_ce, expand_pu
 
 
 def _error(fn, text):
@@ -82,19 +84,85 @@ def test_ce_end_of_body_stays_in_body():
     assert _error(expand_ce, "^").span == (0, 1)
     assert _error(expand_ce, "H_").span == (1, 2)
     source = "\\ce{H_}"
-    assert _slice(source, _error(preprocess, source).span) == "_"
+    assert _slice(source, _error(preprocess_oracle, source).span) == "_"
 
 
 def test_pu_end_of_body_stays_in_body():
     assert _error(expand_pu, "5 m/").span == (3, 4)
     source = "é\\pu{5 m/ }"
-    assert _slice(source, _error(preprocess, source).span) == "/"
+    assert _slice(source, _error(preprocess_oracle, source).span) == "/"
 
 
 def test_unterminated_chem_argument_runs_to_end():
     source = "é \\ce{H2O"
-    diag = _error(preprocess, source)
+    diag = _error(preprocess_oracle, source)
     assert _slice(source, diag.span) == "\\ce{H2O"
+
+
+# -- chemistry inside the parser ----------------------------------------
+
+
+@pytest.mark.parametrize(("source", "code", "offending", "span"), [
+    ("\\ce{H2O} + \\badcmd", E_UNKNOWN_COMMAND, "\\badcmd", (11, 18)),
+    ("\\ce{H2O} \\intent{x}{intent='f($y)'}", E_INTENT_UNBOUND_REF, "$y", (30, 32)),
+    ("\\text{é} \\pu{5 m} \\badcmd", E_UNKNOWN_COMMAND, "\\badcmd", (19, 26)),
+    # an error in the expansion covers the whole command
+    ("{" * 128 + "\\ce{H2}" + "}" * 128, E_TOO_DEEP, "\\ce{H2}", (128, 135)),
+])
+def test_chem_diagnostics_index_the_users_input(source, code, offending, span):
+    (diag,) = check_formula(source, chem=True)
+    assert (diag.code, diag.span) == (code, span)
+    assert _slice(source, diag.span) == offending
+    with pytest.raises(ConversionFailed) as err:
+        convert_formula(source, chem=True)
+    assert err.value.diagnostics == [diag]
+
+
+def test_chem_errors_are_reported_in_reading_order():
+    # The chemistry is expanded where the parser meets it, so an earlier
+    # error wins over a later chemistry error.
+    (diag,) = check_formula("\\badcmd + \\ce{H$}", chem=True)
+    assert (diag.code, diag.span) == (E_UNKNOWN_COMMAND, (0, 7))
+    (diag,) = check_formula("\\ce{H$} + \\badcmd", chem=True)
+    assert (diag.code, diag.span) == (E_CHEM_SYNTAX, (5, 6))
+
+
+def test_chem_command_and_body_errors_point_into_the_input():
+    for source, offending in [("\\ce{H_}", "_"), ("\\text{é}\\pu{5 m/ }", "/"),
+                              ("\\text{é} \\ce{H2O", "\\ce{H2O"), ("x \\ce y", "\\ce "),
+                              ("\\sqrt\\ce{H@O}", "@")]:
+        (diag,) = check_formula(source, chem=True)
+        assert _slice(source, diag.span) == offending, (source, diag)
+
+
+_CHEM_PIECES = st.sampled_from([
+    "x", "2", "+", "^", "_", "{", "}", " ", "é", "\\text{日本}", "\\alpha", "\\sqrt",
+    "\\frac", "[", "]", "\\and", "\\badcmd", "\\intent{x}{intent='f($y)'}",
+    "\\ce{H2O}", "\\ce{A->}", "\\ce{SO4^2-}", "\\ce{}", "\\ce{H@O}", "\\ce{", "\\ce",
+    "\\pu{1.2e3 m/s}", "\\pu{5 m/}",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_CHEM_PIECES, max_size=8).map("".join))
+def test_chem_spans_lie_inside_the_input(source):
+    """Every --chem span is inside the input; an unknown command appended to
+    an accepted formula is reported at exactly that command."""
+    size = max(1, len(source.encode("utf-8")))
+    diagnostics = check_formula(source, chem=True)
+    try:
+        convert_formula(source, chem=True)
+    except ConversionFailed as exc:
+        diagnostics += exc.diagnostics
+    for diag in diagnostics:
+        assert 0 <= diag.span[0] < diag.span[1] <= size, (source, diag)
+    if any(diag.severity == "error" for diag in diagnostics):
+        return
+    variant = source + " \\zzunknown"
+    errors = [d for d in check_formula(variant, chem=True) if d.severity == "error"]
+    assert [(d.code, _slice(variant, d.span)) for d in errors] == \
+        [(E_UNKNOWN_COMMAND, "\\zzunknown")], variant
+    assert errors[0].span[0] == len(source.encode("utf-8")) + 1
 
 
 # -- intent -------------------------------------------------------------
@@ -157,7 +225,7 @@ _PIECES = st.sampled_from([
 @given(st.lists(_PIECES, max_size=10).map("".join))
 def test_every_scanner_keeps_spans_inside_its_text(text):
     limit = max(1, len(text.encode("utf-8")))
-    for fn in (expand_ce, expand_pu, preprocess, parse_intent, parse_macro_options):
+    for fn in (expand_ce, expand_pu, preprocess_oracle, parse_intent, parse_macro_options):
         try:
             fn(text)
         except DiagnosticError as exc:
