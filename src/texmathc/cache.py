@@ -3,8 +3,12 @@
 Keys hash the formula bytes together with the option fingerprint and the
 registry's content digest, so identical inputs always hit the same entry
 and any change to the registry invalidates everything by construction.
-Entries are plain files under a two-level fan-out; writes go through a temp
-file + rename so concurrent converters never see a torn entry.
+Entries are plain files under a two-level fan-out, `<dir>/<k[:2]>/<k[2:]>.mathml`,
+holding the value's UTF-8 bytes ("surrogatepass", so every `str` round-trips):
+a hit is one open/read/close and returns exactly the string that was put, and
+an entry that cannot be read or decoded is a miss.  A write goes to a temp
+file created exclusively in the fan-out directory (made only when missing)
+and is published by rename, so concurrent converters never see a torn entry.
 """
 
 from __future__ import annotations
@@ -12,10 +16,13 @@ from __future__ import annotations
 import hashlib
 import os
 import shutil
-import tempfile
 from pathlib import Path
 
 ENV_CACHE_DIR = "TEXMATHC_CACHE_DIR"
+
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
+_TEMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+_CHUNK = 1 << 16
 
 
 def default_cache_dir() -> Path:
@@ -28,31 +35,48 @@ def default_cache_dir() -> Path:
 
 class RenderCache:
     def __init__(self, directory: Path | str | None = None):
-        self.directory = Path(directory) if directory else default_cache_dir()
+        self._root = os.fspath(directory or default_cache_dir())
+
+    @property
+    def directory(self) -> Path:
+        return Path(self._root)
 
     @staticmethod
     def key_for(formula: str, options_fingerprint: str, registry_digest: str) -> str:
         payload = "\x1f".join((formula, options_fingerprint, registry_digest))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return hashlib.sha256(payload.encode("utf-8", "surrogatepass")).hexdigest()
 
-    def _path(self, key: str) -> Path:
-        return self.directory / key[:2] / (key[2:] + ".mathml")
+    def _path(self, key: str) -> str:
+        return f"{self._root}/{key[:2]}/{key[2:]}.mathml"
 
     def get(self, key: str) -> str | None:
         try:
-            return self._path(key).read_text(encoding="utf-8")
+            fd = os.open(self._path(key), _READ_FLAGS)
         except OSError:
             return None
+        try:
+            chunks = []
+            while chunk := os.read(fd, _CHUNK):
+                chunks.append(chunk)
+            return b"".join(chunks).decode("utf-8", "surrogatepass")
+        except (OSError, UnicodeDecodeError):  # an unreadable or damaged entry is a miss
+            return None
+        finally:
+            os.close(fd)
 
     def put(self, key: str, value: str) -> None:
+        """Store `value` under `key`; raises OSError if it cannot be written."""
+        data = memoryview(value.encode("utf-8", "surrogatepass"))
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        fd, tmp = _create_temp(path)
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(value)
+            try:
+                while data:
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
             os.replace(tmp, path)
-        except OSError:
+        except BaseException:
             try:
                 os.unlink(tmp)
             except OSError:
@@ -83,3 +107,21 @@ class RenderCache:
         os.replace(self.directory, graveyard)
         shutil.rmtree(graveyard, ignore_errors=True)
         return count
+
+
+def _create_temp(path: str) -> tuple[int, str]:
+    """A new file beside `path`, open for writing, and its name.  A name another
+    writer holds is skipped; a missing fan-out directory is created once."""
+    made_directory = False
+    attempt = 0
+    while True:
+        tmp = f"{path}.{os.getpid()}.{attempt}.tmp"
+        try:
+            return os.open(tmp, _TEMP_FLAGS, 0o600), tmp
+        except FileExistsError:
+            attempt += 1
+        except FileNotFoundError:
+            if made_directory:
+                raise
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            made_directory = True

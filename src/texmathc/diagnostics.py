@@ -83,7 +83,8 @@ def byte_offsets(text: str, spans: list[tuple[int, int]]) -> list[tuple[int, int
     Diagnostic spans are byte-based so they stay meaningful to non-Python
     consumers of the CLI output.  A span is at least one codepoint wide; one
     that starts at or past the end of a non-empty text moves back onto its
-    last codepoint; an empty text gives (0, 1).
+    last codepoint; an empty text gives (0, 1).  A lone surrogate counts the
+    three bytes "surrogatepass" encodes it to.
     """
     n = len(text)
     if not n:
@@ -97,7 +98,7 @@ def byte_offsets(text: str, spans: list[tuple[int, int]]) -> list[tuple[int, int
     at = {}
     pos = total = 0
     for point in sorted({p for span in clamped for p in span}):
-        total += len(text[pos:point].encode("utf-8"))
+        total += len(text[pos:point].encode("utf-8", "surrogatepass"))
         at[point] = total
         pos = point
     return [(at[start], at[end]) for start, end in clamped]

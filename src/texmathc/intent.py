@@ -262,7 +262,7 @@ def _in_value(parse, value: str, start: int, raw: str):
     except IntentError as exc:
         # _quoted read each `\$` as `$`, so a byte offset into the value moves
         # one byte on for every escape before it.
-        tail = raw[start:].encode("utf-8")
+        tail = raw[start:].encode("utf-8", "surrogatepass")
         escapes = [m.start() - k for k, m in enumerate(_ESCAPED_DOLLAR.finditer(tail))]
         d = exc.diagnostic
         span = (d.span[0] + bisect_left(escapes, d.span[0]),

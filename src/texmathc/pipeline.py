@@ -51,6 +51,7 @@ def convert_formula(source: str, *, chem: bool = False,
     """Serialized MathML for `source`; raises ConversionFailed on bad input.
 
     With a cache, the second identical invocation serves the stored bytes.
+    A cache that cannot serve or store an entry costs a re-render, not an error.
     """
     registry = registry or default_registry()
     options = options or GenOptions()
@@ -75,5 +76,9 @@ def convert_formula(source: str, *, chem: bool = False,
         raise ConversionFailed([_located(exc, source)]) from None
     output = serialize(tree)
     if cache is not None and key is not None:
-        cache.put(key, output)
+        try:
+            cache.put(key, output)
+        except OSError as exc:
+            if log:
+                log(f"cache write skipped: {exc}")
     return output

@@ -1,7 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import texmathc
+from texmathc import convert_formula
 from texmathc.cli import main
 
 
@@ -122,6 +128,22 @@ def test_cache_stats_after_convert(capsys):
     code, out, _ = run(capsys, "cache", "stats")
     assert code == 0
     assert out.startswith("1 entry,")
+
+
+def test_unusable_cache_directory_still_converts(tmp_path):
+    """`python -m texmathc` with the cache directory set to a regular file."""
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("", encoding="utf-8")
+    src = str(Path(texmathc.__file__).resolve().parents[1])
+    env = {**os.environ, "TEXMATHC_CACHE_DIR": str(blocker),
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-m", "texmathc", "convert", "--verbose", "x+y"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == convert_formula("x+y") + "\n"
+    miss, skipped = done.stderr.splitlines()
+    assert miss.startswith("cache miss ") and len(miss.split()) == 3
+    assert skipped.startswith("cache write skipped")
 
 
 def test_convert_purge_convert_cycle(capsys):

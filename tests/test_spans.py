@@ -231,3 +231,21 @@ def test_every_scanner_keeps_spans_inside_its_text(text):
         except DiagnosticError as exc:
             start, end = exc.diagnostic.span
             assert 0 <= start < end <= limit, (fn.__name__, text, exc.diagnostic)
+
+
+# -- lone surrogates ----------------------------------------------------
+
+
+def _surrogate_slice(text, span):
+    return text.encode("utf-8", "surrogatepass")[span[0]:span[1]].decode("utf-8", "surrogatepass")
+
+
+@pytest.mark.parametrize(("source", "code", "offending", "span"), [
+    ("\\text{a\ud800}\\bad", E_UNKNOWN_COMMAND, "\\bad", (11, 15)),
+    ("\\text{\udfff}\\intent{x}{intent='f(\\$y)'}", E_INTENT_UNBOUND_REF, "\\$y", (31, 34)),
+    ("\\intent{x}{intent='\ud800('}", E_INTENT_SYNTAX, "\ud800", (19, 22)),
+])
+def test_a_lone_surrogate_counts_three_bytes(source, code, offending, span):
+    (diag,) = check_formula(source)
+    assert (diag.code, diag.span) == (code, span)
+    assert _surrogate_slice(source, diag.span) == offending
