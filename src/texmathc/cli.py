@@ -33,13 +33,10 @@ def _read_input(args) -> str:
     return args.input
 
 
-def _gen_options(args) -> GenOptions:
-    annotate = getattr(args, "annotate_tex", False)
-    return GenOptions(
-        display=getattr(args, "display", "inline"),
-        wrap_semantics=getattr(args, "semantics", False) or annotate,
-        annotate_tex=annotate,
-    )
+def _gen_options(display: str, semantics: bool, annotate: bool) -> GenOptions:
+    """Output options; a TeX annotation implies the semantics wrapper."""
+    return GenOptions(display=display, wrap_semantics=semantics or annotate,
+                      annotate_tex=annotate)
 
 
 def cmd_check(args) -> int:
@@ -64,7 +61,7 @@ def cmd_convert(args) -> int:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 2
     try:
-        options = _gen_options(args)
+        options = _gen_options(args.display, args.semantics, args.annotate_tex)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -83,11 +80,8 @@ def cmd_convert(args) -> int:
 
 def _case_options(case: dict) -> tuple[GenOptions, bool]:
     raw = case.get("options", {})
-    options = GenOptions(
-        display=raw.get("display", "inline"),
-        wrap_semantics=raw.get("semantics", False) or raw.get("annotate_tex", False),
-        annotate_tex=raw.get("annotate_tex", False),
-    )
+    options = _gen_options(raw.get("display", "inline"), raw.get("semantics", False),
+                           raw.get("annotate_tex", False))
     return options, raw.get("chem", False)
 
 

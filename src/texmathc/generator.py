@@ -3,12 +3,11 @@
 Each command dispatches through the translation-function id recorded in the
 registry; the functions are grouped by transformation shape (all accents
 share one, all matrix environments share one, ...), so new commands are
-normally a data change only.
+normally a data change only.  Every translation function returns one node,
+and `_translate` appends it to the run being built.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from . import intent as intent_mod
 from .mathml import GenOptions, MathMLNode, elem, token
@@ -31,340 +30,295 @@ from .nodes import (
 from .registry import CommandSpec, Registry, decode_param
 
 
-@dataclass(frozen=True)
-class GenContext:
-    registry: Registry
-    options: GenOptions
-
-
 def to_mathml(ast: AstNode, registry: Registry,
               options: GenOptions | None = None) -> MathMLNode:
     """Translate a parser-produced AST into a presentation MathML tree.
 
     An intent reference error is located at a codepoint span of the source."""
     options = options or GenOptions()
-    ctx = GenContext(registry, options)
-    items = ast.children if isinstance(ast, Sequence) else (ast,)
-    content = _translate_items(items, ctx)
-    root = MathMLNode("math", {"display": options.display})
+    content: list[MathMLNode] = []
+    _translate(ast, registry, content)
     if options.wrap_semantics:
-        wrapped = _group(content)
-        kids = [wrapped]
+        kids = [_group(content)]
         if options.annotate_tex:
             from .parser import render_tex
 
             kids.append(token("annotation", render_tex(ast),
                               encoding="application/x-tex"))
-        root.children = [elem("semantics", kids)]
-    elif len(content) > 1:
-        root.children = [elem("mrow", content)]
-    else:
-        root.children = content
-    return root
+        content = [elem("semantics", kids)]
+    return MathMLNode("math", {"display": options.display},
+                      [_group(content)] if content else [])
 
 
 def _group(nodes: list[MathMLNode]) -> MathMLNode:
     """mrow inference: multi-child content gets an mrow, single children do not."""
-    if len(nodes) == 1:
-        return nodes[0]
-    return elem("mrow", nodes)
+    return nodes[0] if len(nodes) == 1 else elem("mrow", nodes)
 
 
-def _slot(node: AstNode, ctx: GenContext) -> MathMLNode:
-    """Translate content destined for one layout slot (script, fraction part...)."""
-    if isinstance(node, (Curly, Sequence)):
-        return _group(_translate_items(node.children, ctx))
-    return _group(_translate(node, ctx))
-
-
-def _is_digit_literal(item: AstNode) -> bool:
-    return isinstance(item, Literal) and len(item.token) == 1 and item.token.isdigit()
-
-
-def _translate_items(items, ctx: GenContext) -> list[MathMLNode]:
-    """Translate a sibling run, merging adjacent digit literals into one mn."""
+def _content(node: AstNode, registry: Registry) -> list[MathMLNode]:
+    """The MathML run of one argument: a brace group gives its children's."""
     out: list[MathMLNode] = []
-    i = 0
-    items = list(items)
-    while i < len(items):
-        item = items[i]
-        if _is_digit_literal(item):
-            digits = [item.token]
-            i += 1
-            seen_dot = False
-            while i < len(items):
-                if _is_digit_literal(items[i]):
-                    digits.append(items[i].token)
-                    i += 1
-                elif (not seen_dot and isinstance(items[i], Literal)
-                      and items[i].token == "." and i + 1 < len(items)
-                      and _is_digit_literal(items[i + 1])):
-                    digits.append(".")
-                    seen_dot = True
-                    i += 1
-                else:
-                    break
-            out.append(token("mn", "".join(digits)))
-            continue
-        out.extend(_translate(item, ctx))
-        i += 1
+    _translate(node.children if type(node) is Curly else node, registry, out)
     return out
 
 
-def _translate(node: AstNode, ctx: GenContext) -> list[MathMLNode]:
-    if isinstance(node, Literal):
-        return _literal(node, ctx)
-    if isinstance(node, Curly):
-        return [_group(_translate_items(node.children, ctx))]
-    if isinstance(node, Sequence):
-        return _translate_items(node.children, ctx)
-    if isinstance(node, (Sub, Sup, SubSup)):
-        return _script(node, ctx)
-    if isinstance(node, Fun1):
-        spec = _spec(node.command, ctx)
-        return TRANSLATION_FNS[spec.translation_fn](ctx, spec, [node.arg])
-    if isinstance(node, Fun2):
-        spec = _spec(node.command, ctx)
-        return TRANSLATION_FNS[spec.translation_fn](ctx, spec, [node.arg1, node.arg2])
-    if isinstance(node, Infix):
-        spec = _spec(node.command, ctx)
-        return TRANSLATION_FNS[spec.translation_fn](ctx, spec, [node.left, node.right])
-    if isinstance(node, Matrix):
-        return _matrix_env(node, ctx)
-    if isinstance(node, Delimited):
-        return _delimited(node, ctx)
-    if isinstance(node, IntentWrap):
-        subtree = _slot(node.body, ctx)
-        return [intent_mod.apply_intent(node, subtree)]
-    if isinstance(node, Text):  # only reachable through text-class commands
-        return [token("mtext", node.content)]
-    raise TypeError(f"unknown AST node {node!r}")  # pragma: no cover
+def _slot(node: AstNode, registry: Registry) -> MathMLNode:
+    """Translate content destined for one layout slot (script, fraction part...)."""
+    return _group(_content(node, registry))
 
 
-def _spec(name: str, ctx: GenContext) -> CommandSpec:
-    spec = ctx.registry.lookup(name)
+def _translate(node, registry: Registry, out: list[MathMLNode]) -> None:
+    """Append the MathML of `node`, or of a run of siblings (a Sequence or a
+    tuple of children), to `out`; a run merges adjacent digit literals into
+    one mn."""
+    kind = type(node)
+    if kind is not tuple and kind is not Sequence:
+        out.append(_NODES[kind](node, registry))
+        return
+    items = node if kind is tuple else node.children
+    i, n = 0, len(items)
+    while i < n:
+        item = items[i]
+        i += 1
+        if type(item) is not Literal or len(item.token) != 1 or not item.token.isdigit():
+            _translate(item, registry, out)
+            continue
+        digits, seen_dot = [item.token], False
+        while i < n and type(items[i]) is Literal:
+            tok = items[i].token
+            if len(tok) == 1 and tok.isdigit():
+                digits.append(tok)
+                i += 1
+                continue
+            after = items[i + 1] if tok == "." and not seen_dot and i + 1 < n else None
+            if type(after) is not Literal or len(after.token) != 1 or not after.token.isdigit():
+                break
+            digits += (".", after.token)
+            seen_dot = True
+            i += 2
+        out.append(token("mn", "".join(digits)))
+
+
+def _spec(name: str, registry: Registry) -> CommandSpec:
+    spec = registry.lookup(name)
     if spec is None:  # prevented by whitelist validation
         raise LookupError(f"command {name!r} missing from registry")
     return spec
 
 
-def _literal(node: Literal, ctx: GenContext) -> list[MathMLNode]:
+def _command(name: str, args: tuple, registry: Registry) -> MathMLNode:
+    spec = _spec(name, registry)
+    return TRANSLATION_FNS[spec.translation_fn](registry, spec, args)
+
+
+def _literal(node: Literal, registry: Registry) -> MathMLNode:
     tok = node.token
     if tok.startswith("\\"):
-        spec = _spec(tok[1:], ctx)
-        return TRANSLATION_FNS[spec.translation_fn](ctx, spec, [])
+        return _command(tok[1:], (), registry)
     if tok.isdigit():
-        return [token("mn", tok)]
+        return token("mn", tok)
     if tok.isascii() and tok.isalpha():
-        return [token("mi", tok)]
-    op = ctx.registry.operator(tok)
+        return token("mi", tok)
+    op = registry.operator(tok)
     if op is None:  # prevented by whitelist validation
         raise LookupError(f"literal {tok!r} missing from operator directory")
-    return [token(op.element, op.text, **dict(op.attributes))]
+    return token(op.element, op.text, **dict(op.attributes))
 
 
-def _script(node: Sub | Sup | SubSup, ctx: GenContext) -> list[MathMLNode]:
+_SCRIPTS = {Sub: "msub", Sup: "msup", SubSup: "msubsup"}
+_LIMITS = {Sub: "munder", Sup: "mover", SubSup: "munderover"}  # under a big operator
+
+
+def _script(node: Sub | Sup | SubSup, registry: Registry) -> MathMLNode:
     base = node.base
-    movable = (isinstance(base, Literal) and base.token.startswith("\\")
-               and _spec(base.token[1:], ctx).translation_fn == "bigop")
-    base_el = _slot(base, ctx)
-    if isinstance(node, Sub):
-        name = "munder" if movable else "msub"
-        return [elem(name, [base_el, _slot(node.sub, ctx)])]
-    if isinstance(node, Sup):
-        name = "mover" if movable else "msup"
-        return [elem(name, [base_el, _slot(node.sup, ctx)])]
-    name = "munderover" if movable else "msubsup"
-    return [elem(name, [base_el, _slot(node.sub, ctx), _slot(node.sup, ctx)])]
+    movable = (type(base) is Literal and base.token.startswith("\\")
+               and _spec(base.token[1:], registry).translation_fn == "bigop")
+    kids = [_slot(base, registry)]
+    if type(node) is not Sup:
+        kids.append(_slot(node.sub, registry))
+    if type(node) is not Sub:
+        kids.append(_slot(node.sup, registry))
+    return elem((_LIMITS if movable else _SCRIPTS)[type(node)], kids)
 
 
-def _delimited(node: Delimited, ctx: GenContext) -> list[MathMLNode]:
+def _delimited(node: Delimited, registry: Registry) -> MathMLNode:
     row: list[MathMLNode] = []
     if node.open != ".":
-        row.append(token("mo", _delim_text(node.open, ctx)))
-    row.extend(_translate_items(node.body.children, ctx))
+        row.append(token("mo", _delim_text(node.open, registry)))
+    _translate(node.body, registry, row)
     if node.close != ".":
-        row.append(token("mo", _delim_text(node.close, ctx)))
-    return [elem("mrow", row)]
+        row.append(token("mo", _delim_text(node.close, registry)))
+    return elem("mrow", row)
 
 
-def _delim_text(tok: str, ctx: GenContext) -> str:
+def _delim_text(tok: str, registry: Registry) -> str:
     if tok.startswith("\\"):
-        return decode_param(_spec(tok[1:], ctx).params[0])
+        return decode_param(_spec(tok[1:], registry).params[0])
     return tok
 
 
-def _matrix_env(node: Matrix, ctx: GenContext) -> list[MathMLNode]:
-    spec = _spec(node.env, ctx)
+_TABLE_ATTRS = {
+    "cases": {"columnalign": "left left"},
+    "smallmatrix": {"rowspacing": "0.2em", "columnspacing": "0.333em"},
+}
+
+
+def _matrix_env(node: Matrix, registry: Registry) -> MathMLNode:
+    open_fence, close_fence = (*_spec(node.env, registry).params, "", "")[:2]
     rows = [
-        elem("mtr", [elem("mtd", [_slot(cell, ctx)]) for cell in row])
+        elem("mtr", [elem("mtd", [_slot(cell, registry)]) for cell in row])
         for row in node.rows
     ]
-    attrs: dict[str, str] = {}
-    if node.env == "cases":
-        attrs["columnalign"] = "left left"
-    elif node.env == "smallmatrix":
-        attrs["rowspacing"] = "0.2em"
-        attrs["columnspacing"] = "0.333em"
-    table = MathMLNode("mtable", attrs, rows)
-    params = spec.params
-    open_fence = decode_param(params[0]) if len(params) > 0 and params[0] else ""
-    close_fence = decode_param(params[1]) if len(params) > 1 and params[1] else ""
+    table = MathMLNode("mtable", dict(_TABLE_ATTRS.get(node.env, {})), rows)
     if not open_fence and not close_fence:
-        return [table]
-    row: list[MathMLNode] = []
-    if open_fence:
-        row.append(token("mo", open_fence))
+        return table
+    row = [token("mo", decode_param(open_fence))] if open_fence else []
     row.append(table)
     if close_fence:
-        row.append(token("mo", close_fence))
-    return [elem("mrow", row)]
+        row.append(token("mo", decode_param(close_fence)))
+    return elem("mrow", row)
+
+
+_NODES = {
+    Literal: _literal,
+    Curly: _slot,
+    Sub: _script,
+    Sup: _script,
+    SubSup: _script,
+    Fun1: lambda node, registry: _command(node.command, (node.arg,), registry),
+    Fun2: lambda node, registry: _command(node.command, (node.arg1, node.arg2), registry),
+    Infix: lambda node, registry: _command(node.command, (node.left, node.right), registry),
+    Matrix: _matrix_env,
+    Delimited: _delimited,
+    IntentWrap: lambda node, registry: intent_mod.apply_intent(node, _slot(node.body, registry)),
+    Text: lambda node, registry: token("mtext", node.content),  # only under text-class commands
+}
 
 
 # -- translation functions (dispatch targets for registry `fn` ids) -----
 
 
-def _fn_identifier(ctx, spec, args):
-    return [token("mi", decode_param(spec.params[0]))]
+def _token_fn(element: str, **attributes: str):
+    """A command that is one token: its text is the decoded first parameter."""
+    def translate(registry, spec, args):
+        return token(element, decode_param(spec.params[0]), **attributes)
+    return translate
 
 
-def _fn_operator(ctx, spec, args):
-    return [token("mo", decode_param(spec.params[0]))]
+def _wrap_fn(element: str, *param_names: str):
+    """A command that wraps its one argument; its parameters become attributes."""
+    def translate(registry, spec, args):
+        attrs = dict(zip(param_names, spec.params))
+        return MathMLNode(element, attrs, [_slot(args[0], registry)])
+    return translate
 
 
-def _fn_bigop(ctx, spec, args):
-    return [token("mo", decode_param(spec.params[0]))]
+def _mark_fn(element: str, **attributes: str):
+    """A command that sets the mark its first parameter names over or under its argument."""
+    def translate(registry, spec, args):
+        mark = token("mo", decode_param(spec.params[0]))
+        return elem(element, [_slot(args[0], registry), mark], **attributes)
+    return translate
 
 
-def _fn_function(ctx, spec, args):
-    return [token("mi", spec.params[0])]
+def _fn_function(registry, spec, args):
+    return token("mi", spec.params[0])
 
 
-def _fn_delimiter(ctx, spec, args):
-    return [token("mo", decode_param(spec.params[0]), stretchy="false")]
+def _fn_space(registry, spec, args):
+    return elem("mspace", width=spec.params[0])
 
 
-def _fn_space(ctx, spec, args):
-    return [elem("mspace", width=spec.params[0])]
-
-
-def _fn_text(ctx, spec, args):
+def _fn_text(registry, spec, args):
     content = args[0].content if isinstance(args[0], Text) else ""
-    return [token("mtext", content)]
+    return token("mtext", content)
 
 
-def _fn_operatorname(ctx, spec, args):
+def _fn_operatorname(registry, spec, args):
     content = args[0].content if isinstance(args[0], Text) else ""
-    return [token("mi", content, mathvariant="normal")]
+    return token("mi", content, mathvariant="normal")
 
 
-def _fn_accent(ctx, spec, args):
-    mark = token("mo", decode_param(spec.params[0]))
-    return [elem("mover", [_slot(args[0], ctx), mark], accent="true")]
-
-
-def _fn_under(ctx, spec, args):
-    mark = token("mo", decode_param(spec.params[0]))
-    return [elem("munder", [_slot(args[0], ctx), mark])]
-
-
-def _fn_stacked(ctx, spec, args):
-    decoration = _slot(args[0], ctx)
-    base = _slot(args[1], ctx)
+def _fn_stacked(registry, spec, args):
+    decoration = _slot(args[0], registry)
     name = "mover" if spec.params[0] == "over" else "munder"
-    return [elem(name, [base, decoration])]
+    return elem(name, [_slot(args[1], registry), decoration])
 
 
-def _fn_radical(ctx, spec, args):
-    return [elem("msqrt", [_slot(args[0], ctx)])]
+def _fn_root(registry, spec, args):
+    return elem("mroot", [_slot(args[1], registry), _slot(args[0], registry)])
 
 
-def _fn_root(ctx, spec, args):
-    return [elem("mroot", [_slot(args[1], ctx), _slot(args[0], ctx)])]
-
-
-def _style_wrap(core: MathMLNode, style: str) -> MathMLNode:
-    flag = "true" if style == "display" else "false"
+def _style_wrap(core: MathMLNode, params: tuple[str, ...], index: int) -> MathMLNode:
+    """`core` under the display style named by params[index], if there is one."""
+    if len(params) <= index:
+        return core
+    flag = "true" if params[index] == "display" else "false"
     return elem("mstyle", [core], displaystyle=flag)
 
 
-def _fn_fraction(ctx, spec, args):
-    core = elem("mfrac", [_slot(args[0], ctx), _slot(args[1], ctx)])
-    if spec.params:
-        return [_style_wrap(core, spec.params[0])]
-    return [core]
+def _fn_fraction(registry, spec, args):
+    core = elem("mfrac", [_slot(args[0], registry), _slot(args[1], registry)])
+    return _style_wrap(core, spec.params, 0)
 
 
-def _fn_binom(ctx, spec, args):
-    core = elem("mfrac", [_slot(args[0], ctx), _slot(args[1], ctx)],
+def _fn_atop(registry, spec, args):
+    return elem("mfrac", [_slot(args[0], registry), _slot(args[1], registry)],
                 linethickness="0")
-    row = elem("mrow", [token("mo", spec.params[0]), core, token("mo", spec.params[1])])
-    if len(spec.params) > 2:
-        return [_style_wrap(row, spec.params[2])]
-    return [row]
 
 
-def _fn_atop(ctx, spec, args):
-    return [elem("mfrac", [_slot(args[0], ctx), _slot(args[1], ctx)],
-                 linethickness="0")]
+def _fn_binom(registry, spec, args):
+    row = elem("mrow", [token("mo", spec.params[0]), _fn_atop(registry, spec, args),
+                        token("mo", spec.params[1])])
+    return _style_wrap(row, spec.params, 2)
 
 
-def _fn_style(ctx, spec, args):
+def _fn_style(registry, spec, args):
     variant = spec.params[0]
-    arg = args[0]
-    items = arg.children if isinstance(arg, (Curly, Sequence)) else (arg,)
-    translated = _translate_items(items, ctx)
+    translated = _content(args[0], registry)
     if translated and all(
         t.element == "mi" and t.text is not None and t.text.isalpha() and not t.attributes
         for t in translated
     ):
         merged = "".join(t.text or "" for t in translated)
-        return [token("mi", merged, mathvariant=variant)]
+        return token("mi", merged, mathvariant=variant)
     if len(translated) == 1 and translated[0].is_token() and not translated[0].attributes:
         single = translated[0]
         single.attributes["mathvariant"] = variant
-        return [single]
-    return [MathMLNode("mstyle", {"mathvariant": variant}, translated)]
+        return single
+    return MathMLNode("mstyle", {"mathvariant": variant}, translated)
 
 
-def _fn_phantom(ctx, spec, args):
-    return [elem("mphantom", [_slot(args[0], ctx)])]
-
-
-def _fn_enclose(ctx, spec, args):
-    return [elem("menclose", [_slot(args[0], ctx)], notation=spec.params[0])]
-
-
-def _fn_pmod(ctx, spec, args):
-    return [elem("mrow", [
+def _fn_pmod(registry, spec, args):
+    return elem("mrow", [
         token("mo", "(", stretchy="false"),
         token("mi", "mod"),
         elem("mspace", width="0.333em"),
-        _slot(args[0], ctx),
+        _slot(args[0], registry),
         token("mo", ")", stretchy="false"),
-    ])]
+    ])
 
 
 TRANSLATION_FNS = {
-    "identifier": _fn_identifier,
-    "operator": _fn_operator,
-    "bigop": _fn_bigop,
+    "identifier": _token_fn("mi"),
+    "operator": _token_fn("mo"),
+    "bigop": _token_fn("mo"),
     "function": _fn_function,
-    "delimiter": _fn_delimiter,
+    "delimiter": _token_fn("mo", stretchy="false"),
     "space": _fn_space,
     "text": _fn_text,
     "operatorname": _fn_operatorname,
-    "accent": _fn_accent,
-    "under": _fn_under,
+    "accent": _mark_fn("mover", accent="true"),
+    "under": _mark_fn("munder"),
     "stacked": _fn_stacked,
-    "radical": _fn_radical,
+    "radical": _wrap_fn("msqrt"),
     "root": _fn_root,
     "fraction": _fn_fraction,
     "binom": _fn_binom,
     "atop": _fn_atop,
     "style": _fn_style,
-    "phantom": _fn_phantom,
-    "enclose": _fn_enclose,
+    "phantom": _wrap_fn("mphantom"),
+    "enclose": _wrap_fn("menclose", "notation"),
     "pmod": _fn_pmod,
 }
 

@@ -191,22 +191,15 @@ def _parse_number(s: _Scanner) -> Number:
 # -- the \intent macro's option block -----------------------------------
 
 
-def parse_macro_options(raw: str) -> tuple[str, tuple[tuple[str, str], ...]]:
-    """Parse ``intent='...'[, arg='a=x,b=y']`` from the macro's second argument.
-
-    ``\\$`` inside the quoted value is normalized to ``$`` (both spellings
-    appear in the wild).  Errors are located in `raw`.
-    """
-    intent_value, _, binding = _macro_options(raw)
-    return intent_value, binding
-
-
 def parse_macro(raw: str) -> tuple[str, tuple[tuple[str, str], ...],
                                    dict[str, tuple[int, int]]]:
-    """`parse_macro_options`, with the intent expression's grammar checked too.
+    """Parse ``intent='...'[, arg='a=x,b=y']`` from the macro's second argument.
 
-    Also returns where each reference is first written in `raw`, as a
-    codepoint span of its ``$name`` (or ``\\$name``).
+    Returns the intent value, whose grammar is checked, the arg binding, and
+    where each reference is first written in `raw`, as a codepoint span of
+    its ``$name`` (or ``\\$name``).  ``\\$`` inside the quoted value is
+    normalized to ``$`` (both spellings appear in the wild).  Errors are
+    located in `raw`.
     """
     intent_value, start, binding = _macro_options(raw)
     _in_value(parse_intent, intent_value, start, raw)

@@ -72,11 +72,16 @@ class GenOptions:
 
 
 def _escape_text(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    # A raw carriage return would be read back as a newline (XML end-of-line
+    # handling), so it is written as a character reference.
+    return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+            .replace("\r", "&#13;"))
 
 
 def _escape_attr(text: str) -> str:
-    return _escape_text(text).replace('"', "&quot;")
+    # Attribute-value normalization reads a raw tab or newline back as a space.
+    return (_escape_text(text).replace('"', "&quot;").replace("\t", "&#9;")
+            .replace("\n", "&#10;"))
 
 
 def serialize(tree: MathMLNode) -> str:

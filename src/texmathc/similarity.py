@@ -287,7 +287,7 @@ def _bounds(la: list[int], lmld_a: list[int], lb: list[int], lmld_b: list[int]) 
 # A cutoff k at or above this share of m + n runs the kernel unbanded.  A
 # banded run there costs about a sixth of an unbanded one (200-600 nodes),
 # so a search that fails below it wastes about a third of one at most, and
-# unrelated trees, whose lower bound is above it (tools/ted_scaling.py),
+# unrelated trees, whose lower bound is above it (tools/scaling.py),
 # run unbanded at once.
 FULL_BAND_SHARE = 0.1
 

@@ -18,7 +18,7 @@ from texmathc.intent import (
     Reference,
     Structure,
     apply_intent,
-    parse_macro_options,
+    parse_macro,
 )
 from texmathc.mathml import token
 
@@ -105,18 +105,18 @@ def test_hint_without_application_rejected():
 
 
 def test_macro_options_basic():
-    raw, binding = parse_macro_options("intent='open-interval($x,$y)'")
+    raw, binding, _ = parse_macro("intent='open-interval($x,$y)'")
     assert raw == "open-interval($x,$y)"
     assert binding == ()
 
 
 def test_macro_options_with_binding():
-    raw, binding = parse_macro_options("intent='open-interval($x,$y)', arg='a=x,b=y'")
+    raw, binding, _ = parse_macro("intent='open-interval($x,$y)', arg='a=x,b=y'")
     assert binding == (("a", "x"), ("b", "y"))
 
 
 def test_macro_options_escaped_dollar_normalized():
-    raw, _ = parse_macro_options("intent='open-interval(\\$x,\\$y)'")
+    raw, _, _ = parse_macro("intent='open-interval(\\$x,\\$y)'")
     assert raw == "open-interval($x,$y)"
 
 
@@ -127,7 +127,7 @@ def test_macro_options_escaped_dollar_normalized():
 ])
 def test_macro_options_rejections(raw):
     with pytest.raises(IntentError):
-        parse_macro_options(raw)
+        parse_macro(raw)
 
 
 # -- attribute injection -----------------------------------------------------

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import json
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import pytest
 
-from conftest import FIXTURES
-from texmathc import convert_formula, parse, serialize, to_mathml
+from conftest import CORPORA, FIXTURES
+from texmathc import convert_formula, parse, render_tex, serialize, to_mathml
 from texmathc.mathml import (
     SUPPORTED_ELEMENTS,
     TOKEN_ELEMENTS,
@@ -42,6 +43,20 @@ def test_serialize_escapes_text():
 def test_serialize_escapes_attributes():
     node = MathMLNode("mrow", {"intent": 'f("x")<'}, [])
     assert 'intent="f(&quot;x&quot;)&lt;"' in serialize(node)
+
+
+def test_serialize_keeps_whitespace_through_a_reader():
+    # XML end-of-line handling reads a raw CR as LF, and attribute-value
+    # normalization reads a raw tab, LF or CR as a space.
+    assert from_xml(convert_formula("\\text{a\rb}")).children[0].text == "a\rb"
+    for ch in "\t\n\r":
+        node = MathMLNode("mrow", {"intent": f"f({ch}$x)"}, [token("mi", "x")])
+        assert from_xml(serialize(node)).attributes["intent"] == f"f({ch}$x)"
+
+
+def test_intent_value_whitespace_survives_a_reader():
+    out = convert_formula("\\intent{x}{intent='f(\t$x)'}")
+    assert from_xml(out).children[0].attributes["intent"] == "f(\t$x)"
 
 
 def test_single_token_root_has_no_mrow(registry):
@@ -184,3 +199,27 @@ def test_figure2_fixture_bytes(registry):
     for case in cases:
         out = convert_formula(case["input"], options=GenOptions(display=case["display"]))
         assert out == case["mathml"], case["id"]
+
+
+def _variant(ref: str, display: str, semantics: bool, annotation: str | None) -> str:
+    """`ref`, an inline or block reference, under the given output options."""
+    body = ref[ref.index(">") + 1:-len("</math>")]
+    head = f'<math display="{display}">'
+    if not semantics:
+        return head + body + "</math>"
+    if annotation is not None:
+        body += f'<annotation encoding="application/x-tex">{escape(annotation)}</annotation>'
+    return head + "<semantics>" + (body or "<mrow></mrow>") + "</semantics></math>"
+
+
+@pytest.mark.parametrize("display", ["inline", "block"])
+@pytest.mark.parametrize("semantics, annotate", [(False, False), (True, False), (True, True)])
+def test_every_reference_under_every_option_variant(registry, display, semantics, annotate):
+    cases = json.loads((CORPORA / "combined_423.json").read_text("utf-8"))["cases"]
+    options = GenOptions(display=display, wrap_semantics=semantics, annotate_tex=annotate)
+    for case in cases:
+        chem = case["options"].get("chem", False)
+        tex = render_tex(parse(case["input"], registry, allow_chem=chem).ast) if annotate else None
+        expected = _variant(case["expect"]["mathml"], display, semantics, tex)
+        out = convert_formula(case["input"], chem=chem, options=options, registry=registry)
+        assert out == expected, case["id"]

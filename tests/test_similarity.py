@@ -146,6 +146,19 @@ def test_stripped_wrapper_is_transparent():
     assert normalize(wrapped, FULL_NORMALIZATION) == bare
 
 
+def test_stripped_wrapper_can_hide_the_semantics_child_from_the_wrapper_rule():
+    """The wrapper rule reads the root's children as written, before stripping."""
+    hidden = "<math><annotation><mi>a</mi><semantics></semantics></annotation></math>"
+    bare = "<math><mi>a</mi><semantics></semantics></math>"
+    options = CompareOptions(strip_elements=frozenset({"annotation"}),
+                             require_semantics_wrapper=True)
+    (row,) = batch_compare([ComparePair("p", hidden, bare)], options).rows
+    assert (row.ted, row.f1, row.error) == (1, pytest.approx(6 / 7), None)
+    (row,) = batch_compare([ComparePair("p", hidden, bare)],
+                           CompareOptions(strip_elements=frozenset({"annotation"}))).rows
+    assert (row.ted, row.f1) == (0, 1.0)
+
+
 _NORMALIZE_OPTIONS = [
     FULL_NORMALIZATION,
     CompareOptions(ignore_inferred_mrow=True, ignored_attributes="all",

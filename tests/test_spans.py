@@ -24,7 +24,7 @@ from texmathc.diagnostics import (
     W_DEPRECATED,
     DiagnosticError,
 )
-from texmathc.intent import parse_intent, parse_macro_options
+from texmathc.intent import parse_intent, parse_macro
 from texmathc.mhchem import expand_ce, expand_pu
 
 
@@ -210,7 +210,7 @@ def test_intent_reference_errors_point_at_the_reference(source, code, reference)
 
 def test_arg_binding_error_is_located_in_the_option_block():
     raw = "intent='f', arg='a=\\$x'"
-    assert _slice(raw, _error(parse_macro_options, raw).span) == "\\$"
+    assert _slice(raw, _error(parse_macro, raw).span) == "\\$"
 
 
 # -- every scanner ------------------------------------------------------
@@ -225,7 +225,7 @@ _PIECES = st.sampled_from([
 @given(st.lists(_PIECES, max_size=10).map("".join))
 def test_every_scanner_keeps_spans_inside_its_text(text):
     limit = max(1, len(text.encode("utf-8")))
-    for fn in (expand_ce, expand_pu, preprocess_oracle, parse_intent, parse_macro_options):
+    for fn in (expand_ce, expand_pu, preprocess_oracle, parse_intent, parse_macro):
         try:
             fn(text)
         except DiagnosticError as exc:
