@@ -60,11 +60,7 @@ def cmd_convert(args) -> int:
     except OSError as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 2
-    try:
-        options = _gen_options(args.display, args.semantics, args.annotate_tex)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    options = _gen_options(args.display, args.semantics, args.annotate_tex)
     cache = None if args.no_cache else RenderCache()
     log = (lambda msg: print(msg, file=sys.stderr)) if args.verbose else None
     try:

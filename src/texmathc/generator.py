@@ -55,22 +55,22 @@ def _group(nodes: list[MathMLNode]) -> MathMLNode:
     return nodes[0] if len(nodes) == 1 else elem("mrow", nodes)
 
 
-def _content(node: AstNode, registry: Registry) -> list[MathMLNode]:
-    """The MathML run of one argument: a brace group gives its children's."""
-    out: list[MathMLNode] = []
-    _translate(node.children if type(node) is Curly else node, registry, out)
-    return out
-
-
 def _slot(node: AstNode, registry: Registry) -> MathMLNode:
-    """Translate content destined for one layout slot (script, fraction part...)."""
-    return _group(_content(node, registry))
+    """Translate content destined for one layout slot (script, fraction part...).
+    Lone nodes and run items go straight to `_NODES`: each call is a frame a level."""
+    kind = type(node)
+    if kind is not Curly and kind is not Sequence:
+        return _NODES[kind](node, registry)
+    out: list[MathMLNode] = []
+    _translate(node.children, registry, out)
+    return _group(out)
 
 
 def _translate(node, registry: Registry, out: list[MathMLNode]) -> None:
     """Append the MathML of `node`, or of a run of siblings (a Sequence or a
     tuple of children), to `out`; a run merges adjacent digit literals into
-    one mn."""
+    one mn.  Runs hold no Sequence: the parser makes one only where a slot,
+    a fence body or the formula root stands."""
     kind = type(node)
     if kind is not tuple and kind is not Sequence:
         out.append(_NODES[kind](node, registry))
@@ -81,7 +81,7 @@ def _translate(node, registry: Registry, out: list[MathMLNode]) -> None:
         item = items[i]
         i += 1
         if type(item) is not Literal or len(item.token) != 1 or not item.token.isdigit():
-            _translate(item, registry, out)
+            out.append(_NODES[type(item)](item, registry))
             continue
         digits, seen_dot = [item.token], False
         while i < n and type(items[i]) is Literal:
@@ -106,15 +106,20 @@ def _spec(name: str, registry: Registry) -> CommandSpec:
     return spec
 
 
-def _command(name: str, args: tuple, registry: Registry) -> MathMLNode:
-    spec = _spec(name, registry)
+def _command(node: Fun1 | Fun2 | Infix, registry: Registry) -> MathMLNode:
+    """A command with arguments, through its registry translation function."""
+    kind = type(node)
+    args = ((node.arg,) if kind is Fun1 else (node.arg1, node.arg2) if kind is Fun2
+            else (node.left, node.right))
+    spec = _spec(node.command, registry)
     return TRANSLATION_FNS[spec.translation_fn](registry, spec, args)
 
 
 def _literal(node: Literal, registry: Registry) -> MathMLNode:
     tok = node.token
     if tok.startswith("\\"):
-        return _command(tok[1:], (), registry)
+        spec = _spec(tok[1:], registry)
+        return TRANSLATION_FNS[spec.translation_fn](registry, spec, ())
     if tok.isdigit():
         return token("mn", tok)
     if tok.isascii() and tok.isalpha():
@@ -185,9 +190,9 @@ _NODES = {
     Sub: _script,
     Sup: _script,
     SubSup: _script,
-    Fun1: lambda node, registry: _command(node.command, (node.arg,), registry),
-    Fun2: lambda node, registry: _command(node.command, (node.arg1, node.arg2), registry),
-    Infix: lambda node, registry: _command(node.command, (node.left, node.right), registry),
+    Fun1: _command,
+    Fun2: _command,
+    Infix: _command,
     Matrix: _matrix_env,
     Delimited: _delimited,
     IntentWrap: lambda node, registry: intent_mod.apply_intent(node, _slot(node.body, registry)),
@@ -267,15 +272,17 @@ def _fn_atop(registry, spec, args):
                 linethickness="0")
 
 
-def _fn_binom(registry, spec, args):
-    row = elem("mrow", [token("mo", spec.params[0]), _fn_atop(registry, spec, args),
-                        token("mo", spec.params[1])])
+def _fn_binom(registry, spec, args):  # its own mfrac: via _fn_atop costs a frame a level
+    core = elem("mfrac", [_slot(args[0], registry), _slot(args[1], registry)],
+                linethickness="0")
+    row = elem("mrow", [token("mo", spec.params[0]), core, token("mo", spec.params[1])])
     return _style_wrap(row, spec.params, 2)
 
 
 def _fn_style(registry, spec, args):
     variant = spec.params[0]
-    translated = _content(args[0], registry)
+    translated: list[MathMLNode] = []
+    _translate(args[0].children if type(args[0]) is Curly else args[0], registry, translated)
     if translated and all(
         t.element == "mi" and t.text is not None and t.text.isalpha() and not t.attributes
         for t in translated

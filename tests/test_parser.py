@@ -193,6 +193,11 @@ def _frames_deeper(frames: int, call):
 # Every argument and every root index is one level, braced or not.
 NESTINGS = {
     "braced": lambda n: "\\sqrt{" * n + "x" + "}" * n,
+    "braced, two items": lambda n: "\\sqrt{a" * n + "x" + "}" * n,
+    "accent, two items": lambda n: "\\hat{a" * n + "x" + "}" * n,
+    "fraction, two items": lambda n: "\\frac{a" * n + "x" + "}{b}" * n,
+    "binom, two items": lambda n: "\\binom{a" * n + "x" + "}{b}" * n,
+    "unbraced binom": lambda n: "\\binom a" * n + "x",
     "unbraced": lambda n: "\\sqrt " * n + "x",
     "root index": lambda n: "\\sqrt[" * n + "x" + "]{y}" * n,
     "unbraced fraction": lambda n: "\\frac a" * n + "x",
