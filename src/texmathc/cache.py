@@ -9,6 +9,8 @@ a hit is one open/read/close and returns exactly the string that was put, and
 an entry that cannot be read or decoded is a miss.  A write goes to a temp
 file created exclusively in the fan-out directory (made only when missing)
 and is published by rename, so concurrent converters never see a torn entry.
+A writer stopped mid-put leaves its temp file behind: `stats` counts such
+files apart from the entries, and `purge` removes them with the entries.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import hashlib
 import os
 import shutil
 from pathlib import Path
+from typing import NamedTuple
 
 ENV_CACHE_DIR = "TEXMATHC_CACHE_DIR"
 
@@ -31,6 +34,12 @@ def default_cache_dir() -> Path:
         return Path(env)
     base = os.environ.get("XDG_CACHE_HOME", os.path.join(os.path.expanduser("~"), ".cache"))
     return Path(base) / "texmathc"
+
+
+class CacheStats(NamedTuple):
+    entries: int
+    size: int  # bytes, entries only
+    temp_files: int  # left by writes that never finished; not entries
 
 
 class RenderCache:
@@ -83,22 +92,24 @@ class RenderCache:
                 pass
             raise
 
-    def stats(self) -> tuple[int, int]:
-        """(entry count, total byte size)."""
-        count = 0
-        size = 0
-        if not self.directory.is_dir():
-            return (0, 0)
-        for path in self.directory.rglob("*.mathml"):
-            count += 1
-            size += path.stat().st_size
-        return (count, size)
+    def stats(self) -> CacheStats:
+        """Entry count and byte size, and apart from them the temp files that
+        writers stopped mid-put left behind."""
+        entries = size = temp_files = 0
+        for parent, _, names in os.walk(self._root):
+            for name in names:
+                if name.endswith(".mathml"):
+                    entries += 1
+                    size += os.stat(os.path.join(parent, name)).st_size
+                elif name.endswith(".tmp"):
+                    temp_files += 1
+        return CacheStats(entries, size, temp_files)
 
-    def purge(self) -> int:
-        """Empty the cache atomically; returns the number of entries removed."""
-        count, _ = self.stats()
+    def purge(self) -> CacheStats:
+        """Empty the cache atomically; returns the stats of what it removed."""
+        removed = self.stats()
         if not self.directory.is_dir():
-            return 0
+            return removed
         graveyard = self.directory.with_name(self.directory.name + ".purged")
         suffix = 0
         while graveyard.exists():
@@ -106,7 +117,7 @@ class RenderCache:
             graveyard = self.directory.with_name(f"{self.directory.name}.purged{suffix}")
         os.replace(self.directory, graveyard)
         shutil.rmtree(graveyard, ignore_errors=True)
-        return count
+        return removed
 
 
 def _create_temp(path: str) -> tuple[int, str]:

@@ -199,16 +199,22 @@ def cmd_compare(args) -> int:
     return 1 if report.errors else 0
 
 
+def _temp_files(count: int) -> str:
+    return f"{count} temp file" + ("" if count == 1 else "s")
+
+
 def cmd_cache(args) -> int:
     cache = RenderCache()
     try:
         if args.action == "purge":
             removed = cache.purge()
-            print(f"{removed} entries removed")
+            temps = f" and {_temp_files(removed.temp_files)}" if removed.temp_files else ""
+            print(f"{removed.entries} entries{temps} removed")
         else:
-            count, size = cache.stats()
+            count, size, temp_files = cache.stats()
             noun = "entry" if count == 1 else "entries"
-            print(f"{count} {noun}, {size} bytes")
+            temps = f", {_temp_files(temp_files)}" if temp_files else ""
+            print(f"{count} {noun}, {size} bytes{temps}")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -127,7 +127,7 @@ def _literal(node: Literal, registry: Registry) -> MathMLNode:
     op = registry.operator(tok)
     if op is None:  # prevented by whitelist validation
         raise LookupError(f"literal {tok!r} missing from operator directory")
-    return token(op.element, op.text, **dict(op.attributes))
+    return MathMLNode(op.element, dict(op.attributes), [], op.text)
 
 
 _SCRIPTS = {Sub: "msub", Sup: "msup", SubSup: "msubsup"}

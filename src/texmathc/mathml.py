@@ -19,7 +19,7 @@ SUPPORTED_ELEMENTS = frozenset({
 TOKEN_ELEMENTS = frozenset({"mi", "mo", "mn", "mtext", "ms", "annotation"})
 
 
-@dataclass
+@dataclass(slots=True)
 class MathMLNode:
     """Element name, ordered attributes, and either children or text."""
 
@@ -44,13 +44,15 @@ class MathMLNode:
             stack.extend(reversed(node.children))
 
 
+# Both keep the keyword dict, which each call builds anew, and `elem` keeps
+# the list it is given: callers pass one they built for the node.
 def token(element: str, text: str, **attributes: str) -> MathMLNode:
-    return MathMLNode(element, dict(attributes), [], text)
+    return MathMLNode(element, attributes, [], text)
 
 
 def elem(element: str, children: list[MathMLNode] | None = None,
          **attributes: str) -> MathMLNode:
-    return MathMLNode(element, dict(attributes), list(children or []))
+    return MathMLNode(element, attributes, [] if children is None else children)
 
 
 @dataclass(frozen=True)
@@ -71,15 +73,23 @@ class GenOptions:
         return f"display={self.display};semantics={self.wrap_semantics};annotate={self.annotate_tex}"
 
 
+_TEXT_SPECIALS = frozenset("&<>\r")
+_ATTR_SPECIALS = frozenset('&<>\r"\t\n')
+
+
 def _escape_text(text: str) -> str:
     # A raw carriage return would be read back as a newline (XML end-of-line
     # handling), so it is written as a character reference.
+    if _TEXT_SPECIALS.isdisjoint(text):
+        return text
     return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
             .replace("\r", "&#13;"))
 
 
 def _escape_attr(text: str) -> str:
     # Attribute-value normalization reads a raw tab or newline back as a space.
+    if _ATTR_SPECIALS.isdisjoint(text):
+        return text
     return (_escape_text(text).replace('"', "&quot;").replace("\t", "&#9;")
             .replace("\n", "&#10;"))
 

@@ -33,7 +33,7 @@ from .diagnostics import (
     byte_offsets,
     warning,
 )
-from .mhchem import preprocess
+from .mhchem import expand
 from .nodes import (
     AstNode,
     Curly,
@@ -497,8 +497,8 @@ class _Parser:
 
     def expand_chem(self, braced: bool) -> None:
         """Replace the ``\\ce{…}``/``\\pu{…}`` at the current token by the tokens
-        of its expansion, each spanning the whole command (`braced`: as one
-        group)."""
+        `mhchem.expand` builds, each given the span of the whole command
+        (`braced`: as one group)."""
         toks, i = self.toks, self.i
         cmd, open_tok = toks[i], toks[i + 1]
         if open_tok.kind != "lbrace":
@@ -509,12 +509,11 @@ class _Parser:
             raise _Fail(E_UNBALANCED_BRACE, f"unterminated \\{cmd.value} argument",
                         (cmd.start, len(self.source)))
         try:
-            expansion = preprocess(self.source[open_tok.end:close], cmd.value)
+            chunks = expand(self.source[open_tok.end:close], cmd.value)
         except ChemError as exc:
             raise exc.within(self.source, open_tok.end) from None
         start, end = cmd.start, close + 1
-        new = [Token(m.lastgroup, m[m.lastindex], start, end)
-               for m in _TOKEN.finditer(expansion)]
+        new = [Token(kind, value, start, end) for chunk in chunks for kind, value in chunk]
         if braced:
             new = [Token("lbrace", "{", start, end), *new, Token("rbrace", "}", start, end)]
         # The tokens after the command are the source's own, in order.

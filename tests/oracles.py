@@ -25,6 +25,10 @@ check every parsed command against the registry.
 ``preprocess_oracle`` is the earlier chemistry pass, a text rewriter that
 replaced every ``\\ce{...}``/``\\pu{...}`` by its expansion before parsing;
 it is the reference for the parser's in-place expansion.
+
+``escape_text_oracle`` and ``escape_attr_oracle`` are the serializer's
+escapes without their fast path: every value goes through the whole
+``replace`` chain.
 """
 
 from __future__ import annotations
@@ -378,3 +382,16 @@ def preprocess_oracle(source: str) -> str:
         done = pos = k + 1
     out.append(source[done:])
     return "".join(out)
+
+
+# -- serializer -------------------------------------------------------------
+
+
+def escape_text_oracle(text: str) -> str:
+    return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+            .replace("\r", "&#13;"))
+
+
+def escape_attr_oracle(text: str) -> str:
+    return (escape_text_oracle(text).replace('"', "&quot;").replace("\t", "&#9;")
+            .replace("\n", "&#10;"))

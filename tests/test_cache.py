@@ -38,7 +38,7 @@ def test_put_get_roundtrip(tmp_path):
     assert cache.get(key) is None
     cache.put(key, "<math/>")
     assert cache.get(key) == "<math/>"
-    count, size = cache.stats()
+    count, size, _ = cache.stats()
     assert count == 1 and size == len("<math/>")
 
 
@@ -53,9 +53,9 @@ def test_purge_counts_and_empties(tmp_path):
     cache = RenderCache(tmp_path / "c")
     for i in range(3):
         cache.put(RenderCache.key_for(str(i), "o", "v"), "d")
-    assert cache.purge() == 3
-    assert cache.stats() == (0, 0)
-    assert cache.purge() == 0
+    assert cache.purge().entries == 3
+    assert cache.stats() == (0, 0, 0)
+    assert cache.purge().entries == 0
 
 
 def test_registries_sharing_a_version_do_not_share_entries(tmp_path):
@@ -79,7 +79,7 @@ def test_roundtrip_is_byte_exact(tmp_path, value):
     key = RenderCache.key_for(value, "o", "v")
     cache.put(key, value)
     assert cache.get(key) == value
-    assert cache.stats() == (1, len(value.encode("utf-8", "surrogatepass")))
+    assert cache.stats() == (1, len(value.encode("utf-8", "surrogatepass")), 0)
 
 
 @pytest.mark.parametrize("source", [
@@ -118,7 +118,7 @@ def test_unusable_directory_costs_a_rerender(tmp_path):
     assert events[1].startswith("cache write skipped")
     assert len(events) == 2
     assert cache.get(RenderCache.key_for("x", "o", "v")) is None
-    assert cache.stats() == (0, 0)
+    assert cache.stats() == (0, 0, 0)
 
 
 def test_key_for_accepts_a_lone_surrogate():
@@ -162,7 +162,7 @@ def test_concurrent_writers_never_show_a_torn_entry(tmp_path):
     assert len(reads) > 0
     assert cache.get(key) in values
     assert _temp_files(root) == []
-    count, _ = cache.stats()
+    count, _, _ = cache.stats()
     assert count == 1
 
 
@@ -201,3 +201,45 @@ def test_put_succeeds_when_its_temp_name_is_taken(tmp_path, monkeypatch):
     assert len(taken) == 1
     assert cache.get(key) == "<math/>"
     assert taken[0].read_bytes() == b"left by another writer"
+
+
+def _plant_temp_file(cache: RenderCache, key: str) -> Path:
+    """What a writer stopped between creating its temp file and renaming it leaves."""
+    temp = cache.directory / key[:2] / f"{key[2:]}.mathml.4242.0.tmp"
+    temp.parent.mkdir(parents=True, exist_ok=True)
+    temp.write_bytes(b"<math><mi>half")
+    return temp
+
+
+def test_stats_counts_temp_files_apart_from_entries(tmp_path):
+    cache = RenderCache(tmp_path / "c")
+    cache.put(RenderCache.key_for("x", "o", "v"), "<math/>")
+    _plant_temp_file(cache, RenderCache.key_for("x", "o", "v"))
+    _plant_temp_file(cache, RenderCache.key_for("y", "o", "v"))
+    stats = cache.stats()
+    assert stats == (1, len("<math/>"), 2)
+    assert (stats.entries, stats.size, stats.temp_files) == (1, 7, 2)
+
+
+def test_purge_reports_the_temp_files_it_removed(tmp_path):
+    cache = RenderCache(tmp_path / "c")
+    cache.put(RenderCache.key_for("x", "o", "v"), "<math/>")
+    temp = _plant_temp_file(cache, RenderCache.key_for("y", "o", "v"))
+    assert cache.purge() == (1, len("<math/>"), 1)
+    assert not temp.exists()
+    assert cache.stats() == (0, 0, 0)
+
+
+def test_cache_commands_report_temp_files(tmp_path, monkeypatch, capsys):
+    from texmathc.cli import main
+
+    cache = RenderCache(tmp_path / "cli")
+    monkeypatch.setenv("TEXMATHC_CACHE_DIR", str(cache.directory))
+    cache.put(RenderCache.key_for("x", "o", "v"), "<math/>")
+    _plant_temp_file(cache, RenderCache.key_for("y", "o", "v"))
+    assert main(["cache", "stats"]) == 0
+    assert capsys.readouterr().out == "1 entry, 7 bytes, 1 temp file\n"
+    assert main(["cache", "purge"]) == 0
+    assert capsys.readouterr().out == "1 entries and 1 temp file removed\n"
+    assert main(["cache", "stats"]) == 0
+    assert capsys.readouterr().out == "0 entries, 0 bytes\n"

@@ -5,8 +5,11 @@ import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CORPORA, FIXTURES
+from oracles import escape_attr_oracle, escape_text_oracle
 from texmathc import convert_formula, parse, render_tex, serialize, to_mathml
 from texmathc.mathml import (
     SUPPORTED_ELEMENTS,
@@ -52,6 +55,24 @@ def test_serialize_keeps_whitespace_through_a_reader():
     for ch in "\t\n\r":
         node = MathMLNode("mrow", {"intent": f"f({ch}$x)"}, [token("mi", "x")])
         assert from_xml(serialize(node)).attributes["intent"] == f"f({ch}$x)"
+
+
+# Values that mix every character the escapes touch with non-ASCII and plain
+# ASCII, in runs, so that both the fast path and the replace chain are taken.
+_VALUES = st.lists(st.sampled_from(
+    ["&", "<", ">", '"', "\r", "\t", "\n", "\r\n", "&amp;", "é", "日", "\U0001d465", "−",
+     "x", "ab", " ", "'", "1"]), max_size=8).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_VALUES, _VALUES)
+def test_escapes_match_the_replace_chain_and_read_back(text, value):
+    out = serialize(MathMLNode("mrow", {"intent": value}, [token("mtext", text)]))
+    assert out == (f'<mrow intent="{escape_attr_oracle(value)}">'
+                   f"<mtext>{escape_text_oracle(text)}</mtext></mrow>")
+    root = ET.fromstring(out)
+    assert root.attrib["intent"] == value
+    assert (root[0].text or "") == text
 
 
 def test_intent_value_whitespace_survives_a_reader():

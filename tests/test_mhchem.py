@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from conftest import CORPORA
 from oracles import preprocess_oracle
-from texmathc import convert_formula, default_registry, parse
+from texmathc import check_formula, convert_formula, default_registry, parse
 from texmathc.diagnostics import E_CHEM_SYNTAX, E_UNBALANCED_BRACE, ChemError, DiagnosticError
-from texmathc.mhchem import expand_ce, expand_pu, preprocess, tokenize_ce
+from texmathc.mhchem import expand, expand_ce, expand_pu, preprocess, tokenize_ce
+from texmathc.parser import _Parser, tokenize
 
 
 def conformance_cases():
@@ -260,3 +261,53 @@ def test_in_place_expansion_matches_the_text_pass_in_sequence_position(source):
 def test_preprocess_expands_one_body():
     assert preprocess("H2O", "ce") == expand_ce("H2O")
     assert preprocess("5 m/s", "pu") == expand_pu("5 m/s")
+
+
+# -- the token stream the parser splices in ---------------------------------
+
+
+def test_non_ascii_digit_is_an_unsupported_character():
+    # str.isdigit() holds for "²" and "٣", which no number pattern matches
+    for body, span in (("²", (0, 2)), ("H²", (1, 3)), ("H٣", (1, 3))):
+        with pytest.raises(ChemError) as err:
+            expand_ce(body)
+        assert err.value.diagnostic.span == span
+        assert err.value.diagnostic.message == f"unsupported character {body[-1]!r} in \\ce"
+    (diag,) = check_formula("\\ce{H²O}", chem=True)
+    assert (diag.code, diag.span) == (E_CHEM_SYNTAX, (5, 7))
+
+
+_CE_TOKEN_BODY = st.lists(st.sampled_from([
+    "H", "2", "O", "Na", "Cl", "Fe", "+", "-", "^", "^{2-}", "^2+", "_{2}", "_2", "_", "^{14}",
+    "^227_90", "(", ")", "(aq)", "(s)", "->", "<-", "<->", "<=>", "<", " ", "*", "=", "#", "1/2",
+    "0.5", "3", "$", "@", "é", "²", "h", "\t",
+]), max_size=10).map("".join)
+_PU_TOKEN_BODY = st.lists(st.sampled_from(
+    ["1.2e3", "1E-03", "-4", "5", " ", "kJ", "m", "/", "s2", "*", ".", "mol", "@", "e", "²"]),
+    max_size=6).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_CE_TOKEN_BODY.map(lambda body: ("ce", body)),
+                 _PU_TOKEN_BODY.map(lambda body: ("pu", body))))
+def test_spliced_tokens_are_the_tokens_of_the_expansion_text(case):
+    command, body = case
+    source = f"\\{command}{{{body}}}"
+    parser = _Parser(source, default_registry(), allow_chem=True)
+    try:
+        text = expand_pu(body) if command == "pu" else expand_ce(body)
+    except ChemError as exc:
+        with pytest.raises(ChemError) as err:
+            parser.expand_chem(braced=False)
+        want, got = exc.diagnostic, err.value.diagnostic
+        shift = len(f"\\{command}{{")  # ASCII: bytes and codepoints agree
+        assert (got.code, got.message) == (want.code, want.message)
+        assert got.span == (want.span[0] + shift, want.span[1] + shift)
+        return
+    parser.expand_chem(braced=False)
+    spliced = parser.toks[:-1]
+    assert [(t.kind, t.value) for t in spliced] == \
+        [(t.kind, t.value) for t in tokenize(text)[:-1]]
+    assert all((t.start, t.end) == (0, len(source)) for t in spliced)
+    assert [(t.kind, t.value) for t in spliced] == \
+        [pair for chunk in expand(body, command) for pair in chunk]

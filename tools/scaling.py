@@ -6,7 +6,10 @@ Front end, timed through the public entry points (cache off):
 * flat: one line of TeX of about SIZES characters, made of whole copies of
   PIECE (ordinary atoms, scripts and braced arguments, no deep nesting);
 * nesting: an unbraced ``\\sqrt`` chain of DEPTHS levels, ``\\sqrt \\sqrt ... x``,
-  which nests one argument per level up to the parser's cap of 128.
+  which nests one argument per level up to the parser's cap of 128;
+* chemistry: one ``\\ce{...}`` of about SIZES characters whose body is
+  whole copies of CE_PIECE (a reaction: coefficients, subscripts, ``+`` and an
+  arrow), checked and converted with chemistry on.
 
 Each cell is the best of FRONT_REPEAT calls of ``check_formula`` or
 ``convert_formula``; the per-unit column divides the convert time by the
@@ -57,6 +60,7 @@ SIZES = (1_000, 3_000, 10_000, 30_000, 100_000)
 DEPTHS = (10, 32, 64, 100, 128)
 FRONT_REPEAT = 5  # N of best-of-N
 PIECE = "x_{1}^{2}+\\alpha y-\\frac{a}{b}\\cdot 3 = "
+CE_PIECE = "2H2 + O2 -> 2H2O + "
 TREE_SIZES = (50, 100, 200, 300, 400, 600)
 TED_REPEAT = 3
 SEED = 2024
@@ -81,10 +85,11 @@ def cpu_name() -> str:
     return platform.processor() or platform.machine()
 
 
-def front_row(label: str, source: str, units: int, unit: str) -> str:
+def front_row(label: str, source: str, units: int, unit: str, chem: bool = False) -> str:
     registry = default_registry()
-    check = best_of(lambda: check_formula(source, registry=registry), FRONT_REPEAT)
-    convert = best_of(lambda: convert_formula(source, registry=registry), FRONT_REPEAT)
+    check = best_of(lambda: check_formula(source, registry=registry, chem=chem), FRONT_REPEAT)
+    convert = best_of(lambda: convert_formula(source, registry=registry, chem=chem),
+                      FRONT_REPEAT)
     return (f"| {label} | {len(source)} | {check * 1e3:.2f} ms | {convert * 1e3:.2f} ms "
             f"| {convert / units * 1e6:.2f} µs/{unit} |")
 
@@ -150,6 +155,9 @@ def main() -> int:
     for depth in DEPTHS:
         print(front_row(f"\\sqrt chain, depth {depth}", "\\sqrt " * depth + "x", depth,
                         "level"), flush=True)
+    for size in SIZES:
+        source = "\\ce{" + CE_PIECE * (size // len(CE_PIECE)) + "}"
+        print(front_row("\\ce reaction", source, len(source), "char", chem=True), flush=True)
     print(f"\n# best of {TED_REPEAT} calls of tree_edit_distance (TED) and of batch_compare "
           f"(batch), CompareOptions(), seed {SEED}")
     print("| nodes | identical TED | batch | relabelled TED | batch | distance "
