@@ -84,14 +84,16 @@ def expand(body: str, command: str) -> list[list[Pair]]:
 
 
 def _text(chunks: list[list[Pair]]) -> str:
-    """The TeX of the chunks, separated by a space."""
+    """The TeX of the chunks, separated by a space.  No command name in a
+    chunk is followed by a letter, so the parser reads the text back as the
+    same pairs."""
     return " ".join("".join("\\" + value if kind == "cmd" else value for kind, value in chunk)
                     for chunk in chunks)
 
 
 def expand_ce(body: str) -> str:
     """Expand one ``\\ce`` body to whitelisted LaTeX."""
-    return _text(_ce_chunks(tokenize_ce(body)))
+    return _text(expand(body, "ce"))
 
 
 def expand_pu(body: str) -> str:
@@ -99,7 +101,7 @@ def expand_pu(body: str) -> str:
 
     Quotients keep the solidus form (``m/s`` stays a slash, not a fraction).
     """
-    return _text(_pu_chunks(body))
+    return _text(expand(body, "pu"))
 
 
 def preprocess(body: str, command: str) -> str:
@@ -263,7 +265,7 @@ def _ce_chunks(toks: list[ChemToken]) -> list[list[Pair]]:
         elif kind == "stoich_coeff":
             num, _, den = payload.partition("/")
             chunks.append([("cmd", "frac"), *_braced(num), *_braced(den), ("cmd", ",")]
-                          if den else [*zip(repeat("char"), payload)])
+                          if den else list(zip(repeat("char"), payload)))
         else:  # arrow, plus, bond, open, close
             name = _COMMANDS.get(payload)
             chunks.append([("cmd", name) if name else ("char", payload)])
