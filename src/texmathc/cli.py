@@ -172,9 +172,13 @@ def cmd_compare(args) -> int:
         if args.manifest:
             data = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
             base = Path(args.manifest).parent
-            for entry in data["pairs"]:
-                a = entry.get("a_inline") or Path(base, entry["a_path"]).read_text("utf-8")
-                b = entry.get("b_inline") or Path(base, entry["b_path"]).read_text("utf-8")
+            entries = data.get("pairs") if isinstance(data, dict) else None
+            if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+                raise ValueError('manifest must be an object with a list of objects under "pairs"')
+            for entry in entries:
+                a, b = (entry[f"{side}_inline"] if f"{side}_inline" in entry
+                        else Path(base, entry[f"{side}_path"]).read_text("utf-8")
+                        for side in "ab")
                 pairs.append(ComparePair(entry["id"], a, b))
         else:
             if not (args.a and args.b):

@@ -10,6 +10,10 @@ code with the production algorithm:
   insert / match on the leftmost roots) with no keyroot machinery; handles
   the bundled fixture corpora (tens of nodes).
 
+``levenshtein_oracle`` is the plain dynamic program for the edit distance
+between two sequences, the reference for the bit-vector string bound in
+``texmathc.similarity``.
+
 ``tokenize_oracle`` is the parser's earlier tokenizer, one character at a
 time, kept as the reference for the regex scanner in ``texmathc.parser``.
 
@@ -170,6 +174,18 @@ def ted_recursive_oracle(a: MathMLNode, b: MathMLNode) -> int:
         return min(delete_v, insert_w, match)
 
     return dist((0,), (0,))
+
+
+def levenshtein_oracle(a: list, b: list) -> int:
+    """Unit-cost insert/delete/substitute distance, one DP row at a time."""
+    previous = list(range(len(b) + 1))
+    for i, x in enumerate(a, 1):
+        current = [i]
+        for j, y in enumerate(b, 1):
+            current.append(min(previous[j] + 1, current[j - 1] + 1,
+                               previous[j - 1] + (x != y)))
+        previous = current
+    return previous[-1]
 
 
 def _sizes(children: list[list[int]]) -> list[int]:

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import texmathc
 from texmathc import convert_formula
 from texmathc.cli import main
@@ -255,6 +257,27 @@ def test_compare_manifest_json_report(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["overall_ted"] == 1
     assert payload["rows"][0]["id"] == "p1"
+
+
+@pytest.mark.parametrize("manifest", [{"pairs": [1]}, [], {"pairs": {}}, {}])
+def test_compare_malformed_manifest(capsys, tmp_path, manifest):
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    code, out, err = run(capsys, "compare", "--manifest", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: manifest must be an object")
+
+
+def test_compare_manifest_empty_inline_document(capsys, tmp_path):
+    """An empty inline document is read as given, not from a path."""
+    manifest = tmp_path / "pairs.json"
+    manifest.write_text(json.dumps({"pairs": [
+        {"id": "p1", "a_inline": "", "b_inline": "<math><mi>y</mi></math>"},
+    ]}), encoding="utf-8")
+    code, out, _ = run(capsys, "compare", "--manifest", str(manifest), "--report", "json")
+    assert code == 1
+    (row,) = json.loads(out)["rows"]
+    assert row["ted"] is None and row["error"].startswith("no element found")
 
 
 def test_compare_xml_failure_exit(capsys, tmp_path):

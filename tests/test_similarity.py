@@ -16,6 +16,7 @@ from conftest import CORPORA
 from oracles import (
     copy_tree,
     items_oracle,
+    levenshtein_oracle,
     normalize_oracle,
     postorder_oracle,
     ted_mapping_oracle,
@@ -26,6 +27,7 @@ from texmathc.mathml import GenOptions, MathMLNode, from_xml, serialize, xml_par
 from texmathc.similarity import (
     _INFERRED_MROW_PARENTS,
     _bounds,
+    _levenshtein,
     _multiset,
     _walk,
     _xml_wrapper,
@@ -498,15 +500,25 @@ def test_cutoff_kernel_is_exact_up_to_its_cutoff(shape_a, shape_b, edits, alphab
 
 @settings(max_examples=200, deadline=None)
 @given(_SHAPES, _SHAPES, _EDITS, st.sampled_from([2, 3]))
+@example([(0, 0)], [(1, 0)], [], 2)  # one node each
 def test_bounds_enclose_the_distance(shape_a, shape_b, edits, alphabet):
+    """Histogram and rename bounds, and the postorder string distance, which
+    is checked against the plain DP also on strings past 64 codes, where
+    its bit vectors take more than one machine word."""
     a = _tree(shape_a, alphabet)
     edited = list(shape_a)
     for index, label, parent in edits:
         if index < len(edited):
             edited[index] = (label, parent)
     for b in (_tree(shape_b, alphabet), _tree(edited, alphabet)):
-        low, high = _bounds(*_arrays(a, b))
-        assert low <= ted_recursive_oracle(a, b) <= high
+        arrays = _arrays(a, b)
+        low, high = _bounds(*arrays)
+        sa, sb = arrays[0][1:], arrays[2][1:]
+        string = _levenshtein(sa, sb)
+        assert string == levenshtein_oracle(sa, sb)
+        assert max(low, string) <= ted_recursive_oracle(a, b) <= high
+        long_a, long_b = sa * (64 // len(sa) + 1), sb * (64 // len(sb) + 1)
+        assert _levenshtein(long_a, long_b) == levenshtein_oracle(long_a, long_b)
 
 
 def _corpus_pieces() -> list[MathMLNode]:
@@ -562,13 +574,8 @@ def test_banded_kernel_matches_the_unbanded_one_on_corpus_trees():
             assert _ted_within(*arrays, k) == min(full, k + 1), k
 
 
-def test_loose_bounds_make_the_cutoff_double(monkeypatch):
-    """Two swapped labels leave the histograms equal: L = 0, TED = 2."""
-    names = [f"<mi>{c}</mi>" for c in "abcdefghijklmnopqrst"]
-    a = math("<mrow>" + "".join(names) + "</mrow>")
-    names[3], names[11] = names[11], names[3]
-    b = math("<mrow>" + "".join(names) + "</mrow>")
-    assert _bounds(*_arrays(a, b)) == (0, 2)
+def _cutoffs(monkeypatch, a: MathMLNode, b: MathMLNode) -> tuple[int, list]:
+    """The distance, and the cutoff of every kernel run it took."""
     cutoffs = []
 
     def recording(*args):
@@ -576,8 +583,33 @@ def test_loose_bounds_make_the_cutoff_double(monkeypatch):
         return _ted_within(*args)
 
     monkeypatch.setattr(similarity, "_ted_within", recording)
-    assert tree_edit_distance(a, b).distance == 2 == ted_recursive_oracle(a, b)
+    return tree_edit_distance(a, b).distance, cutoffs
+
+
+def test_loose_bounds_make_the_cutoff_double(monkeypatch):
+    """One leaf moves from under an mrow to under the next: the labels and
+    sizes are equal, so L = 0, and the shapes differ, so U = m + n and the
+    string bound is not taken.  TED = 2."""
+    names = [f"<mi>{c}</mi>" for c in "abcdefghijklmnopqrst"]
+    a = math("<mrow>" + names[0] + "<mrow>" + names[1] + "</mrow>" + "".join(names[2:]) + "</mrow>")
+    b = math("<mrow><mrow>" + names[0] + "</mrow>" + "".join(names[1:]) + "</mrow>")
+    assert _bounds(*_arrays(a, b)) == (0, 46)
+    distance, cutoffs = _cutoffs(monkeypatch, a, b)
+    assert distance == 2 == ted_recursive_oracle(a, b)
     assert cutoffs == [1, 2]
+
+
+def test_string_bound_settles_swapped_labels(monkeypatch):
+    """Two swapped labels leave the histograms equal: L = 0 and U = 2.  The
+    postorder strings are 2 apart, so the pair needs no kernel run."""
+    names = [f"<mi>{c}</mi>" for c in "abcdefghijklmnopqrst"]
+    a = math("<mrow>" + "".join(names) + "</mrow>")
+    names[3], names[11] = names[11], names[3]
+    b = math("<mrow>" + "".join(names) + "</mrow>")
+    assert _bounds(*_arrays(a, b)) == (0, 2)
+    distance, cutoffs = _cutoffs(monkeypatch, a, b)
+    assert distance == 2 == ted_recursive_oracle(a, b)
+    assert cutoffs == []
 
 
 # -- batch comparison -----------------------------------------------------------
@@ -643,13 +675,42 @@ def test_batch_survives_any_nesting_depth(options):
         assert not any("XML parse failure" in error for error in report.errors), depth
 
 
+_DEEP = "<math>" + "<mrow>" * 2000 + "<mi>x</mi>" + "</mrow>" * 2000 + "</math>"
+
+
 def test_batch_reports_a_deep_document_as_too_deeply_nested():
-    doc = "<math>" + "<mrow>" * 2000 + "<mi>x</mi>" + "</mrow>" * 2000 + "</math>"
-    report = batch_compare([ComparePair("chain", doc, "<math><mi>x</mi></math>")])
+    report = batch_compare([ComparePair("chain", _DEEP, "<math><mi>x</mi></math>")])
     (row,) = report.rows
     assert (row.ted, row.f1) == (None, None) and row.error
     (error,) = report.errors
     assert error.startswith("chain: too deeply nested to compare: ")
+
+
+def test_batch_reads_an_identical_pair_once(monkeypatch):
+    """A byte-identical pair is parsed and walked once.  A document that does
+    not parse, or is nested too deeply to walk, gives the one error row and
+    message it gives against any other document."""
+    doc = serialize(math("<mrow><mi>x</mi><mo>+</mo><mi>y</mi></mrow>"))
+    for bad, prefix in (("<math><mi>x</mi>", "p: XML parse failure: "),
+                        (_DEEP, "p: too deeply nested to compare: ")):
+        report = batch_compare([ComparePair("p", bad, bad)])
+        assert report == batch_compare([ComparePair("p", bad, doc)])
+        (error,) = report.errors
+        (row,) = report.rows
+        assert error.startswith(prefix) and error == prefix + row.error
+    calls = Counter()
+
+    def counting(name, function):
+        def call(*args):
+            calls[name] += 1
+            return function(*args)
+        return call
+
+    monkeypatch.setattr(ET, "fromstring", counting("parse", ET.fromstring))
+    monkeypatch.setattr(similarity, "_walk", counting("walk", _walk))
+    (row,) = batch_compare([ComparePair("p", doc, doc)]).rows
+    assert (row.ted, row.f1, row.error) == (0, 1.0, None)
+    assert calls == {"parse": 1, "walk": 1}
 
 
 def test_comparison_leaves_no_garbage():
@@ -658,8 +719,10 @@ def test_comparison_leaves_no_garbage():
     b = math('<mrow><mi>x</mi><mo stretchy="false">-</mo><mi>z</mi></mrow>')
     pair = ComparePair("p", serialize(a), _MATHML_NS.join(["<math", serialize(b)[5:]]))
     options = CompareOptions(ignore_inferred_mrow=True, require_semantics_wrapper=True)
+    pairs = [pair, ComparePair("malformed", "<math><mi>x</mi>", "<math><mi>x</mi>"),
+             ComparePair("deep", _DEEP, _DEEP)]
     calls = [lambda: tree_edit_distance(a, b, options), lambda: element_fscore(a, b, options),
-             lambda: batch_compare([pair], options)]
+             lambda: batch_compare(pairs, options)]
     gc.collect()
     gc.disable()
     try:
