@@ -176,6 +176,8 @@ def cmd_compare(args) -> int:
             if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
                 raise ValueError('manifest must be an object with a list of objects under "pairs"')
             for entry in entries:
+                if not isinstance(entry["id"], str):
+                    raise ValueError(f"pair id {entry['id']!r} is not a string")
                 a, b = (entry[f"{side}_inline"] if f"{side}_inline" in entry
                         else Path(base, entry[f"{side}_path"]).read_text("utf-8")
                         for side in "ab")
@@ -189,7 +191,7 @@ def cmd_compare(args) -> int:
                 Path(args.a).read_text(encoding="utf-8"),
                 Path(args.b).read_text(encoding="utf-8"),
             ))
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = batch_compare(pairs, _compare_options(args))

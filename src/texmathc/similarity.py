@@ -230,10 +230,11 @@ def tree_edit_distance(a: MathMLNode, b: MathMLNode,
 
     Equal normalized trees are recognised from their postorder arrays in
     O(n).  Otherwise a lower bound L and an upper bound U are taken from
-    the same arrays, and when they differ the Zhang-Shasha kernel runs
-    banded to a cutoff k (see `_ted_within`), k doubling from about L
-    until the distance is found; past `FULL_BAND_SHARE` of the node count
-    it runs unbanded.
+    the same arrays; for trees of one shape, L is raised to the edit
+    distance between their postorder label strings.  When L and U still
+    differ the Zhang-Shasha kernel runs banded to a cutoff k (see
+    `_ted_within`), k doubling from about L until the distance is found;
+    past `FULL_BAND_SHARE` of the node count it runs unbanded.
     """
     lmld_a, items_a = _walk(a, _node_parts, _node_wrapper, options)
     lmld_b, items_b = _walk(b, _node_parts, _node_wrapper, options)
@@ -245,7 +246,9 @@ def _distance(lmld_a: list[int], items_a: list, lmld_b: list[int], items_b: list
 
     A node's label is its (element, text), coded as an int shared by both
     trees; slot 0 holds -1.  Trees equal but for attributes are settled by
-    the bounds, which meet at 0.
+    the bounds, which meet at 0.  Between the bounds, the postorder string
+    distance (`_levenshtein`) raises the lower one where it can reach the
+    upper one, and the cutoff search starts from the raised bound.
     """
     if lmld_a == lmld_b and items_a == items_b:  # equal trees, attributes and all
         return 0
@@ -296,11 +299,10 @@ def _levenshtein(a: list[int], b: list[int]) -> int:
 
     Myers' bit-vector algorithm in Hyyrö's form: a column of the DP over `a`
     is two ints, bit i set where the column steps up (pv) or down (mv) by one
-    from row i to row i + 1, and `score` follows its last row.
+    from row i to row i + 1, and `score` follows its last row.  `a` is not
+    empty.
     """
     m = len(a)
-    if not m:
-        return len(b)
     peq: dict[int, int] = {}  # code -> the bits of its positions in a
     for i, code in enumerate(a):
         peq[code] = peq.get(code, 0) | 1 << i
@@ -539,7 +541,8 @@ def batch_compare(pairs: list[ComparePair],
     """Per-pair TED and F-score plus Table-style aggregates.
 
     Each document is parsed and then walked once (`_walk`), and both
-    measures read the walk's arrays.  Pairs that fail to parse as XML, or
+    measures read the walk's arrays; a byte-identical pair is parsed and
+    walked once for both sides.  Pairs that fail to parse as XML, or
     that are nested too deeply for the interpreter's stack, are excluded
     from the aggregates and surfaced in the report header.
     """
@@ -548,7 +551,7 @@ def batch_compare(pairs: list[ComparePair],
     overall = 0
     counted = 0
     for pair in sorted(pairs, key=lambda p: p.id):
-        same = pair.b == pair.a  # byte-identical: parsed and walked once
+        same = pair.b == pair.a
         try:
             root_a = ET.fromstring(pair.a)
             root_b = root_a if same else ET.fromstring(pair.b)
@@ -558,8 +561,8 @@ def batch_compare(pairs: list[ComparePair],
             continue
         try:
             lmld_a, items_a = _walk(root_a, xml_parts, _xml_wrapper, options)
-            lmld_b, items_b = (lmld_a, items_a) if same else _walk(
-                root_b, xml_parts, _xml_wrapper, options)
+            lmld_b, items_b = ((lmld_a, items_a) if same
+                               else _walk(root_b, xml_parts, _xml_wrapper, options))
         except RecursionError as exc:  # read, but nested too deeply to walk
             errors.append(f"{pair.id}: too deeply nested to compare: {exc}")
             rows.append(PairRow(pair.id, None, None, error=str(exc)))

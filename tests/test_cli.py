@@ -259,13 +259,23 @@ def test_compare_manifest_json_report(capsys, tmp_path):
     assert payload["rows"][0]["id"] == "p1"
 
 
-@pytest.mark.parametrize("manifest", [{"pairs": [1]}, [], {"pairs": {}}, {}])
-def test_compare_malformed_manifest(capsys, tmp_path, manifest):
+_NOT_PAIRS = "error: manifest must be an object with a list of objects under \"pairs\""
+
+
+@pytest.mark.parametrize("manifest, message", [
+    ({"pairs": [1]}, _NOT_PAIRS),
+    ([], _NOT_PAIRS),
+    ({"pairs": {}}, _NOT_PAIRS),
+    ({}, _NOT_PAIRS),
+    ({"pairs": [{"id": 1, "a_inline": "", "b_inline": ""}]}, "error: pair id 1 is not a string"),
+    ({"pairs": [{"id": "p", "a_path": 5, "b_inline": ""}]}, "error: expected str"),
+])
+def test_compare_malformed_manifest(capsys, tmp_path, manifest, message):
     path = tmp_path / "pairs.json"
     path.write_text(json.dumps(manifest), encoding="utf-8")
     code, out, err = run(capsys, "compare", "--manifest", str(path))
     assert (code, out) == (2, "")
-    assert err.startswith("error: manifest must be an object")
+    assert err.startswith(message)
 
 
 def test_compare_manifest_empty_inline_document(capsys, tmp_path):
