@@ -26,11 +26,22 @@ from .similarity import (
 
 
 def _read_input(args) -> str:
+    """The formula.  A file or stdin is decoded as strict UTF-8 (raising
+    UnicodeDecodeError) and only trailing whitespace is dropped, so spans
+    index the bytes read."""
     if getattr(args, "file", None):
-        return Path(args.file).read_text(encoding="utf-8").strip()
+        return Path(args.file).read_bytes().decode("utf-8").rstrip()
     if args.input == "-":
-        return sys.stdin.read().strip()
+        return sys.stdin.buffer.read().decode("utf-8").rstrip()
     return args.input
+
+
+def _entries(manifest, key: str) -> list[dict]:
+    """The list of objects under `key` of a manifest object."""
+    entries = manifest.get(key) if isinstance(manifest, dict) else None
+    if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+        raise ValueError(f'manifest must be an object with a list of objects under "{key}"')
+    return entries
 
 
 def _gen_options(display: str, semantics: bool, annotate: bool) -> GenOptions:
@@ -42,7 +53,7 @@ def _gen_options(display: str, semantics: bool, annotate: bool) -> GenOptions:
 def cmd_check(args) -> int:
     try:
         source = _read_input(args)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 2
     diagnostics = check_formula(source, chem=args.chem)
@@ -57,7 +68,7 @@ def cmd_check(args) -> int:
 def cmd_convert(args) -> int:
     try:
         source = _read_input(args)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 2
     options = _gen_options(args.display, args.semantics, args.annotate_tex)
@@ -85,9 +96,13 @@ def cmd_corpus(args) -> int:
     path = Path(args.manifest)
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
-        cases = manifest["cases"]
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot load manifest: {exc}", file=sys.stderr)
+        return 2
+    try:
+        cases = _entries(manifest, "cases")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     results = []
     passed = failed = errored = 0
@@ -172,10 +187,7 @@ def cmd_compare(args) -> int:
         if args.manifest:
             data = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
             base = Path(args.manifest).parent
-            entries = data.get("pairs") if isinstance(data, dict) else None
-            if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
-                raise ValueError('manifest must be an object with a list of objects under "pairs"')
-            for entry in entries:
+            for entry in _entries(data, "pairs"):
                 if not isinstance(entry["id"], str):
                     raise ValueError(f"pair id {entry['id']!r} is not a string")
                 a, b = (entry[f"{side}_inline"] if f"{side}_inline" in entry

@@ -4,6 +4,9 @@ The grammar is realized as recursive descent with ordered choice and no
 backtracking across brace groups, so every failure can point at the exact
 offending token.  One successful parse yields the tree used both for
 validation verdicts and for MathML generation.
+
+A token is a plain tuple (kind, value, start, end); `tokenize` builds them
+with one regex scan, and a chemistry expansion is spliced in as the same.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import itemgetter
 
 from . import intent as intent_mod
 from .diagnostics import (
@@ -66,11 +69,13 @@ RAW_ARG_FNS = frozenset({"text", "operatorname"})
 # The chemistry commands, expanded in place when chemistry is allowed.
 CHEM_COMMANDS = frozenset({"ce", "pu"})
 
-# One alternative per token kind, named after it; a command's value is its
-# name without the backslash: ASCII letters, one other character, or none at
-# the end of the input.  Whitespace (`str.isspace`) matches nothing.
-_TOKEN = re.compile(r"(?P<newrow>\\\\)|\\(?P<cmd>[A-Za-z]+|.?)|(?P<lbrace>\{)|(?P<rbrace>\})"
-                    r"|(?P<sup>\^)|(?P<sub>_)|(?P<amp>&)|(?P<char>\S)", re.S)
+# One piece per token: the whitespace before it (`str.isspace`), then a
+# command (a backslash and ASCII letters, one other character, or nothing at
+# the end of the input) or one other character.
+_PIECE = re.compile(r"\s*(?:\\(?:[A-Za-z]+|.?)|\S)", re.S)
+
+# The kind of a one-character token; any other character is a "char".
+_KINDS = {"{": "lbrace", "}": "rbrace", "^": "sup", "_": "sub", "&": "amp"}
 
 # The tokens that end a sequence of each construct, besides eof.
 _STOP_TOP: frozenset[str] = frozenset()
@@ -84,15 +89,13 @@ _LITERALS: dict[str, Literal] = {}
 
 _BRACE_SCAN = re.compile(r"\\.|[{}]", re.S)
 _CMD_TAIL = re.compile(r"\\[A-Za-z]+$")
-_START = attrgetter("start")
+_START = itemgetter(2)
 
-
-@dataclass(slots=True)
-class Token:
-    kind: str  # cmd, char, lbrace, rbrace, sup, sub, amp, newrow, eof
-    value: str
-    start: int  # codepoint offsets into the source
-    end: int
+# A token is the tuple (kind, value, start, end).  The kind is cmd, char,
+# lbrace, rbrace, sup, sub, amp, newrow or eof; a command's value is its name
+# without the backslash, any other value is the token's text; start and end
+# are codepoint offsets into the source.
+Token = tuple[str, str, int, int]
 
 
 @dataclass(frozen=True)
@@ -128,10 +131,21 @@ def _collapse_arg(node: AstNode) -> AstNode:
 
 
 def tokenize(source: str) -> list[Token]:
-    """Total tokenization: any input yields a token list ending in eof."""
-    toks = [Token(m.lastgroup, m[m.lastindex], m.start(), m.end())
-            for m in _TOKEN.finditer(source)]
-    toks.append(Token("eof", "", len(source), len(source)))
+    """Total tokenization: any input yields a list of (kind, value, start,
+    end) tuples ending in eof."""
+    toks: list[Token] = []
+    append = toks.append
+    end = 0
+    for piece in _PIECE.findall(source):
+        end += len(piece)
+        text = piece.lstrip()
+        if text[0] != "\\":
+            append((_KINDS.get(text, "char"), text, end - 1, end))
+        elif text == "\\\\":
+            append(("newrow", text, end - 2, end))
+        else:
+            append(("cmd", text[1:], end - len(text), end))
+    append(("eof", "", len(source), len(source)))
     return toks
 
 
@@ -169,12 +183,12 @@ class _Parser:
 
     def advance(self) -> Token:
         tok = self.toks[self.i]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.i += 1
         return tok
 
     def fail(self, code: str, message: str, tok: Token) -> None:
-        raise _Fail(code, message, (tok.start, tok.end))
+        raise _Fail(code, message, tok[2:])
 
     def enter(self, tok: Token) -> None:
         self.depth += 1
@@ -189,7 +203,7 @@ class _Parser:
     def parse_formula(self) -> Sequence:
         items = self.sequence(_STOP_TOP, eof_ok=True)
         tok = self.peek()
-        if tok.kind != "eof":  # pragma: no cover - sequence consumes to eof
+        if tok[0] != "eof":  # pragma: no cover - sequence consumes to eof
             self.fail(E_UNBALANCED_BRACE, "unexpected trailing input", tok)
         return Sequence(tuple(items))
 
@@ -199,9 +213,9 @@ class _Parser:
         toks = self.toks
         while True:
             tok = toks[self.i]
-            kind = tok.kind
-            if kind == "cmd" and tok.value in ("right", "end"):
-                kind = tok.value
+            kind, value, _, _ = tok
+            if kind == "cmd" and value in ("right", "end"):
+                kind = value
             if kind == "eof":
                 if eof_ok:
                     return items
@@ -223,25 +237,25 @@ class _Parser:
                     self.fail(E_BAD_DELIM, "\\right without matching \\left", tok)
                 self.fail(E_BAD_ENV, "\\end without matching \\begin", tok)
             if kind == "cmd":
-                if self.allow_chem and tok.value in CHEM_COMMANDS:
+                if self.allow_chem and value in CHEM_COMMANDS:
                     self.expand_chem(braced=False)
                     continue
-                spec = self.registry.lookup(tok.value)
+                spec = self.registry.lookup(value)
                 if spec is not None and spec.arity == 0 and spec.translation_fn in INFIX_FNS:
                     if in_infix:
                         self.fail(E_AMBIGUOUS_INFIX,
-                                  f"multiple infix commands in one group: \\{tok.value}", tok)
+                                  f"multiple infix commands in one group: \\{value}", tok)
                     self.advance()
                     self.note_deprecated(spec, tok)
                     right = self.sequence(stop, eof_ok, in_infix=True)
-                    return [Infix(tok.value, Sequence(tuple(items)), Sequence(tuple(right)))]
+                    return [Infix(value, Sequence(tuple(items)), Sequence(tuple(right)))]
             items.append(self.item())
 
     def item(self) -> AstNode:
         """An atom (group, character or command) and its scripts."""
         toks = self.toks
         tok = toks[self.i]
-        kind = tok.kind
+        kind = tok[0]
         if kind == "lbrace":
             node: AstNode = self.group()
         elif kind == "char":
@@ -251,17 +265,18 @@ class _Parser:
         elif kind in ("sup", "sub"):
             self.fail(E_EMPTY_ARG, "script without a base", tok)
         else:
-            self.fail(E_UNKNOWN_COMMAND, f"unexpected token {tok.value!r}", tok)
+            self.fail(E_UNKNOWN_COMMAND, f"unexpected token {tok[1]!r}", tok)
         sub: AstNode | None = None
         sup: AstNode | None = None
         while True:
             tok = toks[self.i]
-            if tok.kind == "sup":
+            kind = tok[0]
+            if kind == "sup":
                 if sup is not None:
                     self.fail(E_DOUBLE_SCRIPT, "double superscript", tok)
                 self.advance()
                 sup = self.argument(tok, "superscript")
-            elif tok.kind == "sub":
+            elif kind == "sub":
                 if sub is not None:
                     self.fail(E_DOUBLE_SCRIPT, "double subscript", tok)
                 self.advance()
@@ -286,7 +301,7 @@ class _Parser:
 
     def char_literal(self) -> Literal:
         tok = self.advance()
-        ch = tok.value
+        ch = tok[1]
         if (ch.isascii() and (ch.isalpha() or ch.isdigit())
                 or self.registry.operator(ch) is not None):
             return _LITERALS.get(ch) or _LITERALS.setdefault(ch, Literal(ch))
@@ -295,11 +310,11 @@ class _Parser:
 
     def note_deprecated(self, spec: CommandSpec, tok: Token) -> None:
         if spec.deprecated:
-            self.warnings.append((f"\\{spec.name} is deprecated", (tok.start, tok.end)))
+            self.warnings.append((f"\\{spec.name} is deprecated", tok[2:]))
 
     def command(self) -> AstNode:
         tok = self.advance()
-        name = tok.value
+        name = tok[1]
         if name == "left":
             return self.delimited(tok)
         if name == "begin":
@@ -332,8 +347,7 @@ class _Parser:
         if spec.translation_fn in RAW_ARG_FNS:
             content = self.raw_group(tok)
             return Fun1(name, Text(content))
-        if spec.translation_fn == "radical" and self.peek().kind == "char" \
-                and self.peek().value == "[":
+        if spec.translation_fn == "radical" and self.peek()[:2] == ("char", "["):
             return self.radical_with_index(tok)
         args = []
         for k in range(spec.arity):  # a loop, not a comprehension: fewer frames per level
@@ -348,14 +362,15 @@ class _Parser:
     def argument(self, owner: Token, what: str) -> AstNode:
         """One argument: one level of nesting, braced or not."""
         tok = self.peek()
-        if tok.kind == "lbrace":
+        kind, value, _, _ = tok
+        if kind == "lbrace":
             return _collapse_arg(self.group())  # the group counts the level
-        if tok.kind == "char" or tok.kind == "cmd" and tok.value not in ("right", "end"):
+        if kind == "char" or kind == "cmd" and value not in ("right", "end"):
             self.enter(tok)
-            node = self.char_literal() if tok.kind == "char" else self.command()
+            node = self.char_literal() if kind == "char" else self.command()
             self.leave()
             return node
-        self.fail(E_EMPTY_ARG, f"missing {what}", tok if tok.kind != "eof" else owner)
+        self.fail(E_EMPTY_ARG, f"missing {what}", tok if kind != "eof" else owner)
         raise AssertionError
 
     def radical_with_index(self, cmd_tok: Token) -> AstNode:
@@ -363,10 +378,10 @@ class _Parser:
         items: list[AstNode] = []
         while True:
             tok = self.peek()
-            if tok.kind == "char" and tok.value == "]":
+            if tok[:2] == ("char", "]"):
                 self.advance()
                 break
-            if tok.kind == "eof":
+            if tok[0] == "eof":
                 self.fail(E_EMPTY_ARG, "unterminated root index", cmd_tok)
             items.append(self.item())
         self.leave()
@@ -387,18 +402,19 @@ class _Parser:
 
     def read_delimiter(self, owner: Token) -> str:
         tok = self.peek()
-        if tok.kind == "char" and tok.value in CHAR_DELIMS:
+        kind, value, _, _ = tok
+        if kind == "char" and value in CHAR_DELIMS:
             self.advance()
-            return tok.value
-        if tok.kind == "lbrace" or tok.kind == "rbrace":
+            return value
+        if kind == "lbrace" or kind == "rbrace":
             self.fail(E_BAD_DELIM, "braces must be escaped as delimiters (\\{, \\})", tok)
-        if tok.kind == "cmd":
-            spec = self.registry.lookup(tok.value)
+        if kind == "cmd":
+            spec = self.registry.lookup(value)
             if spec is not None and spec.category == "delimiter":
                 self.advance()
-                return "\\" + tok.value
-        self.fail(E_BAD_DELIM, f"{tok.value!r} is not a registered delimiter",
-                  tok if tok.kind != "eof" else owner)
+                return "\\" + value
+        self.fail(E_BAD_DELIM, f"{value!r} is not a registered delimiter",
+                  tok if kind != "eof" else owner)
         raise AssertionError
 
     def environment(self, begin_tok: Token) -> Matrix:
@@ -416,11 +432,12 @@ class _Parser:
             items = self.sequence(_STOP_CELL, eof_ok=False)
             cell: AstNode = items[0] if len(items) == 1 else Sequence(tuple(items))
             tok = self.advance()
-            if tok.kind == "amp":
+            kind = tok[0]
+            if kind == "amp":
                 row.append(cell)
                 saw_newrow = False
                 continue
-            if tok.kind == "newrow":
+            if kind == "newrow":
                 row.append(cell)
                 rows.append(tuple(row))
                 row = []
@@ -443,36 +460,36 @@ class _Parser:
 
     def env_name(self, owner: Token) -> str:
         tok = self.peek()
-        if tok.kind != "lbrace":
-            self.fail(E_BAD_ENV, "expected {environment-name}", tok if tok.kind != "eof" else owner)
+        if tok[0] != "lbrace":
+            self.fail(E_BAD_ENV, "expected {environment-name}", tok if tok[0] != "eof" else owner)
         self.advance()
         letters: list[str] = []
         while True:
             tok = self.peek()
-            if tok.kind == "rbrace":
+            kind, value, _, _ = tok
+            if kind == "rbrace":
                 self.advance()
                 break
-            if tok.kind == "char" and tok.value.isascii() and (tok.value.isalpha()
-                                                               or tok.value == "*"):
-                letters.append(tok.value)
+            if kind == "char" and value.isascii() and (value.isalpha() or value == "*"):
+                letters.append(value)
                 self.advance()
                 continue
             self.fail(E_BAD_ENV, "malformed environment name",
-                      tok if tok.kind != "eof" else owner)
+                      tok if kind != "eof" else owner)
         return "".join(letters)
 
     def maybe_column_spec(self) -> None:
         # `\begin{array}{c|c}` — the alignment spec is accepted and discarded.
         tok = self.peek()
-        if tok.kind != "lbrace":
+        if tok[0] != "lbrace":
             return
         j = self.i + 1
         while j < len(self.toks):
-            t = self.toks[j]
-            if t.kind == "rbrace":
+            kind, value, _, _ = self.toks[j]
+            if kind == "rbrace":
                 self.i = j + 1
                 return
-            if t.kind == "char" and t.value in "clr|":
+            if kind == "char" and value in "clr|":
                 j += 1
                 continue
             return  # not a column spec; leave it to be parsed as content
@@ -480,17 +497,18 @@ class _Parser:
     def raw_group(self, owner: Token) -> str:
         """Scan a brace-balanced raw argument directly from the source."""
         tok = self.peek()
-        if tok.kind == "char":
+        kind, value, start, _ = tok
+        if kind == "char":
             self.advance()
-            return tok.value
-        if tok.kind != "lbrace":
-            self.fail(E_EMPTY_ARG, f"missing argument of \\{owner.value}",
-                      tok if tok.kind != "eof" else owner)
-        pos = closing_brace(self.source, tok.start)
+            return value
+        if kind != "lbrace":
+            self.fail(E_EMPTY_ARG, f"missing argument of \\{owner[1]}",
+                      tok if kind != "eof" else owner)
+        pos = closing_brace(self.source, start)
         if pos < 0:
             self.fail(E_UNBALANCED_BRACE, "unterminated argument", tok)
-        content = self.source[tok.start + 1:pos]
-        while self.peek().kind != "eof" and self.peek().start < pos:
+        content = self.source[start + 1:pos]
+        while self.peek()[0] != "eof" and self.peek()[2] < pos:
             self.advance()
         self.advance()  # the closing brace token at `pos`
         return content
@@ -500,30 +518,31 @@ class _Parser:
         `mhchem.expand` builds, each given the span of the whole command
         (`braced`: as one group)."""
         toks, i = self.toks, self.i
-        cmd, open_tok = toks[i], toks[i + 1]
-        if open_tok.kind != "lbrace":
-            raise _Fail(E_CHEM_SYNTAX, f"\\{cmd.value} requires a braced argument",
-                        (cmd.start, open_tok.start))
-        close = closing_brace(self.source, open_tok.start)
+        _, name, start, _ = toks[i]
+        open_kind, _, open_start, open_end = toks[i + 1]
+        if open_kind != "lbrace":
+            raise _Fail(E_CHEM_SYNTAX, f"\\{name} requires a braced argument",
+                        (start, open_start))
+        close = closing_brace(self.source, open_start)
         if close < 0:
-            raise _Fail(E_UNBALANCED_BRACE, f"unterminated \\{cmd.value} argument",
-                        (cmd.start, len(self.source)))
+            raise _Fail(E_UNBALANCED_BRACE, f"unterminated \\{name} argument",
+                        (start, len(self.source)))
         try:
-            chunks = expand(self.source[open_tok.end:close], cmd.value)
+            chunks = expand(self.source[open_end:close], name)
         except ChemError as exc:
-            raise exc.within(self.source, open_tok.end) from None
-        start, end = cmd.start, close + 1
-        new = [Token(kind, value, start, end) for chunk in chunks for kind, value in chunk]
+            raise exc.within(self.source, open_end) from None
+        end = close + 1
+        new = [(kind, value, start, end) for chunk in chunks for kind, value in chunk]
         if braced:
-            new = [Token("lbrace", "{", start, end), *new, Token("rbrace", "}", start, end)]
+            new = [("lbrace", "{", start, end), *new, ("rbrace", "}", start, end)]
         # The tokens after the command are the source's own, in order.
         toks[i:bisect_left(toks, close, i + 2, key=_START) + 1] = new
 
     def intent_macro(self, tok: Token) -> IntentWrap:
         body = self.argument(tok, "argument 1 of \\intent")
-        spec_tok = self.peek()
+        spec_kind, _, spec_start, _ = self.peek()
         raw = self.raw_group(tok)
-        at = spec_tok.start + (spec_tok.kind == "lbrace")  # codepoint of raw[0]
+        at = spec_start + (spec_kind == "lbrace")  # codepoint of raw[0]
         try:
             intent_raw, arg_map, refs = intent_mod.parse_macro(raw)
         except IntentError as exc:

@@ -204,8 +204,10 @@ def _multiset(items: list) -> Counter:
 
 
 def _fscore(items_a: list, items_b: list) -> FScoreReport:
-    multiset_a = _multiset(items_a)
-    matched = sum((multiset_a & _multiset(items_b)).values())
+    if items_b is items_a:  # one walk for both sides: a multiset meets itself whole
+        matched = len(items_a)
+    else:
+        matched = sum((_multiset(items_a) & _multiset(items_b)).values())
     total_a = len(items_a)
     total_b = len(items_b)
     precision = matched / total_a if total_a else 0.0

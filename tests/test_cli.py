@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
@@ -70,6 +71,38 @@ def test_check_unreadable_file(capsys, tmp_path):
     code, out, err = run(capsys, "check", "--file", str(tmp_path / "missing.tex"))
     assert code == 2
     assert "cannot read" in err
+
+
+def test_file_spans_index_the_bytes_of_the_file(capsys, tmp_path):
+    path = tmp_path / "f.tex"
+    path.write_bytes(b"\n x\r\n\\bad\n")
+    code, _, err = run(capsys, "check", "--file", str(path))
+    assert code == 1
+    assert err.startswith("error:E_UNKNOWN_COMMAND:5-9:")
+
+
+def _stdin(monkeypatch, data: bytes) -> None:
+    """Feed `data` on stdin, decoded as a C-locale interpreter would."""
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+        io.BytesIO(data), encoding="utf-8", errors="surrogateescape"))
+
+
+@pytest.mark.parametrize("command", ["check", "convert"])
+def test_undecodable_input_is_an_input_error(capsys, tmp_path, monkeypatch, command):
+    path = tmp_path / "f.tex"
+    path.write_bytes(b"\xff")
+    _stdin(monkeypatch, b"\xff")
+    for argv in ((command, "--file", str(path)), (command, "-")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read input: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_stdin_input(capsys, monkeypatch):
+    _stdin(monkeypatch, "é\\bad\n".encode("utf-8"))
+    code, _, err = run(capsys, "check")
+    assert code == 1
+    assert err.startswith("error:E_UNKNOWN_COMMAND:0-2:")
 
 
 # -- convert ------------------------------------------------------------------
@@ -209,6 +242,15 @@ def test_corpus_bad_manifest(capsys, tmp_path):
     path.write_text("{not json", encoding="utf-8")
     code, _, err = run(capsys, "corpus", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize("manifest", [{"cases": [1]}, [], {"cases": 3}, {"cases": {}}, {}])
+def test_corpus_malformed_manifest(capsys, tmp_path, manifest):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    code, out, err = run(capsys, "corpus", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: manifest must be an object with a list of objects under \"cases\"\n"
 
 
 def test_corpus_json_report(capsys, tmp_path):

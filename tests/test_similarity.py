@@ -27,6 +27,7 @@ from texmathc.mathml import GenOptions, MathMLNode, from_xml, serialize, xml_par
 from texmathc.similarity import (
     _INFERRED_MROW_PARENTS,
     _bounds,
+    _fscore,
     _levenshtein,
     _multiset,
     _walk,
@@ -287,6 +288,20 @@ def test_fscore_identity():
     report = element_fscore(tree, tree)
     assert report.f1 == 1.0
     assert report.only_in_a == report.only_in_b == 0
+
+
+@pytest.mark.parametrize("document", [
+    "<math></math>",
+    "<math><mrow><mi>x</mi><mo>+</mo><mi>x</mi></mrow>"
+    "<mn mathvariant='bold' class='a'>1</mn><mn class='a' mathvariant='bold'>1</mn></math>",
+])
+def test_fscore_of_one_item_list_equals_that_of_its_copy(document):
+    """Scoring a list against itself (an identical pair walked once) counts
+    every item as matched, as scoring it against a copy does."""
+    items = _read(document, CompareOptions())[1]
+    assert _fscore(items, items) == _fscore(items, list(items))
+    empty: list = []
+    assert _fscore(empty, empty) == _fscore(empty, [])
 
 
 def test_fscore_half():
