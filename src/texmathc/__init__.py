@@ -1,23 +1,20 @@
-"""texmathc: whitelist-validated LaTeX math to presentation MathML."""
+"""texmathc: whitelist-validated LaTeX math to presentation MathML.
+
+Importing the package loads what `check_formula` and `convert_formula` run.
+Comparison (`similarity`), `\\intent` (`intent`) and the render cache
+(`cache`) load on first use: the first lookup of one of their names here
+(PEP 562), the converter's first `\\intent`, or a caller's cache.
+"""
+
+import importlib
 
 from .diagnostics import Diagnostic
 from .generator import to_mathml
-from .intent import apply_intent, parse_intent
 from .mathml import GenOptions, MathMLNode, from_xml, serialize
 from .mhchem import expand_ce, expand_pu
 from .parser import ParseResult, parse, render_tex
 from .pipeline import ConversionFailed, check_formula, convert_formula
 from .registry import CommandSpec, Registry, default_registry, load_registry
-from .similarity import (
-    CompareOptions,
-    CorpusReport,
-    FScoreReport,
-    TedResult,
-    batch_compare,
-    element_fscore,
-    normalize,
-    tree_edit_distance,
-)
 
 __version__ = "0.1.0"
 
@@ -51,3 +48,32 @@ __all__ = [
     "to_mathml",
     "tree_edit_distance",
 ]
+
+# Names loaded on first use -> the submodule that defines them.  The
+# submodules are listed too, so `texmathc.similarity` works after a bare
+# `import texmathc`.
+_LAZY = {
+    "intent": "intent",
+    "apply_intent": "intent",
+    "parse_intent": "intent",
+    "similarity": "similarity",
+    "CompareOptions": "similarity",
+    "CorpusReport": "similarity",
+    "FScoreReport": "similarity",
+    "TedResult": "similarity",
+    "batch_compare": "similarity",
+    "element_fscore": "similarity",
+    "normalize": "similarity",
+    "tree_edit_distance": "similarity",
+    "cache": "cache",
+}
+
+
+def __getattr__(name: str):
+    home = _LAZY.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{home}")
+    value = module if name == home else getattr(module, name)
+    globals()[name] = value  # later lookups skip this function
+    return value

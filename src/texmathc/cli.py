@@ -11,18 +11,15 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .cache import RenderCache
 from .diagnostics import ERROR
 from .mathml import GenOptions
 from .pipeline import ConversionFailed, check_formula, convert_formula
 from .registry import default_registry
-from .similarity import (
-    CompareOptions,
-    ComparePair,
-    batch_compare,
-    format_report_table,
-)
+
+if TYPE_CHECKING:  # comparison and the cache load in the commands that use them
+    from .similarity import CompareOptions
 
 
 def _read_input(args) -> str:
@@ -72,7 +69,11 @@ def cmd_convert(args) -> int:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 2
     options = _gen_options(args.display, args.semantics, args.annotate_tex)
-    cache = None if args.no_cache else RenderCache()
+    cache = None
+    if not args.no_cache:
+        from .cache import RenderCache
+
+        cache = RenderCache()
     log = (lambda msg: print(msg, file=sys.stderr)) if args.verbose else None
     try:
         output = convert_formula(source, chem=args.chem, options=options,
@@ -168,6 +169,8 @@ def _run_case(source: str, expect: dict, options: GenOptions, chem: bool,
 
 
 def _compare_options(args) -> CompareOptions:
+    from .similarity import CompareOptions
+
     ignored: frozenset[str] | str
     if args.ignore_all_attrs:
         ignored = "all"
@@ -182,6 +185,8 @@ def _compare_options(args) -> CompareOptions:
 
 
 def cmd_compare(args) -> int:
+    from .similarity import ComparePair, batch_compare, format_report_table
+
     pairs: list[ComparePair] = []
     try:
         if args.manifest:
@@ -222,6 +227,8 @@ def _temp_files(count: int) -> str:
 
 
 def cmd_cache(args) -> int:
+    from .cache import RenderCache
+
     cache = RenderCache()
     try:
         if args.action == "purge":

@@ -9,7 +9,6 @@ and `_translate` appends it to the run being built.
 
 from __future__ import annotations
 
-from . import intent as intent_mod
 from .mathml import GenOptions, MathMLNode, elem, token
 from .nodes import (
     AstNode,
@@ -184,6 +183,12 @@ def _matrix_env(node: Matrix, registry: Registry) -> MathMLNode:
     return elem("mrow", row)
 
 
+def _intent(node: IntentWrap, registry: Registry) -> MathMLNode:
+    from . import intent as intent_mod  # loaded by the parser, which made `node`
+
+    return intent_mod.apply_intent(node, _slot(node.body, registry))
+
+
 _NODES = {
     Literal: _literal,
     Curly: _slot,
@@ -195,7 +200,7 @@ _NODES = {
     Infix: _command,
     Matrix: _matrix_env,
     Delimited: _delimited,
-    IntentWrap: lambda node, registry: intent_mod.apply_intent(node, _slot(node.body, registry)),
+    IntentWrap: _intent,
     Text: lambda node, registry: token("mtext", node.content),  # only under text-class commands
 }
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import xml.etree.ElementTree as ET
 
 # The supported presentation element set (27 members; fences are expressed
 # as mrow + stretchy mo rather than mfenced).
@@ -122,6 +125,8 @@ def from_xml(text: str) -> MathMLNode:
     outside our generated subset, and comparison must still work.  Each
     element is read by `xml_parts`.
     """
+    import xml.etree.ElementTree as ET  # loaded here: check and convert never read XML
+
     return _convert(ET.fromstring(text))
 
 

@@ -16,7 +16,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
 
-from . import intent as intent_mod
 from .diagnostics import (
     E_AMBIGUOUS_INFIX,
     E_BAD_DELIM,
@@ -539,6 +538,9 @@ class _Parser:
         toks[i:bisect_left(toks, close, i + 2, key=_START) + 1] = new
 
     def intent_macro(self, tok: Token) -> IntentWrap:
+        # Loaded at the outermost \intent, not at the innermost of a chain.
+        from . import intent as intent_mod
+
         body = self.argument(tok, "argument 1 of \\intent")
         spec_kind, _, spec_start, _ = self.peek()
         raw = self.raw_group(tok)

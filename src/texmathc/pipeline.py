@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from .cache import RenderCache
 from .diagnostics import Diagnostic, DiagnosticError, byte_offsets
 from .generator import to_mathml
 from .mathml import GenOptions, serialize
 from .parser import parse
 from .registry import Registry, default_registry
+
+if TYPE_CHECKING:  # a cache and its hashing load only when a caller passes one
+    from .cache import RenderCache
 
 
 class ConversionFailed(Exception):
@@ -57,7 +59,7 @@ def convert_formula(source: str, *, chem: bool = False,
     options = options or GenOptions()
     key = None
     if cache is not None:
-        key = RenderCache.key_for(
+        key = cache.key_for(
             f"{source}\x1fchem={chem}", options.fingerprint(), registry.digest)
         hit = cache.get(key)
         if hit is not None:

@@ -9,7 +9,6 @@ widths literally).
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -82,6 +81,8 @@ class Registry:
     @cached_property
     def digest(self) -> str:
         """SHA-256 of the registry's content, computed on first use."""
+        import hashlib
+
         return hashlib.sha256(dump_registry(self).encode("utf-8")).hexdigest()
 
 

@@ -204,7 +204,7 @@ def _multiset(items: list) -> Counter:
 
 
 def _fscore(items_a: list, items_b: list) -> FScoreReport:
-    if items_b is items_a:  # one walk for both sides: a multiset meets itself whole
+    if items_a == items_b:  # equal lists are equal multisets: each meets itself whole
         matched = len(items_a)
     else:
         matched = sum((_multiset(items_a) & _multiset(items_b)).values())

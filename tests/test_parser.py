@@ -209,7 +209,7 @@ NESTINGS = {
 
 
 @pytest.mark.parametrize("form", list(NESTINGS))
-@pytest.mark.parametrize("frames", [0, 50])
+@pytest.mark.parametrize("frames", [0, 50, 150])
 def test_depth_cap_is_exact_at_any_stack_depth(registry, form, frames):
     for n, accepted in [(128, True), (129, False), (300, False), (330, False)]:
         source = NESTINGS[form](n)

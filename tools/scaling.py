@@ -1,5 +1,15 @@
 #!/usr/bin/env python3
-"""Print the scaling series: front-end time against input size, TED time against tree size.
+"""Print start-up times and the scaling series: front-end time against input
+size, TED time against tree size.
+
+Start-up, in fresh processes with ``src/`` on ``PYTHONPATH``: the bare
+interpreter (``python -c pass``), ``import texmathc`` + ``default_registry()``
+(also timed inside the process, as the benchmark's ``setup_s`` is), and the
+one-shot commands ``python -m texmathc check`` and ``convert --no-cache`` on
+STARTUP_FORMULA.  Each of STARTUP_ROUNDS rounds runs every process once, in
+alternating order; each cell is the median over the rounds.  Whether the
+interpreter may write a bytecode cache is printed with the table: without
+one, every process also compiles the modules it imports.
 
 Front end, timed through the public entry points (cache off):
 
@@ -12,8 +22,10 @@ Front end, timed through the public entry points (cache off):
   arrow), checked and converted with chemistry on.
 
 Each cell is the best of FRONT_REPEAT calls of ``check_formula`` or
-``convert_formula``; the per-unit column divides the convert time by the
-characters or levels, so a linear front end keeps it flat.
+``convert_formula``, one per round; each round times every cell once, so a
+change of machine speed during the run reaches all cells alike.  The
+per-unit column divides the convert time by the characters or levels, so a
+linear front end keeps it flat.
 
 Tree edit distance: for each of TREE_SIZES, side A is built from the frozen
 reference MathML of ``corpora/combined_423.json``: whole formula bodies,
@@ -38,8 +50,11 @@ document, the distance and the F-score.  Nothing is asserted.
 from __future__ import annotations
 
 import json
+import os
 import platform
 import random
+import statistics
+import subprocess
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -58,7 +73,22 @@ from texmathc.similarity import (  # noqa: E402
 
 SIZES = (1_000, 3_000, 10_000, 30_000, 100_000)
 DEPTHS = (10, 32, 64, 100, 128)
-FRONT_REPEAT = 5  # N of best-of-N
+FRONT_REPEAT = 5  # rounds; each cell is the best of its N calls
+STARTUP_ROUNDS = 20  # N of median-of-N
+STARTUP_FORMULA = "\\frac{a}{b}+x^{2}"
+_IMPORT = ("import time\n"
+           "t = time.perf_counter()\n"
+           "import texmathc\n"
+           "texmathc.default_registry()\n"
+           "print(time.perf_counter() - t)\n")
+# (label, interpreter arguments); the import row prints its own time.
+STARTUP = (
+    ("bare interpreter: `python -c pass`", ("-c", "pass")),
+    ("`import texmathc` + `default_registry()`", ("-c", _IMPORT)),
+    ("one-shot `python -m texmathc check`", ("-m", "texmathc", "check", STARTUP_FORMULA)),
+    ("one-shot `python -m texmathc convert --no-cache`",
+     ("-m", "texmathc", "convert", "--no-cache", STARTUP_FORMULA)),
+)
 PIECE = "x_{1}^{2}+\\alpha y-\\frac{a}{b}\\cdot 3 = "
 CE_PIECE = "2H2 + O2 -> 2H2O + "
 TREE_SIZES = (50, 100, 200, 300, 400, 600)
@@ -85,13 +115,41 @@ def cpu_name() -> str:
     return platform.processor() or platform.machine()
 
 
-def front_row(label: str, source: str, units: int, unit: str, chem: bool = False) -> str:
+def startup_rows() -> list[str]:
+    """One row per STARTUP process: median wall time and, for the import, in-process time."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+    wall: list[list[float]] = [[] for _ in STARTUP]
+    inner: list[float] = []
+    order = list(enumerate(STARTUP))
+    for round_ in range(STARTUP_ROUNDS):
+        for i, (_, args) in order[::-1] if round_ % 2 else order:
+            start = perf_counter()
+            done = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                                  capture_output=True, text=True, timeout=120, check=True)
+            wall[i].append(perf_counter() - start)
+            if args[1] == _IMPORT:
+                inner.append(float(done.stdout))
+    rows = []
+    for (label, args), times in zip(STARTUP, wall):
+        own = f"{statistics.median(inner) * 1e3:.1f} ms" if args[1] == _IMPORT else "—"
+        rows.append(f"| {label} | {statistics.median(times) * 1e3:.1f} ms | {own} |")
+    return rows
+
+
+def front_rows(cells: list[tuple[str, str, int, str, bool]]) -> list[str]:
+    """Best check and convert time of each (label, source, units, unit, chem) cell."""
     registry = default_registry()
-    check = best_of(lambda: check_formula(source, registry=registry, chem=chem), FRONT_REPEAT)
-    convert = best_of(lambda: convert_formula(source, registry=registry, chem=chem),
-                      FRONT_REPEAT)
-    return (f"| {label} | {len(source)} | {check * 1e3:.2f} ms | {convert * 1e3:.2f} ms "
-            f"| {convert / units * 1e6:.2f} µs/{unit} |")
+    best = [[float("inf"), float("inf")] for _ in cells]
+    for _ in range(FRONT_REPEAT):
+        for (_, source, _, _, chem), times in zip(cells, best):
+            times[0] = min(times[0], best_of(
+                lambda: check_formula(source, registry=registry, chem=chem), 1))
+            times[1] = min(times[1], best_of(
+                lambda: convert_formula(source, registry=registry, chem=chem), 1))
+    return [f"| {label} | {len(source)} | {check * 1e3:.2f} ms | {convert * 1e3:.2f} ms "
+            f"| {convert / units * 1e6:.2f} µs/{unit} |"
+            for (label, source, units, unit, _), (check, convert) in zip(cells, best)]
 
 
 def _copy(tree: MathMLNode) -> MathMLNode:
@@ -146,18 +204,27 @@ def ted_cells(a: MathMLNode, b: MathMLNode) -> tuple[float, float, int]:
 def main() -> int:
     print(f"# Python {platform.python_version()} ({platform.python_implementation()}), "
           f"CPU: {cpu_name()}")
-    print(f"\n# front end: best of {FRONT_REPEAT} calls, no cache, default registry")
+    bytecode = "off" if sys.flags.dont_write_bytecode else "on"
+    print(f"\n# start-up: median of {STARTUP_ROUNDS} alternating rounds of fresh processes, "
+          f"formula {STARTUP_FORMULA}, bytecode cache writes {bytecode}")
+    print("| process | wall | in process |")
+    print("|---|---:|---:|")
+    print("\n".join(startup_rows()), flush=True)
+    print(f"\n# front end: best of {FRONT_REPEAT} rounds of one call per cell, no cache, "
+          f"default registry")
     print("| input | chars | check | convert | convert per unit |")
     print("|---|---:|---:|---:|---:|")
+    cells = []
     for size in SIZES:
         source = PIECE * (size // len(PIECE))
-        print(front_row("flat", source, len(source), "char"), flush=True)
+        cells.append(("flat", source, len(source), "char", False))
     for depth in DEPTHS:
-        print(front_row(f"\\sqrt chain, depth {depth}", "\\sqrt " * depth + "x", depth,
-                        "level"), flush=True)
+        cells.append((f"\\sqrt chain, depth {depth}", "\\sqrt " * depth + "x", depth,
+                      "level", False))
     for size in SIZES:
         source = "\\ce{" + CE_PIECE * (size // len(CE_PIECE)) + "}"
-        print(front_row("\\ce reaction", source, len(source), "char", chem=True), flush=True)
+        cells.append(("\\ce reaction", source, len(source), "char", True))
+    print("\n".join(front_rows(cells)), flush=True)
     print(f"\n# best of {TED_REPEAT} calls of tree_edit_distance (TED) and of batch_compare "
           f"(batch), CompareOptions(), seed {SEED}")
     print("| nodes | identical TED | batch | relabelled TED | batch | distance "
