@@ -18,12 +18,14 @@ from .diagnostics import (
     E_INTENT_AMBIGUOUS_REF,
     E_INTENT_SYNTAX,
     E_INTENT_UNBOUND_REF,
+    E_TOO_DEEP,
     ERROR,
     Diagnostic,
     IntentError,
     byte_offsets,
 )
 from .mathml import MathMLNode
+from .parser import MAX_DEPTH
 
 HINTS = frozenset({
     "prefix", "infix", "postfix", "function", "silent",
@@ -77,10 +79,10 @@ class _Scanner:
         self.text = text
         self.pos = 0
 
-    def fail(self, message: str, start: int | None = None) -> None:
+    def fail(self, message: str, start: int | None = None, code: str = E_INTENT_SYNTAX) -> None:
         at = self.pos if start is None else start
         (span,) = byte_offsets(self.text, [(at, self.pos)])
-        raise IntentError(Diagnostic(ERROR, E_INTENT_SYNTAX, message, span))
+        raise IntentError(Diagnostic(ERROR, code, message, span))
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos] in " \t":
@@ -115,7 +117,8 @@ def parse_intent(text: str) -> IntentExpr:
     return expr
 
 
-def _parse_intent(s: _Scanner) -> IntentExpr:
+def _parse_intent(s: _Scanner, depth: int = 0) -> IntentExpr:
+    """The expression at the scanner, inside `depth` applications."""
     expr = _parse_primary(s)
     # application := intent hint? '(' arguments? ')'   (may chain: f(x)(y))
     while True:
@@ -134,11 +137,13 @@ def _parse_intent(s: _Scanner) -> IntentExpr:
         if s.peek() != "(":
             return expr
         s.pos += 1
+        if depth == MAX_DEPTH:
+            s.fail(f"nesting exceeds {MAX_DEPTH} levels", s.pos - 1, E_TOO_DEEP)
         args: list[IntentExpr] = []
         s.skip_ws()
         if s.peek() != ")":
             while True:
-                args.append(_parse_intent(s))
+                args.append(_parse_intent(s, depth + 1))
                 s.skip_ws()
                 if s.take(","):
                     s.skip_ws()

@@ -1,10 +1,11 @@
 """Chemistry: expands the body of ``\\ce{...}`` and ``\\pu{...}`` to plain math.
 
 `expand` builds the expansion as the parser's own (kind, value) token pairs,
-chunk by chunk; under chemistry mode the parser puts them in place of the
-command's tokens with the command's span (see ``parser``), so no TeX text is
-built or scanned again.  `expand_ce` and `expand_pu` give the same expansion
-as whitelisted TeX, joined from those chunks.  The implemented subset covers
+chunk by chunk, in one pass over the body with no chemistry token list in
+between; under chemistry mode the parser puts them in place of the command's
+tokens with the command's span (see ``parser``), so no TeX text is built or
+scanned again.  `expand_ce` and `expand_pu` give the same expansion as
+whitelisted TeX, joined from those chunks.  The implemented subset covers
 elements, numeric subscripts, charges, stoichiometric coefficients (integer,
 decimal, and a/b fractions), isotope prescripts, aggregate states,
 single/double/triple bonds, reaction arrows, ``+`` separators, hydrate dots
@@ -16,7 +17,6 @@ rather than guessed at.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import repeat
 
 from .diagnostics import (
@@ -61,12 +61,6 @@ _SUP: Pair = ("sup", "^")
 _EMPTY_BASE = (("lbrace", "{"), ("rbrace", "}"))
 
 
-@dataclass(slots=True)
-class ChemToken:
-    kind: str  # element, count, charge, arrow, plus, state, bond, stoich_coeff, isotope, open, close
-    payload: str
-
-
 def _err(message: str, text: str, start: int, end: int) -> ChemError:
     (span,) = byte_offsets(text, [(start, end)])
     return ChemError(Diagnostic(ERROR, E_CHEM_SYNTAX, message, span))
@@ -80,7 +74,7 @@ def _braced(text: str) -> list[Pair]:
 def expand(body: str, command: str) -> list[list[Pair]]:
     """The token pairs of ``\\ce{body}``, or of ``\\pu{body}`` when `command`
     is "pu", chunk by chunk (a ``\\pu`` expansion is one chunk)."""
-    return _pu_chunks(body) if command == "pu" else _ce_chunks(tokenize_ce(body))
+    return _pu_chunks(body) if command == "pu" else _ce_chunks(body)
 
 
 def _text(chunks: list[list[Pair]]) -> str:
@@ -116,30 +110,32 @@ def preprocess(body: str, command: str) -> str:
 # -- \ce ------------------------------------------------------------------
 
 
-def tokenize_ce(body: str) -> list[ChemToken]:
-    """Scan a ``\\ce`` body into chemistry tokens, enforcing the subset."""
-    toks: list[ChemToken] = []
-    i = 0
-    n = len(body)
-    pending_space = False
+def _ce_chunks(body: str) -> list[list[Pair]]:
+    """Scan a ``\\ce`` body once, enforcing the subset, into one chunk per
+    chemistry token; a run of elements is one upright name."""
+    chunks: list[list[Pair]] = []
+    prev = "start"  # the kind of the last token
+    depth = low = 0  # parenthesis depth and the lowest it went
+    i, n = 0, len(body)
     while i < n:
         ch = body[i]
         if ch.isspace():
-            pending_space = True
             i += 1
             continue
-        spaced, pending_space = pending_space, False
-        prev = toks[-1].kind if toks else "start"
+        spaced = body[i - 1:i].isspace()  # a space before this token
         if ch in "<-" and (arrow := _ARROW.match(body, i)):
-            kind, payload, i = "arrow", arrow[0], arrow.end()
+            kind, chunk, i = "arrow", [("cmd", _COMMANDS[arrow[0]])], arrow.end()
         elif ch == "$":
             raise _err("nested math inside \\ce is not supported", body, i, i + 1)
         elif ch == "+":
             nxt = body[i + 1:i + 2]
             # A charge sign touches its species; a separator is spaced or
             # stands between species starts.
-            charge = not spaced and prev in _CHARGEABLE and not (nxt.isalnum() or nxt == "(")
-            kind, payload, i = "charge" if charge else "plus", "+", i + 1
+            if not spaced and prev in _CHARGEABLE and not (nxt.isalnum() or nxt == "("):
+                kind, chunk = "charge", [*_EMPTY_BASE, _SUP, *_braced("+")]
+            else:
+                kind, chunk = "plus", [("char", "+")]
+            i += 1
         elif ch == "-":
             if prev not in _CHARGEABLE:
                 raise _err("'-' must follow an element or count", body, i, i + 1)
@@ -148,46 +144,61 @@ def tokenize_ce(body: str) -> list[ChemToken]:
                 j += 1
             after = body[j:j + 1]
             if after.isupper() or after == "(" and not _STATE.match(body, j):
-                kind = "bond"
+                kind, chunk = "bond", [("char", "-")]
             elif not spaced:
-                kind = "charge"
+                kind, chunk = "charge", [*_EMPTY_BASE, _SUP, *_braced("-")]
             else:
                 raise _err("'-' must bond two species or trail as a charge", body, i, i + 1)
-            payload, i = "-", i + 1
-        elif ch in "=#":
-            if prev not in _CHARGEABLE:
+            i += 1
+        elif ch in "=#*":
+            if ch != "*" and prev not in _CHARGEABLE:
                 raise _err(f"'{ch}' bond must follow an element", body, i, i + 1)
-            kind, payload, i = "bond", ch, i + 1
-        elif ch == "*":
-            kind, payload, i = "bond", "*", i + 1
+            name = _COMMANDS.get(ch)
+            kind, chunk, i = "bond", [("cmd", name) if name else ("char", ch)], i + 1
         elif ch == "(":
             state = _STATE.match(body, i)
             if state and prev in ("element", "count", "close", "charge"):
-                kind, payload, i = "state", state[1], state.end()
+                kind, i = "state", state.end()
+                chunk = [("char", "("), _MATHRM, *_braced(state[1]), ("char", ")")]
             else:
-                kind, payload, i = "open", "(", i + 1
+                kind, chunk, i = "open", [("char", "(")], i + 1
+                depth += 1
         elif ch == ")":
-            kind, payload, i = "close", ")", i + 1
+            kind, chunk, i = "close", [("char", ")")], i + 1
+            depth -= 1
+            low = min(low, depth)
         elif ch == "^":
-            kind, payload, i = _scan_caret(body, i, prev in _SPECIES_START)
+            kind, chunk, i = _scan_caret(body, i, prev in _SPECIES_START)
         elif ch == "_":
-            kind = "count"
-            payload, i = _scan_script_digits(body, i + 1, "subscript")
+            digits, i = _scan_script_digits(body, i + 1, "subscript")
+            kind, chunk = "count", [*_EMPTY_BASE, _SUB, *_braced(digits)]
         elif "0" <= ch <= "9":
             if prev in _SPECIES_START:
-                kind, m = "stoich_coeff", _COEFF.match(body, i)
+                m = _COEFF.match(body, i)
+                num, _, den = m[0].partition("/")
+                kind, chunk = "stoich_coeff", [*zip(repeat("char"), m[0])]
+                if den:
+                    chunk = [("cmd", "frac"), *_braced(num), *_braced(den), ("cmd", ",")]
             elif prev == "element" or prev == "close":
-                kind, m = "count", _NUMBER.match(body, i)
+                m = _NUMBER.match(body, i)
+                kind, chunk = "count", [*_EMPTY_BASE, _SUB, *_braced(m[0])]
             else:
                 raise _err("unexpected number", body, i, _NUMBER.match(body, i).end())
-            payload, i = m[0], m.end()
+            i = m.end()
         elif m := _ELEMENT.match(body, i):
-            kind, payload, i = "element", m[0], m.end()
+            kind, chunk, i = "element", [_MATHRM, *_braced(m[0])], m.end()
         else:
             raise _err(f"unsupported character {ch!r} in \\ce", body, i, i + 1)
-        toks.append(ChemToken(kind, payload))
-    _check_sequence(toks, body)
-    return toks
+        if prev == kind == "element":  # into the braces of the run's \mathrm
+            chunks[-1][-1:-1] = chunk[2:-1]
+        else:
+            chunks.append(chunk)
+        prev = kind
+    if low < 0:
+        raise _err("unbalanced ')'", body, 0, len(body))
+    if depth:
+        raise _err("unbalanced '(' grouping", body, 0, len(body))
+    return chunks
 
 
 def _scan_script_digits(body: str, i: int, what: str) -> tuple[str, int]:
@@ -202,8 +213,8 @@ def _scan_script_digits(body: str, i: int, what: str) -> tuple[str, int]:
     return m[0], m.end()
 
 
-def _scan_caret(body: str, i: int, species_start: bool) -> tuple[str, str, int]:
-    """The isotope prescript or charge at the ``^`` at `i`: kind, payload, end."""
+def _scan_caret(body: str, i: int, species_start: bool) -> tuple[str, list[Pair], int]:
+    """The isotope prescript or charge at the ``^`` at `i`: kind, chunk, end."""
     if species_start:
         # Isotope prescripts: ^{227}_{90}Th or ^227_90Th.
         mass, j = _scan_script_digits(body, i + 1, "isotope mass")
@@ -212,7 +223,8 @@ def _scan_caret(body: str, i: int, species_start: bool) -> tuple[str, str, int]:
             number, j = _scan_script_digits(body, j + 1, "atomic number")
         if not body[j:j + 1].isupper():
             raise _err("isotope prescript must precede an element", body, i, j)
-        return "isotope", mass + ("/" + number if number else ""), j
+        return "isotope", ([*_EMPTY_BASE, _SUB, *_braced(number), _SUP, *_braced(mass)]
+                           if number else [*_EMPTY_BASE, _SUP, *_braced(mass)]), j
     j = i + 1
     if body[j:j + 1] == "{":
         end = body.find("}", j)
@@ -221,56 +233,11 @@ def _scan_caret(body: str, i: int, species_start: bool) -> tuple[str, str, int]:
         content = body[j + 1:end]
         if not _CHARGE.fullmatch(content):
             raise _err(f"malformed charge {content!r}", body, i, end)
-        return "charge", content, end + 1
+        return "charge", [*_EMPTY_BASE, _SUP, *_braced(content)], end + 1
     m = _CHARGE.match(body, j)
     if not m:
         raise _err("malformed charge", body, i, j + 1)
-    return "charge", m[0], m.end()
-
-
-def _check_sequence(toks: list[ChemToken], body: str) -> None:
-    depth = 0
-    for tok in toks:
-        if tok.kind == "open":
-            depth += 1
-        elif tok.kind == "close":
-            depth -= 1
-            if depth < 0:
-                raise _err("unbalanced ')'", body, 0, len(body))
-    if depth != 0:
-        raise _err("unbalanced '(' grouping", body, 0, len(body))
-
-
-def _ce_chunks(toks: list[ChemToken]) -> list[list[Pair]]:
-    """One chunk per chemistry token; a run of elements is one upright name."""
-    chunks: list[list[Pair]] = []
-    prev = ""
-    for tok in toks:
-        kind, payload = tok.kind, tok.payload
-        if kind == "element":
-            if prev == "element":  # inside the braces of the run's \mathrm
-                chunks[-1][-1:-1] = zip(repeat("char"), payload)
-            else:
-                chunks.append([_MATHRM, *_braced(payload)])
-        elif kind == "count":
-            chunks.append([*_EMPTY_BASE, _SUB, *_braced(payload)])
-        elif kind == "charge":
-            chunks.append([*_EMPTY_BASE, _SUP, *_braced(payload)])
-        elif kind == "isotope":
-            mass, _, number = payload.partition("/")
-            chunks.append([*_EMPTY_BASE, _SUB, *_braced(number), _SUP, *_braced(mass)]
-                          if number else [*_EMPTY_BASE, _SUP, *_braced(mass)])
-        elif kind == "state":
-            chunks.append([("char", "("), _MATHRM, *_braced(payload), ("char", ")")])
-        elif kind == "stoich_coeff":
-            num, _, den = payload.partition("/")
-            chunks.append([("cmd", "frac"), *_braced(num), *_braced(den), ("cmd", ",")]
-                          if den else list(zip(repeat("char"), payload)))
-        else:  # arrow, plus, bond, open, close
-            name = _COMMANDS.get(payload)
-            chunks.append([("cmd", name) if name else ("char", payload)])
-        prev = kind
-    return chunks
+    return "charge", [*_EMPTY_BASE, _SUP, *_braced(m[0])], m.end()
 
 
 # -- \pu ------------------------------------------------------------------
@@ -287,7 +254,10 @@ def _pu_chunks(body: str) -> list[list[Pair]]:
     if m:
         out += zip(repeat("char"), m[1])
         if m[2]:
-            out += [("cmd", "times"), *_braced("10"), _SUP, *_braced(str(int(m[2])))]
+            # Normalized as text: int() refuses more than 4300 digits.
+            digits = m[2].lstrip("+-").lstrip("0")
+            power = "-" + digits if digits and m[2][0] == "-" else digits or "0"
+            out += [("cmd", "times"), *_braced("10"), _SUP, *_braced(power)]
         i = m.end()
     while i < len(text) and text[i].isspace():
         i += 1

@@ -6,15 +6,14 @@ offending token.  One successful parse yields the tree used both for
 validation verdicts and for MathML generation.
 
 A token is a plain tuple (kind, value, start, end); `tokenize` builds them
-with one regex scan, and a chemistry expansion is spliced in as the same.
+with one regex scan, a chemistry expansion is spliced in as the same, and
+brace groups are matched on the token list, never on the text.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .diagnostics import (
     E_AMBIGUOUS_INFIX,
@@ -86,9 +85,7 @@ _STOP_CELL = frozenset({"amp", "newrow", "end"})
 # Only whitelisted characters and arity-0 commands are put in it.
 _LITERALS: dict[str, Literal] = {}
 
-_BRACE_SCAN = re.compile(r"\\.|[{}]", re.S)
 _CMD_TAIL = re.compile(r"\\[A-Za-z]+$")
-_START = itemgetter(2)
 
 # A token is the tuple (kind, value, start, end).  The kind is cmd, char,
 # lbrace, rbrace, sup, sub, amp, newrow or eof; a command's value is its name
@@ -148,23 +145,6 @@ def tokenize(source: str) -> list[Token]:
     return toks
 
 
-def closing_brace(text: str, start: int) -> int:
-    """Index of the ``}`` matching the ``{`` at `start`, or -1 when unclosed.
-
-    A backslash escapes the character after it, so ``\\{`` and ``\\}`` do
-    not count.
-    """
-    depth = 0
-    for m in _BRACE_SCAN.finditer(text, start):
-        if m.group() == "{":
-            depth += 1
-        elif m.group() == "}":
-            depth -= 1
-            if depth == 0:
-                return m.start()
-    return -1
-
-
 class _Parser:
     def __init__(self, source: str, registry: Registry, allow_chem: bool):
         self.source = source
@@ -185,6 +165,21 @@ class _Parser:
         if tok[0] != "eof":
             self.i += 1
         return tok
+
+    def closing(self, i: int) -> int:
+        """Index of the rbrace token matching the lbrace at `i`, or -1 when
+        unclosed.  An escaped brace (``\\{``, ``\\}``) is a command token."""
+        toks = self.toks
+        depth = 0
+        for j in range(i, len(toks)):
+            kind = toks[j][0]
+            if kind == "lbrace":
+                depth += 1
+            elif kind == "rbrace":
+                depth -= 1
+                if depth == 0:
+                    return j
+        return -1
 
     def fail(self, code: str, message: str, tok: Token) -> None:
         raise _Fail(code, message, tok[2:])
@@ -494,7 +489,7 @@ class _Parser:
             return  # not a column spec; leave it to be parsed as content
 
     def raw_group(self, owner: Token) -> str:
-        """Scan a brace-balanced raw argument directly from the source."""
+        """A brace-balanced raw argument, as its text in the source."""
         tok = self.peek()
         kind, value, start, _ = tok
         if kind == "char":
@@ -503,14 +498,11 @@ class _Parser:
         if kind != "lbrace":
             self.fail(E_EMPTY_ARG, f"missing argument of \\{owner[1]}",
                       tok if kind != "eof" else owner)
-        pos = closing_brace(self.source, start)
-        if pos < 0:
+        close = self.closing(self.i)
+        if close < 0:
             self.fail(E_UNBALANCED_BRACE, "unterminated argument", tok)
-        content = self.source[start + 1:pos]
-        while self.peek()[0] != "eof" and self.peek()[2] < pos:
-            self.advance()
-        self.advance()  # the closing brace token at `pos`
-        return content
+        self.i = close + 1
+        return self.source[start + 1:self.toks[close][2]]
 
     def expand_chem(self, braced: bool) -> None:
         """Replace the ``\\ce{…}``/``\\pu{…}`` at the current token by the tokens
@@ -522,20 +514,20 @@ class _Parser:
         if open_kind != "lbrace":
             raise _Fail(E_CHEM_SYNTAX, f"\\{name} requires a braced argument",
                         (start, open_start))
-        close = closing_brace(self.source, open_start)
+        close = self.closing(i + 1)
         if close < 0:
             raise _Fail(E_UNBALANCED_BRACE, f"unterminated \\{name} argument",
                         (start, len(self.source)))
+        body_end = toks[close][2]
         try:
-            chunks = expand(self.source[open_end:close], name)
+            chunks = expand(self.source[open_end:body_end], name)
         except ChemError as exc:
             raise exc.within(self.source, open_end) from None
-        end = close + 1
+        end = body_end + 1
         new = [(kind, value, start, end) for chunk in chunks for kind, value in chunk]
         if braced:
             new = [("lbrace", "{", start, end), *new, ("rbrace", "}", start, end)]
-        # The tokens after the command are the source's own, in order.
-        toks[i:bisect_left(toks, close, i + 2, key=_START) + 1] = new
+        toks[i:close + 1] = new
 
     def intent_macro(self, tok: Token) -> IntentWrap:
         # Loaded at the outermost \intent, not at the innermost of a chain.

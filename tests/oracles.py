@@ -28,7 +28,9 @@ check every parsed command against the registry.
 
 ``preprocess_oracle`` is the earlier chemistry pass, a text rewriter that
 replaced every ``\\ce{...}``/``\\pu{...}`` by its expansion before parsing;
-it is the reference for the parser's in-place expansion.
+it is the reference for the parser's in-place expansion.  ``closing_brace``
+is its brace matcher, a scan of the text, the reference for the parser's
+matching on its token list (raw arguments and chemistry bodies).
 
 ``escape_text_oracle`` and ``escape_attr_oracle`` are the serializer's
 escapes without their fast path: every value goes through the whole
@@ -66,7 +68,6 @@ from texmathc.nodes import (
     SubSup,
     Sup,
 )
-from texmathc.parser import closing_brace
 from texmathc.similarity import _INFERRED_MROW_PARENTS, CompareOptions
 
 
@@ -366,6 +367,24 @@ def command_names(node: AstNode) -> Iterator[str]:
 # -- chemistry ------------------------------------------------------------
 
 _ESCAPE = re.compile(r"\\([a-zA-Z]+|.?)", re.S)  # a command name or one escaped character
+_BRACE_SCAN = re.compile(r"\\.|[{}]", re.S)
+
+
+def closing_brace(text: str, start: int) -> int:
+    """Index of the ``}`` matching the ``{`` at `start`, or -1 when unclosed.
+
+    A backslash escapes the character after it, so ``\\{`` and ``\\}`` do
+    not count.
+    """
+    depth = 0
+    for m in _BRACE_SCAN.finditer(text, start):
+        if m.group() == "{":
+            depth += 1
+        elif m.group() == "}":
+            depth -= 1
+            if depth == 0:
+                return m.start()
+    return -1
 
 
 def preprocess_oracle(source: str) -> str:

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import pytest
 
-from texmathc import convert_formula, from_xml, parse, parse_intent
+from texmathc import check_formula, convert_formula, from_xml, parse, parse_intent
 from texmathc.diagnostics import (
     E_INTENT_AMBIGUOUS_REF,
     E_INTENT_SYNTAX,
     E_INTENT_UNBOUND_REF,
+    E_TOO_DEEP,
     IntentError,
 )
 from texmathc.intent import (
@@ -57,6 +58,20 @@ def test_nested_application():
     inner = expr.args[1]
     assert isinstance(inner, Application)
     assert inner.args == (Number("1", False), Reference("n"))
+
+
+def test_application_depth_is_capped():
+    # applications nest up to the parser's cap; a chain f(x)(y) is one level
+    assert parse_intent("f" + "(x)" * 300)
+    assert parse_intent("f(" * 128 + "a" + ")" * 128)
+    with pytest.raises(IntentError) as err:
+        parse_intent("f(" * 2000 + "a" + ")" * 2000)
+    assert (err.value.diagnostic.code, err.value.diagnostic.span) == (E_TOO_DEEP, (257, 258))
+    # located in the user's input, past the escaped dollar, not a RecursionError
+    prefix = "\\intent{x}{intent='g(\\$x," + "f(" * 127
+    source = prefix + "f(" * 1873 + "a" + ")" * 2001 + "', arg='x=x'}"
+    (diag,) = check_formula(source)
+    assert (diag.code, diag.span) == (E_TOO_DEEP, (len(prefix) + 1, len(prefix) + 2))
 
 
 def test_chained_application():

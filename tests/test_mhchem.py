@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPORA
+from conftest import CORPORA, FIXTURES
 from oracles import preprocess_oracle
 from texmathc import check_formula, convert_formula, default_registry, parse
 from texmathc.diagnostics import E_CHEM_SYNTAX, E_UNBALANCED_BRACE, ChemError, DiagnosticError
-from texmathc.mhchem import expand, expand_ce, expand_pu, preprocess, tokenize_ce
+from texmathc.mhchem import expand, expand_ce, expand_pu, preprocess
 from texmathc.parser import _Parser, tokenize
 
 
@@ -101,10 +101,37 @@ def test_pu_scientific_and_quotient():
     assert expand_pu("1e-3 mol") == "1\\times{10}^{-3}\\,\\mathrm{mol}"
 
 
+def test_pu_exponent_is_normalized_as_text():
+    for exponent, power in (("+03", "3"), ("-00", "0"), ("0003", "3"), ("-03", "-3")):
+        assert expand_pu(f"1e{exponent} m") == f"1\\times{{10}}^{{{power}}}\\,\\mathrm{{m}}"
+    # longer than int() converts
+    exponent = "9" * 5000
+    assert expand_pu(f"1e{exponent} m").endswith(f"^{{{exponent}}}\\,\\mathrm{{m}}")
+    assert check_formula("\\pu{1e" + exponent + " m}", chem=True) == []
+    assert f"<mn>{exponent}</mn>" in convert_formula("\\pu{1e-" + exponent + " m}", chem=True)
+
+
 def test_token_kinds():
-    kinds = [t.kind for t in tokenize_ce("2H2O + Na+ -> X(aq)")]
-    assert kinds == ["stoich_coeff", "element", "count", "element", "plus",
-                     "element", "charge", "arrow", "element", "state"]
+    # coefficient, elements, count, plus, charge, arrow and state
+    assert expand_ce("2H2O + Na+ -> X(aq)") == (
+        r"2 \mathrm{H} {}_{2} \mathrm{O} + \mathrm{Na} {}^{+} \longrightarrow \mathrm{X} (\mathrm{aq})")
+
+
+def _outcome(expand_body, body):
+    try:
+        return expand_body(body)
+    except ChemError as exc:
+        d = exc.diagnostic
+        return {"code": d.code, "message": d.message, "span": list(d.span)}
+
+
+def test_frozen_expansions():
+    fixture = json.loads((FIXTURES / "chem_expansions.json").read_text("utf-8"))
+    assert len(fixture["cases"]) == 1000
+    for case in fixture["cases"]:
+        body = case["body"]
+        assert _outcome(expand_ce, body) == case["ce"], body
+        assert _outcome(expand_pu, body) == case["pu"], body
 
 
 @pytest.mark.parametrize("body,code", [

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import command_names, tokenize_oracle
+from oracles import closing_brace, command_names, tokenize_oracle
 from texmathc import ConversionFailed, check_formula, convert_formula, default_registry
 from texmathc.diagnostics import (
     E_AMBIGUOUS_INFIX,
@@ -203,6 +203,7 @@ NESTINGS = {
     "unbraced fraction": lambda n: "\\frac a" * n + "x",
     "script": lambda n: "x^{" * n + "x" + "}" * n,
     "intent": lambda n: "\\intent{" * n + "x" + "}{intent='a'}" * n,
+    "intent expression": lambda n: "\\intent{x}{intent='" + "f(" * n + "a" + ")" * n + "'}",
     "fence": lambda n: "\\left(" * n + "x" + "\\right)" * n,
     "matrix": lambda n: "\\begin{pmatrix}" * n + "x" + "\\end{pmatrix}" * n,
 }
@@ -407,6 +408,32 @@ _TOKEN_PIECES = st.sampled_from([
 def test_tokenize_matches_oracle(source, lone_backslash):
     source += "\\" if lone_backslash else ""
     assert tokenize(source) == tokenize_oracle(source)
+
+
+_RAW_PIECES = st.sampled_from(["\\text{", "{", "}", "\\{", "\\}", "\\\\", "\\", "x", "é"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_RAW_PIECES, max_size=16).map("".join))
+@example("\\{}\\}x}")
+@example("{\\\\}é\\")
+def test_raw_argument_ends_where_the_text_scan_does(rest):
+    # The parser matches braces on its tokens; the oracle scans the text.
+    registry = default_registry()
+    source = "\\text{" + rest
+    result = parse(source, registry)
+    close = closing_brace(source, len("\\text"))
+    if close < 0:
+        assert [(d.code, d.message, d.span) for d in result.errors] == \
+            [(E_UNBALANCED_BRACE, "unterminated argument", (5, 6))]
+        return
+    after = parse(source[close + 1:], registry)  # the rest, parsed on its own
+    shift = len(source[:close + 1].encode("utf-8"))
+    assert [(d.code, d.message, (d.span[0] - shift, d.span[1] - shift))
+            for d in result.errors] == [(d.code, d.message, d.span) for d in after.errors]
+    if result.ok:
+        assert result.ast.children == (Fun1("text", Text(source[6:close])),
+                                       *after.ast.children)
 
 
 # -- grammar fuzz past the parser ---------------------------------------------

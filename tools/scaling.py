@@ -19,7 +19,11 @@ Front end, timed through the public entry points (cache off):
   which nests one argument per level up to the parser's cap of 128;
 * chemistry: one ``\\ce{...}`` of about SIZES characters whose body is
   whole copies of CE_PIECE (a reaction: coefficients, subscripts, ``+`` and an
-  arrow), checked and converted with chemistry on.
+  arrow), checked and converted with chemistry on;
+* raw argument: one ``\\text{...}`` of about SIZES characters whose content
+  is whole copies of TEXT_PIECE (words, spaces, escaped braces and a
+  balanced group), the path of a raw argument: its braces are matched on the
+  token list and its text is taken from the source.
 
 Each cell is the best of FRONT_REPEAT calls of ``check_formula`` or
 ``convert_formula``, one per round; each round times every cell once, so a
@@ -91,6 +95,7 @@ STARTUP = (
 )
 PIECE = "x_{1}^{2}+\\alpha y-\\frac{a}{b}\\cdot 3 = "
 CE_PIECE = "2H2 + O2 -> 2H2O + "
+TEXT_PIECE = "some words \\{a\\} {b} and "
 TREE_SIZES = (50, 100, 200, 300, 400, 600)
 TED_REPEAT = 3
 SEED = 2024
@@ -224,6 +229,9 @@ def main() -> int:
     for size in SIZES:
         source = "\\ce{" + CE_PIECE * (size // len(CE_PIECE)) + "}"
         cells.append(("\\ce reaction", source, len(source), "char", True))
+    for size in SIZES:
+        source = "\\text{" + TEXT_PIECE * (size // len(TEXT_PIECE)) + "}"
+        cells.append(("\\text raw argument", source, len(source), "char", False))
     print("\n".join(front_rows(cells)), flush=True)
     print(f"\n# best of {TED_REPEAT} calls of tree_edit_distance (TED) and of batch_compare "
           f"(batch), CompareOptions(), seed {SEED}")
