@@ -102,7 +102,8 @@ def preprocess(body: str, command: str) -> str:
     """The TeX of ``expand(body, command)``.
 
     The parser does not call it; the name stays because the benchmark's
-    tracer names it as a target.
+    tracer names it as a target, and the benchmark's own test asserts the
+    exact list of targets it finds absent.
     """
     return _text(expand(body, command))
 

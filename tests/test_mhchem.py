@@ -114,7 +114,8 @@ def test_pu_exponent_is_normalized_as_text():
 def test_token_kinds():
     # coefficient, elements, count, plus, charge, arrow and state
     assert expand_ce("2H2O + Na+ -> X(aq)") == (
-        r"2 \mathrm{H} {}_{2} \mathrm{O} + \mathrm{Na} {}^{+} \longrightarrow \mathrm{X} (\mathrm{aq})")
+        r"2 \mathrm{H} {}_{2} \mathrm{O} + \mathrm{Na} {}^{+}"
+        r" \longrightarrow \mathrm{X} (\mathrm{aq})")
 
 
 def _outcome(expand_body, body):
