@@ -1,8 +1,8 @@
-"""Validation findings and the error codes shared across the pipeline."""
+"""Findings (byte spans), the error that stops a stage (codepoint spans) and the error codes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 ERROR = "error"
 WARNING = "warning"
@@ -55,18 +55,33 @@ def warning(code: str, message: str, span: tuple[int, int]) -> Diagnostic:
 
 
 class DiagnosticError(Exception):
-    """Raised by the single-finding stages (mhchem, intent) instead of a list."""
+    """The finding that stops a stage (parser, chemistry, intent, generator).
 
-    def __init__(self, diagnostic: Diagnostic):
-        super().__init__(diagnostic.format_line())
-        self.diagnostic = diagnostic
+    `span` is in codepoints of `text`, the text the stage read, clamped there
+    as `byte_offsets` clamps.  The generator holds only a tree, so its errors
+    have no text until `within` locates them in the source.
+    """
+
+    def __init__(self, code: str, message: str, span: tuple[int, int], text: str | None = None):
+        super().__init__(message)
+        self.code = code
+        self.message = message
+        self.span = span if text is None else _clamp(span, len(text))
+        self.text = text
+
+    @property
+    def diagnostic(self) -> Diagnostic | None:
+        """The finding located in UTF-8 bytes of `text`; None without a text."""
+        if self.text is None:
+            return None
+        (span,) = byte_offsets(self.text, [self.span])
+        return Diagnostic(ERROR, self.code, self.message, span)
 
     def within(self, outer: str, start: int) -> DiagnosticError:
         """This error, raised on the text found at codepoint `start` of `outer`,
         located in `outer` instead."""
-        shift = byte_offsets(outer, [(start, start)])[0][0]
-        d = self.diagnostic
-        return type(self)(replace(d, span=(d.span[0] + shift, d.span[1] + shift)))
+        span = (self.span[0] + start, self.span[1] + start)
+        return type(self)(self.code, self.message, span, outer)
 
 
 class ChemError(DiagnosticError):
@@ -75,6 +90,17 @@ class ChemError(DiagnosticError):
 
 class IntentError(DiagnosticError):
     pass
+
+
+def _clamp(span: tuple[int, int], n: int) -> tuple[int, int]:
+    """`span` kept on a text of `n` codepoints (see `byte_offsets`)."""
+    start, end = span
+    if start < end <= n:  # already on the text, as most spans are
+        return span
+    if not n:
+        return 0, 1
+    start = min(start, n - 1)
+    return start, min(max(end, start + 1), n)
 
 
 def byte_offsets(text: str, spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -87,12 +113,7 @@ def byte_offsets(text: str, spans: list[tuple[int, int]]) -> list[tuple[int, int
     three bytes "surrogatepass" encodes it to.
     """
     n = len(text)
-    if not n:
-        return [(0, 1)] * len(spans)
-    clamped = []
-    for start, end in spans:
-        start = min(start, n - 1)
-        clamped.append((start, min(max(end, start + 1), n)))
+    clamped = [_clamp(span, n) for span in spans]
     if text.isascii():  # one byte per codepoint
         return clamped
     at = {}

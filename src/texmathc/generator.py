@@ -33,7 +33,7 @@ def to_mathml(ast: AstNode, registry: Registry,
               options: GenOptions | None = None) -> MathMLNode:
     """Translate a parser-produced AST into a presentation MathML tree.
 
-    An intent reference error is located at a codepoint span of the source."""
+    An unbound intent reference raises `IntentError` with no text (see `within`)."""
     options = options or GenOptions()
     content: list[MathMLNode] = []
     _translate(ast, registry, content)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 from .diagnostics import (
@@ -19,10 +19,7 @@ from .diagnostics import (
     E_INTENT_SYNTAX,
     E_INTENT_UNBOUND_REF,
     E_TOO_DEEP,
-    ERROR,
-    Diagnostic,
     IntentError,
-    byte_offsets,
 )
 from .mathml import MathMLNode
 from .parser import MAX_DEPTH
@@ -37,11 +34,6 @@ STRUCTURE_KINDS = frozenset({"common", "structure", "chemistry", "matrix"})
 # digit; hyphen, dot, and underscore allowed after the first character.
 _NCNAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*")
 _DIGITS = re.compile(r"[0-9]+")
-_ESCAPED_DOLLAR = re.compile(rb"\\\$")
-# A reference as written in an intent value: `$name`, or `\$name` inside the
-# quotes of the macro's option block.  In a value that parses, every `$`
-# starts one.
-_REFERENCE = re.compile(r"\\?\$(" + _NCNAME.pattern + ")")
 
 IntentExpr = Union["Concept", "Number", "Reference", "Structure", "Application"]
 
@@ -78,11 +70,11 @@ class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.refs: dict[str, tuple[int, int]] = {}  # each reference's first `$name`
 
     def fail(self, message: str, start: int | None = None, code: str = E_INTENT_SYNTAX) -> None:
         at = self.pos if start is None else start
-        (span,) = byte_offsets(self.text, [(at, self.pos)])
-        raise IntentError(Diagnostic(ERROR, code, message, span))
+        raise IntentError(code, message, (at, self.pos), self.text)
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos] in " \t":
@@ -108,13 +100,18 @@ class _Scanner:
 
 def parse_intent(text: str) -> IntentExpr:
     """Parse a full intent expression; the whole input must match."""
+    return _parse_value(text)[0]
+
+
+def _parse_value(text: str) -> tuple[IntentExpr, dict[str, tuple[int, int]]]:
+    """The expression `text` and the span of each reference's first ``$name``."""
     scanner = _Scanner(text)
     scanner.skip_ws()
     expr = _parse_intent(scanner)
     scanner.skip_ws()
     if scanner.pos != len(text):
         scanner.fail("trailing input after intent expression")
-    return expr
+    return expr, scanner.refs
 
 
 def _parse_intent(s: _Scanner, depth: int = 0) -> IntentExpr:
@@ -158,7 +155,9 @@ def _parse_primary(s: _Scanner) -> IntentExpr:
     ch = s.peek()
     if ch == "$":
         s.pos += 1
-        return Reference(s.ncname("reference name after '$'"))
+        name = s.ncname("reference name after '$'")
+        s.refs.setdefault(name, (s.pos - len(name) - 1, s.pos))
+        return Reference(name)
     if ch == ":":
         s.pos += 1
         start = s.pos
@@ -206,23 +205,17 @@ def parse_macro(raw: str) -> tuple[str, tuple[tuple[str, str], ...],
     normalized to ``$`` (both spellings appear in the wild).  Errors are
     located in `raw`.
     """
-    intent_value, start, binding = _macro_options(raw)
-    _in_value(parse_intent, intent_value, start, raw)
-    return intent_value, binding, _first_references(raw, start, raw.index("'", start))
+    options = _macro_options(raw)
+    binding = _in_value(_parse_arg_binding, *options.get("arg", ("", 0, [])), raw)
+    value, start, escapes = options["intent"]
+    _, refs = _in_value(_parse_value, value, start, escapes, raw)
+    return value, binding, {name: _in_raw(span, start, escapes) for name, span in refs.items()}
 
 
-def _first_references(text: str, start: int, end: int) -> dict[str, tuple[int, int]]:
-    """Codepoint span of each reference's first occurrence in text[start:end]."""
-    spans: dict[str, tuple[int, int]] = {}
-    for m in _REFERENCE.finditer(text, start, end):
-        spans.setdefault(m.group(1), m.span())
-    return spans
-
-
-def _macro_options(raw: str) -> tuple[str, int, tuple[tuple[str, str], ...]]:
-    """The intent value, the codepoint where it starts in `raw`, and the arg binding."""
+def _macro_options(raw: str) -> dict[str, tuple[str, int, list[int]]]:
+    """Each option's value, the codepoint where it starts in `raw`, and its escapes."""
     scanner = _Scanner(raw)
-    values: dict[str, tuple[str, int]] = {}
+    values: dict[str, tuple[str, int, list[int]]] = {}
     scanner.skip_ws()
     while scanner.pos < len(raw):
         key_start = scanner.pos
@@ -234,10 +227,10 @@ def _macro_options(raw: str) -> tuple[str, int, tuple[tuple[str, str], ...]]:
             scanner.fail("expected '=' after option name")
         scanner.skip_ws()
         start = scanner.pos + 1
-        value = _quoted(scanner)
+        value, escapes = _quoted(scanner)
         if key in values:
             scanner.fail(f"duplicate {key} option", key_start)
-        values[key] = (value, start)
+        values[key] = (value, start, escapes)
         scanner.skip_ws()
         if scanner.take(","):
             scanner.skip_ws()
@@ -247,39 +240,39 @@ def _macro_options(raw: str) -> tuple[str, int, tuple[tuple[str, str], ...]]:
         scanner.fail("trailing input in intent options")
     if "intent" not in values:
         scanner.fail("missing intent='...' option", 0)
-    intent_value, intent_start = values["intent"]
-    binding = _in_value(_parse_arg_binding, *values.get("arg", ("", 0)), raw)
-    return intent_value, intent_start, binding
+    return values
 
 
-def _in_value(parse, value: str, start: int, raw: str):
-    """`parse(value)`, where `value` was quoted from codepoint `start` of `raw`;
-    its errors are located in `raw`."""
+def _in_raw(span: tuple[int, int], start: int, escapes: list[int]) -> tuple[int, int]:
+    """`span` of a value quoted from codepoint `start`, in the text it was quoted from."""
+    return (start + span[0] + bisect_left(escapes, span[0]),
+            start + span[1] + bisect_left(escapes, span[1]))
+
+
+def _in_value(parse, value: str, start: int, escapes: list[int], raw: str):
+    """`parse(value)`, where `value` was quoted from codepoint `start` of `raw`
+    with the `escapes` of `_quoted`; its errors are located in `raw`."""
     try:
         return parse(value)
     except IntentError as exc:
-        # _quoted read each `\$` as `$`, so a byte offset into the value moves
-        # one byte on for every escape before it.
-        tail = raw[start:].encode("utf-8", "surrogatepass")
-        escapes = [m.start() - k for k, m in enumerate(_ESCAPED_DOLLAR.finditer(tail))]
-        d = exc.diagnostic
-        span = (d.span[0] + bisect_left(escapes, d.span[0]),
-                d.span[1] + bisect_left(escapes, d.span[1]))
-        raise IntentError(replace(d, span=span)).within(raw, start) from None
+        raise IntentError(exc.code, exc.message, _in_raw(exc.span, start, escapes), raw) from None
 
 
-def _quoted(s: _Scanner) -> str:
+def _quoted(s: _Scanner) -> tuple[str, list[int]]:
+    """A single-quoted value, each ``\\$`` read as ``$``, and where those ``$`` are."""
     if not s.take("'"):
         s.fail("expected single-quoted value")
     chars: list[str] = []
+    escapes: list[int] = []
     while True:
         ch = s.peek()
         if ch == "":
             s.fail("unterminated quoted value")
         if ch == "'":
             s.pos += 1
-            return "".join(chars)
+            return "".join(chars), escapes
         if ch == "\\" and s.pos + 1 < len(s.text) and s.text[s.pos + 1] == "$":
+            escapes.append(len(chars))
             chars.append("$")
             s.pos += 2
             continue
@@ -329,8 +322,8 @@ def apply_intent(node, subtree: MathMLNode) -> MathMLNode:
     to host it).  Every ``$name`` reference must resolve to exactly one
     identifier token, by text, left-to-right depth-first; the macro's arg
     binding maps formula identifiers to intent identifiers when they differ.
-    A reference that does not is reported at its first ``$name``, as a
-    codepoint span of the parsed formula; the caller maps it to bytes.
+    A reference that does not raises `IntentError` at its first ``$name``: a
+    codepoint span of the parsed formula, with no text (see `within`).
     """
     intent_raw = node.intent_raw
     root = subtree
@@ -349,14 +342,12 @@ def apply_intent(node, subtree: MathMLNode) -> MathMLNode:
             if tok.element in _REF_TARGET_ELEMENTS and tok.text in targets
         ]
         if not matches:
-            raise IntentError(Diagnostic(
-                ERROR, E_INTENT_UNBOUND_REF,
-                f"intent reference ${name} matches no identifier in the formula",
-                span))
+            raise IntentError(
+                E_INTENT_UNBOUND_REF,
+                f"intent reference ${name} matches no identifier in the formula", span)
         if len(matches) > 1:
-            raise IntentError(Diagnostic(
-                ERROR, E_INTENT_AMBIGUOUS_REF,
-                f"intent reference ${name} matches {len(matches)} identifiers",
-                span))
+            raise IntentError(
+                E_INTENT_AMBIGUOUS_REF,
+                f"intent reference ${name} matches {len(matches)} identifiers", span)
         matches[0].attributes["arg"] = name
     return root

@@ -19,13 +19,7 @@ from __future__ import annotations
 import re
 from itertools import repeat
 
-from .diagnostics import (
-    E_CHEM_SYNTAX,
-    ERROR,
-    ChemError,
-    Diagnostic,
-    byte_offsets,
-)
+from .diagnostics import E_CHEM_SYNTAX, ChemError
 
 _ELEMENT = re.compile(r"[A-Z][a-z]?")
 _DIGITS = re.compile(r"[0-9]+")
@@ -62,8 +56,7 @@ _EMPTY_BASE = (("lbrace", "{"), ("rbrace", "}"))
 
 
 def _err(message: str, text: str, start: int, end: int) -> ChemError:
-    (span,) = byte_offsets(text, [(start, end)])
-    return ChemError(Diagnostic(ERROR, E_CHEM_SYNTAX, message, span))
+    return ChemError(E_CHEM_SYNTAX, message, (start, end), text)
 
 
 def _braced(text: str) -> list[Pair]:

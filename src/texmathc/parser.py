@@ -111,14 +111,6 @@ class ParseResult:
         return self.errors + self.warnings
 
 
-class _Fail(Exception):
-    def __init__(self, code: str, message: str, span: tuple[int, int]):
-        super().__init__(message)
-        self.code = code
-        self.message = message
-        self.span = span  # codepoints
-
-
 def _collapse_arg(node: AstNode) -> AstNode:
     """Arguments written as {x}, {{x}}, ... are the same argument."""
     while isinstance(node, Curly) and len(node.children) == 1:
@@ -182,7 +174,7 @@ class _Parser:
         return -1
 
     def fail(self, code: str, message: str, tok: Token) -> None:
-        raise _Fail(code, message, tok[2:])
+        raise DiagnosticError(code, message, tok[2:], self.source)
 
     def enter(self, tok: Token) -> None:
         self.depth += 1
@@ -512,12 +504,12 @@ class _Parser:
         _, name, start, _ = toks[i]
         open_kind, _, open_start, open_end = toks[i + 1]
         if open_kind != "lbrace":
-            raise _Fail(E_CHEM_SYNTAX, f"\\{name} requires a braced argument",
-                        (start, open_start))
+            raise DiagnosticError(E_CHEM_SYNTAX, f"\\{name} requires a braced argument",
+                                  (start, open_start), self.source)
         close = self.closing(i + 1)
         if close < 0:
-            raise _Fail(E_UNBALANCED_BRACE, f"unterminated \\{name} argument",
-                        (start, len(self.source)))
+            raise DiagnosticError(E_UNBALANCED_BRACE, f"unterminated \\{name} argument",
+                                  (start, len(self.source)), self.source)
         body_end = toks[close][2]
         try:
             chunks = expand(self.source[open_end:body_end], name)
@@ -549,21 +541,17 @@ def parse(source: str, registry: Registry, *, allow_chem: bool = False) -> Parse
     """Validate `source` against the whitelist grammar and build the AST."""
     parser = _Parser(source, registry, allow_chem)
     ast = fail = None  # fail: code, message and codepoint span of the error
-    errors: tuple[Diagnostic, ...] = ()
     try:
         ast = parser.parse_formula()
-    except _Fail as exc:  # keep no reference to it: its traceback holds every frame
-        fail = exc.code, exc.message, exc.span
-    except DiagnosticError as exc:  # already located in `source`
-        errors = (exc.diagnostic,)
+    except DiagnosticError as exc:  # keep no reference to it: its traceback holds every frame
+        fail = exc.code, exc.message, exc.span  # a nested error's too, moved into `source`
     if not (fail or parser.warnings):
-        return ParseResult(ast, errors, ())
+        return ParseResult(ast, (), ())
     found = [span for _, span in parser.warnings] + ([fail[2]] if fail else [])
     spans = byte_offsets(source, found)
     warnings = tuple(warning(W_DEPRECATED, message, span)
                      for (message, _), span in zip(parser.warnings, spans))
-    if fail:
-        errors = (Diagnostic(ERROR, fail[0], fail[1], spans[-1]),)
+    errors = (Diagnostic(ERROR, fail[0], fail[1], spans[-1]),) if fail else ()
     return ParseResult(ast, errors, warnings)
 
 

@@ -1,11 +1,11 @@
-"""End-to-end orchestration: validate (expanding chemistry), generate, serialize, cache."""
+"""End-to-end orchestration: validate (expanding chemistry), generate, serialize, cache;
+the generator's error, a codepoint span of the source, is located in bytes here."""
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING, Callable
 
-from .diagnostics import Diagnostic, DiagnosticError, byte_offsets
+from .diagnostics import Diagnostic, DiagnosticError
 from .generator import to_mathml
 from .mathml import GenOptions, serialize
 from .parser import parse
@@ -23,14 +23,6 @@ class ConversionFailed(Exception):
         self.diagnostics = diagnostics
 
 
-def _located(exc: DiagnosticError, source: str) -> Diagnostic:
-    """The generator's error, an intent reference at a codepoint span of
-    `source`, located in bytes of `source`."""
-    d = exc.diagnostic
-    (span,) = byte_offsets(source, [d.span])
-    return replace(d, span=span)
-
-
 def check_formula(source: str, *, chem: bool = False,
                   registry: Registry | None = None) -> list[Diagnostic]:
     """All diagnostics for `source`; empty means valid with no warnings."""
@@ -41,7 +33,7 @@ def check_formula(source: str, *, chem: bool = False,
         try:
             to_mathml(result.ast, registry, GenOptions())
         except DiagnosticError as exc:
-            return [_located(exc, source), *result.warnings]
+            return [exc.within(source, 0).diagnostic, *result.warnings]
     return list(result.diagnostics)
 
 
@@ -75,7 +67,7 @@ def convert_formula(source: str, *, chem: bool = False,
     try:
         tree = to_mathml(result.ast, registry, options)
     except DiagnosticError as exc:
-        raise ConversionFailed([_located(exc, source)]) from None
+        raise ConversionFailed([exc.within(source, 0).diagnostic]) from None
     output = serialize(tree)
     if cache is not None and key is not None:
         try:

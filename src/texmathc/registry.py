@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from importlib import resources
 from pathlib import Path
 
 CATEGORIES = frozenset(
@@ -207,7 +206,7 @@ def load_registry(source: str | Path | None = None) -> Registry:
 
 @lru_cache(maxsize=1)
 def default_registry() -> Registry:
-    text = resources.files("texmathc.data").joinpath("registry.txt").read_text("utf-8")
+    text = (Path(__file__).parent / "data" / "registry.txt").read_text("utf-8")
     return parse_registry_text(text)
 
 

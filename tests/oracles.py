@@ -44,13 +44,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import Iterator
 
-from texmathc.diagnostics import (
-    E_UNBALANCED_BRACE,
-    ERROR,
-    ChemError,
-    Diagnostic,
-    byte_offsets,
-)
+from texmathc.diagnostics import E_UNBALANCED_BRACE, ChemError
 from texmathc.mathml import MathMLNode
 from texmathc.mhchem import _err, expand_ce, expand_pu
 from texmathc.nodes import (
@@ -405,9 +399,8 @@ def preprocess_oracle(source: str) -> str:
             raise _err(f"\\{name} requires a braced argument", source, m.start(), j)
         k = closing_brace(source, j)
         if k < 0:
-            (span,) = byte_offsets(source, [(m.start(), n)])
-            raise ChemError(Diagnostic(
-                ERROR, E_UNBALANCED_BRACE, f"unterminated \\{name} argument", span))
+            raise ChemError(E_UNBALANCED_BRACE, f"unterminated \\{name} argument",
+                            (m.start(), n), source)
         body = source[j + 1:k]
         try:
             expansion = expand_ce(body) if name == "ce" else expand_pu(body)

@@ -189,8 +189,8 @@ def test_unbound_reference(registry):
     source = "\\intent{z}{intent='f($z, $missing)'}"
     with pytest.raises(IntentError) as err:
         apply_intent(_wrap(source, registry), token("mi", "z"))
-    assert err.value.diagnostic.code == E_INTENT_UNBOUND_REF
-    start, end = err.value.diagnostic.span
+    assert err.value.code == E_INTENT_UNBOUND_REF
+    start, end = err.value.span
     assert source[start:end] == "$missing"
 
 
@@ -199,8 +199,8 @@ def test_ambiguous_reference(registry):
     row = from_xml("<mrow><mi>x</mi><mo>+</mo><mi>x</mi></mrow>")
     with pytest.raises(IntentError) as err:
         apply_intent(_wrap(source, registry), row)
-    assert err.value.diagnostic.code == E_INTENT_AMBIGUOUS_REF
-    start, end = err.value.diagnostic.span
+    assert err.value.code == E_INTENT_AMBIGUOUS_REF
+    start, end = err.value.span
     assert source[start:end] == "$x"
 
 

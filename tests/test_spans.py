@@ -8,10 +8,13 @@ text gives (0, 1).  Errors found inside a ``\\ce``/``\\pu`` body or an
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import FIXTURES
 from oracles import preprocess_oracle
 from texmathc import ConversionFailed, check_formula, convert_formula, parse
 from texmathc.diagnostics import (
@@ -23,7 +26,9 @@ from texmathc.diagnostics import (
     E_UNKNOWN_COMMAND,
     W_DEPRECATED,
     DiagnosticError,
+    IntentError,
 )
+from texmathc.generator import to_mathml
 from texmathc.intent import parse_intent, parse_macro
 from texmathc.mhchem import expand_ce, expand_pu
 
@@ -208,6 +213,16 @@ def test_intent_reference_errors_point_at_the_reference(source, code, reference)
     assert check_formula(source) == [diag]
 
 
+def test_generator_error_is_located_in_bytes_of_the_source(registry):
+    """`to_mathml` holds only the tree; `within` locates its error in the source."""
+    source = "\\text{日本}\\intent{x}{intent='f($y)'}"
+    with pytest.raises(IntentError) as err:
+        to_mathml(parse(source, registry).ast, registry)
+    diag = err.value.within(source, 0).diagnostic
+    assert (diag.code, diag.span) == (E_INTENT_UNBOUND_REF, (34, 36))
+    assert _slice(source, diag.span) == "$y"
+
+
 def test_arg_binding_error_is_located_in_the_option_block():
     raw = "intent='f', arg='a=\\$x'"
     assert _slice(raw, _error(parse_macro, raw).span) == "\\$"
@@ -249,3 +264,35 @@ def test_a_lone_surrogate_counts_three_bytes(source, code, offending, span):
     (diag,) = check_formula(source)
     assert (diag.code, diag.span) == (code, span)
     assert _surrogate_slice(source, diag.span) == offending
+
+
+# -- frozen diagnostics -------------------------------------------------
+
+
+def _stage(fn, text):
+    try:
+        fn(text)
+    except DiagnosticError as exc:
+        return exc.diagnostic.format_line()
+    return None
+
+
+def _converted(source, chem):
+    try:
+        convert_formula(source, chem=chem)
+    except ConversionFailed as exc:
+        return [d.format_line() for d in exc.diagnostics]
+    return None
+
+
+def test_frozen_diagnostics():
+    """The findings recorded by tools/gen_diagnostics.py stay as they were."""
+    fixture = json.loads((FIXTURES / "diagnostics.json").read_text("utf-8"))
+    assert len(fixture["cases"]) == 2000
+    for case in fixture["cases"]:
+        source, inner = case["source"], case["inner"]
+        assert [[d.format_line() for d in check_formula(source, chem=chem)]
+                for chem in (False, True)] == case["check"], source
+        assert [_converted(source, chem) for chem in (False, True)] == case["convert"], source
+        assert [_stage(fn, inner) for fn in (expand_ce, expand_pu, parse_intent, parse_macro)] \
+            == case["stages"], inner
