@@ -69,6 +69,9 @@ class DiagnosticError(Exception):
         self.span = span if text is None else _clamp(span, len(text))
         self.text = text
 
+    def __reduce__(self):  # `args` holds only the message
+        return type(self), (self.code, self.message, self.span, self.text)
+
     @property
     def diagnostic(self) -> Diagnostic | None:
         """The finding located in UTF-8 bytes of `text`; None without a text."""

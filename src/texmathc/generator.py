@@ -14,16 +14,13 @@ from .nodes import (
     AstNode,
     Curly,
     Delimited,
-    Fun1,
-    Fun2,
+    Fun,
     Infix,
     IntentWrap,
     Literal,
     Matrix,
+    Script,
     Sequence,
-    Sub,
-    SubSup,
-    Sup,
     Text,
 )
 from .registry import CommandSpec, Registry, decode_param
@@ -105,11 +102,9 @@ def _spec(name: str, registry: Registry) -> CommandSpec:
     return spec
 
 
-def _command(node: Fun1 | Fun2 | Infix, registry: Registry) -> MathMLNode:
+def _command(node: Fun | Infix, registry: Registry) -> MathMLNode:
     """A command with arguments, through its registry translation function."""
-    kind = type(node)
-    args = ((node.arg,) if kind is Fun1 else (node.arg1, node.arg2) if kind is Fun2
-            else (node.left, node.right))
+    args = node.args if type(node) is Fun else (node.left, node.right)
     spec = _spec(node.command, registry)
     return TRANSLATION_FNS[spec.translation_fn](registry, spec, args)
 
@@ -129,20 +124,22 @@ def _literal(node: Literal, registry: Registry) -> MathMLNode:
     return MathMLNode(op.element, dict(op.attributes), [], op.text)
 
 
-_SCRIPTS = {Sub: "msub", Sup: "msup", SubSup: "msubsup"}
-_LIMITS = {Sub: "munder", Sup: "mover", SubSup: "munderover"}  # under a big operator
+# (has a sub, has a sup) -> element; the limits stand under a big operator.
+_SCRIPTS = {(True, False): "msub", (False, True): "msup", (True, True): "msubsup"}
+_LIMITS = {(True, False): "munder", (False, True): "mover", (True, True): "munderover"}
 
 
-def _script(node: Sub | Sup | SubSup, registry: Registry) -> MathMLNode:
-    base = node.base
+def _script(node: Script, registry: Registry) -> MathMLNode:
+    base, sub, sup = node.base, node.sub, node.sup
     movable = (type(base) is Literal and base.token.startswith("\\")
                and _spec(base.token[1:], registry).translation_fn == "bigop")
     kids = [_slot(base, registry)]
-    if type(node) is not Sup:
-        kids.append(_slot(node.sub, registry))
-    if type(node) is not Sub:
-        kids.append(_slot(node.sup, registry))
-    return elem((_LIMITS if movable else _SCRIPTS)[type(node)], kids)
+    if sub is not None:
+        kids.append(_slot(sub, registry))
+    if sup is not None:
+        kids.append(_slot(sup, registry))
+    shape = (sub is not None, sup is not None)
+    return elem((_LIMITS if movable else _SCRIPTS)[shape], kids)
 
 
 def _delimited(node: Delimited, registry: Registry) -> MathMLNode:
@@ -192,11 +189,8 @@ def _intent(node: IntentWrap, registry: Registry) -> MathMLNode:
 _NODES = {
     Literal: _literal,
     Curly: _slot,
-    Sub: _script,
-    Sup: _script,
-    SubSup: _script,
-    Fun1: _command,
-    Fun2: _command,
+    Script: _script,
+    Fun: _command,
     Infix: _command,
     Matrix: _matrix_env,
     Delimited: _delimited,

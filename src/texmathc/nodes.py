@@ -1,7 +1,8 @@
 """AST node types produced by the validator.
 
-The tree is a plain tagged union of frozen dataclasses.  Two synthetic
-containers exist alongside the user-visible ones:
+The tree is a plain tagged union of frozen dataclasses, one class per shape:
+a command with its arguments is a ``Fun``, a base with its scripts a
+``Script``.  Two synthetic containers exist alongside the user-visible ones:
 
 * ``Curly`` corresponds one-to-one to a brace group typed by the author.
 * ``Sequence`` is a run of siblings with no braces of its own: the top level
@@ -18,8 +19,8 @@ from dataclasses import dataclass, field
 from typing import Union
 
 AstNode = Union[
-    "Literal", "Fun1", "Fun2", "Curly", "Sub", "Sup", "SubSup",
-    "Infix", "Matrix", "Delimited", "Text", "Sequence", "IntentWrap",
+    "Literal", "Fun", "Curly", "Script", "Infix", "Matrix", "Delimited", "Text",
+    "Sequence", "IntentWrap",
 ]
 
 
@@ -31,16 +32,14 @@ class Literal:
 
 
 @dataclass(frozen=True)
-class Fun1:
-    command: str
-    arg: AstNode
+class Fun:
+    """A command and its arguments, one or two (as the registry's arity says)."""
 
-
-@dataclass(frozen=True)
-class Fun2:
     command: str
-    arg1: AstNode
-    arg2: AstNode
+    args: tuple[AstNode, ...]
+
+    def __eq__(self, other):  # not via a (command, args) tuple: a recursion level less per command
+        return type(other) is Fun and self.command == other.command and self.args == other.args
 
 
 @dataclass(frozen=True)
@@ -49,22 +48,12 @@ class Curly:
 
 
 @dataclass(frozen=True)
-class Sub:
+class Script:
+    """A base with a subscript, a superscript or both; an absent one is None."""
+
     base: AstNode
-    sub: AstNode
-
-
-@dataclass(frozen=True)
-class Sup:
-    base: AstNode
-    sup: AstNode
-
-
-@dataclass(frozen=True)
-class SubSup:
-    base: AstNode
-    sub: AstNode
-    sup: AstNode
+    sub: AstNode | None
+    sup: AstNode | None
 
 
 @dataclass(frozen=True)

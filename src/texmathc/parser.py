@@ -39,16 +39,13 @@ from .nodes import (
     AstNode,
     Curly,
     Delimited,
-    Fun1,
-    Fun2,
+    Fun,
     Infix,
     IntentWrap,
     Literal,
     Matrix,
+    Script,
     Sequence,
-    Sub,
-    SubSup,
-    Sup,
     Text,
 )
 from .registry import CommandSpec, Registry
@@ -269,13 +266,9 @@ class _Parser:
                 sub = self.argument(tok, "subscript")
             else:
                 break
-        if sub is not None and sup is not None:
-            return SubSup(node, sub, sup)
-        if sub is not None:
-            return Sub(node, sub)
-        if sup is not None:
-            return Sup(node, sup)
-        return node
+        if sub is None and sup is None:
+            return node
+        return Script(node, sub, sup)
 
     def group(self) -> Curly:
         open_tok = self.advance()
@@ -331,19 +324,13 @@ class _Parser:
             token = "\\" + name
             return _LITERALS.get(token) or _LITERALS.setdefault(token, Literal(token))
         if spec.translation_fn in RAW_ARG_FNS:
-            content = self.raw_group(tok)
-            return Fun1(name, Text(content))
+            return Fun(name, (Text(self.raw_group(tok)),))
         if spec.translation_fn == "radical" and self.peek()[:2] == ("char", "["):
             return self.radical_with_index(tok)
         args = []
         for k in range(spec.arity):  # a loop, not a comprehension: fewer frames per level
             args.append(self.argument(tok, f"argument {k + 1} of \\{name}"))
-        if spec.arity == 1:
-            return Fun1(name, args[0])
-        if spec.arity == 2:
-            return Fun2(name, args[0], args[1])
-        self.fail(E_UNKNOWN_COMMAND, f"\\{name}: arity {spec.arity} unsupported", tok)
-        raise AssertionError
+        return Fun(name, tuple(args))
 
     def argument(self, owner: Token, what: str) -> AstNode:
         """One argument: one level of nesting, braced or not."""
@@ -373,9 +360,9 @@ class _Parser:
         self.leave()
         radicand = self.argument(cmd_tok, "argument of \\sqrt")
         if not items:
-            return Fun1("sqrt", radicand)
+            return Fun("sqrt", (radicand,))
         index = _collapse_arg(items[0]) if len(items) == 1 else Curly(tuple(items))
-        return Fun2("root", index, radicand)
+        return Fun("root", (index, radicand))
 
     def delimited(self, left_tok: Token) -> Delimited:
         self.enter(left_tok)
@@ -578,15 +565,12 @@ def render_tex(ast: AstNode) -> str:
 def _emit(node: AstNode, out: list[str]) -> None:
     if isinstance(node, Literal):
         out.append(node.token)
-    elif isinstance(node, Text):
-        out.append("{" + node.content + "}")
-    elif isinstance(node, Fun1):
+    elif isinstance(node, Text):  # the argument of a text-class command
+        out.append(node.content)
+    elif isinstance(node, Fun):
         out.append("\\" + node.command)
-        _emit_braced(node.arg, out)
-    elif isinstance(node, Fun2):
-        out.append("\\" + node.command)
-        _emit_braced(node.arg1, out)
-        _emit_braced(node.arg2, out)
+        for arg in node.args:
+            _emit_braced(arg, out)
     elif isinstance(node, Curly):
         out.append("{")
         for child in node.children:
@@ -595,20 +579,14 @@ def _emit(node: AstNode, out: list[str]) -> None:
     elif isinstance(node, Sequence):
         for child in node.children:
             _emit(child, out)
-    elif isinstance(node, Sub):
+    elif isinstance(node, Script):
         _emit(node.base, out)
-        out.append("_")
-        _emit_braced(node.sub, out)
-    elif isinstance(node, Sup):
-        _emit(node.base, out)
-        out.append("^")
-        _emit_braced(node.sup, out)
-    elif isinstance(node, SubSup):
-        _emit(node.base, out)
-        out.append("_")
-        _emit_braced(node.sub, out)
-        out.append("^")
-        _emit_braced(node.sup, out)
+        if node.sub is not None:
+            out.append("_")
+            _emit_braced(node.sub, out)
+        if node.sup is not None:
+            out.append("^")
+            _emit_braced(node.sup, out)
     elif isinstance(node, Infix):
         _emit(node.left, out)
         out.append(" \\" + node.command + " ")
@@ -639,9 +617,6 @@ def _emit(node: AstNode, out: list[str]) -> None:
 
 
 def _emit_braced(arg: AstNode, out: list[str]) -> None:
-    if isinstance(arg, Text):
-        out.append("{" + arg.content + "}")
-        return
     out.append("{")
     if isinstance(arg, Curly):
         for child in arg.children:

@@ -22,6 +22,9 @@ class ConversionFailed(Exception):
         super().__init__("; ".join(d.format_line() for d in diagnostics))
         self.diagnostics = diagnostics
 
+    def __reduce__(self):  # `args` holds only the joined message
+        return type(self), (self.diagnostics,)
+
 
 def check_formula(source: str, *, chem: bool = False,
                   registry: Registry | None = None) -> list[Diagnostic]:

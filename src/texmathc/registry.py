@@ -17,7 +17,7 @@ from pathlib import Path
 CATEGORIES = frozenset(
     {"literal", "function", "environment", "delimiter", "style", "chem-only", "intent-only"}
 )
-MAX_ARITY = 3
+MAX_ARITY = 2
 
 _HEX_PARAM = re.compile(r"^[0-9A-F]{4,6}$")
 

@@ -51,16 +51,13 @@ from texmathc.nodes import (
     AstNode,
     Curly,
     Delimited,
-    Fun1,
-    Fun2,
+    Fun,
     Infix,
     IntentWrap,
     Literal,
     Matrix,
+    Script,
     Sequence,
-    Sub,
-    SubSup,
-    Sup,
 )
 from texmathc.similarity import _INFERRED_MROW_PARENTS, CompareOptions
 
@@ -311,16 +308,10 @@ def children_of(node: AstNode) -> tuple[AstNode, ...]:
     """All direct child nodes, in source order."""
     if isinstance(node, (Curly, Sequence)):
         return node.children
-    if isinstance(node, Fun1):
-        return (node.arg,)
-    if isinstance(node, Fun2):
-        return (node.arg1, node.arg2)
-    if isinstance(node, Sub):
-        return (node.base, node.sub)
-    if isinstance(node, Sup):
-        return (node.base, node.sup)
-    if isinstance(node, SubSup):
-        return (node.base, node.sub, node.sup)
+    if isinstance(node, Fun):
+        return node.args
+    if isinstance(node, Script):
+        return tuple(n for n in (node.base, node.sub, node.sup) if n is not None)
     if isinstance(node, Infix):
         return (node.left, node.right)
     if isinstance(node, Matrix):
@@ -344,9 +335,7 @@ def command_names(node: AstNode) -> Iterator[str]:
     for item in walk(node):
         if isinstance(item, Literal) and item.token.startswith("\\"):
             yield item.token[1:]
-        elif isinstance(item, (Fun1, Infix)):
-            yield item.command
-        elif isinstance(item, Fun2):
+        elif isinstance(item, (Fun, Infix)):
             yield item.command
         elif isinstance(item, Matrix):
             yield item.env

@@ -151,6 +151,22 @@ def test_plain_scripts_use_subsup(registry):
     assert "<msubsup><mi>x</mi><mn>1</mn><mn>2</mn></msubsup>" in out
 
 
+@pytest.mark.parametrize("source, element, children, tex", [
+    ("x_1", "msub", "<mi>x</mi><mn>1</mn>", "x_{1}"),
+    ("x^2", "msup", "<mi>x</mi><mn>2</mn>", "x^{2}"),
+    ("x_1^2", "msubsup", "<mi>x</mi><mn>1</mn><mn>2</mn>", "x_{1}^{2}"),
+    ("x^2_1", "msubsup", "<mi>x</mi><mn>1</mn><mn>2</mn>", "x_{1}^{2}"),
+    ("\\sum_{i}", "munder", "<mo>∑</mo><mi>i</mi>", "\\sum_{i}"),
+    ("\\sum^{n}", "mover", "<mo>∑</mo><mi>n</mi>", "\\sum^{n}"),
+    ("\\sum_{i}^{n}", "munderover", "<mo>∑</mo><mi>i</mi><mi>n</mi>", "\\sum_{i}^{n}"),
+])
+def test_every_script_element(registry, source, element, children, tex):
+    # base, then sub, then sup, whichever order the source wrote them in
+    out = serialize(convert(registry, source))
+    assert out == f'<math display="inline"><{element}>{children}</{element}></math>'
+    assert render_tex(parse(source, registry).ast) == tex
+
+
 def test_display_attribute(registry):
     assert serialize(convert(registry, "x", display="block")).startswith(
         '<math display="block">')

@@ -20,15 +20,13 @@ from texmathc.diagnostics import (
 from texmathc.nodes import (
     Curly,
     Delimited,
-    Fun1,
+    Fun,
     Infix,
     IntentWrap,
     Literal,
     Matrix,
+    Script,
     Sequence,
-    Sub,
-    SubSup,
-    Sup,
     Text,
 )
 from texmathc.mathml import GenOptions
@@ -57,9 +55,9 @@ def test_single_identifier(registry):
 def test_sqrt_example(registry):
     ast = ok(registry, "\\sqrt{1-z^3}")
     expected = Sequence((
-        Fun1("sqrt", Curly((
-            Literal("1"), Literal("-"), Sup(Literal("z"), Literal("3")),
-        ))),
+        Fun("sqrt", (Curly((
+            Literal("1"), Literal("-"), Script(Literal("z"), None, Literal("3")),
+        )),)),
     ))
     assert ast == expected
 
@@ -75,10 +73,10 @@ def test_vmatrix_example(registry):
 
 
 def test_scripts(registry):
-    assert ok(registry, "x^2") == Sequence((Sup(Literal("x"), Literal("2")),))
-    assert ok(registry, "x_1") == Sequence((Sub(Literal("x"), Literal("1")),))
+    assert ok(registry, "x^2") == Sequence((Script(Literal("x"), None, Literal("2")),))
+    assert ok(registry, "x_1") == Sequence((Script(Literal("x"), Literal("1"), None),))
     assert ok(registry, "x_1^2") == Sequence((
-        SubSup(Literal("x"), Literal("1"), Literal("2")),))
+        Script(Literal("x"), Literal("1"), Literal("2")),))
     # both script orders canonicalize to the same node
     assert ok(registry, "x^2_1") == ok(registry, "x_1^2")
 
@@ -97,7 +95,7 @@ def test_delimited_null_side(registry):
 
 def test_text_keeps_spaces(registry):
     ast = ok(registry, "\\text{ two words }")
-    assert ast == Sequence((Fun1("text", Text(" two words ")),))
+    assert ast == Sequence((Fun("text", (Text(" two words "),)),))
 
 
 def test_intent_macro_ast(registry):
@@ -432,7 +430,7 @@ def test_raw_argument_ends_where_the_text_scan_does(rest):
     assert [(d.code, d.message, (d.span[0] - shift, d.span[1] - shift))
             for d in result.errors] == [(d.code, d.message, d.span) for d in after.errors]
     if result.ok:
-        assert result.ast.children == (Fun1("text", Text(source[6:close])),
+        assert result.ast.children == (Fun("text", (Text(source[6:close]),)),
                                        *after.ast.children)
 
 

@@ -64,7 +64,7 @@ def test_every_fn_resolves(registry):
 
 def test_categories_and_arities(registry):
     for spec in registry.commands.values():
-        assert 0 <= spec.arity <= 3
+        assert 0 <= spec.arity <= 2
     assert registry.lookup("ce").category == "chem-only"
     assert registry.lookup("pu").category == "chem-only"
     assert registry.lookup("longrightleftharpoons").category == "chem-only"
@@ -93,6 +93,13 @@ def test_unknown_translation_fn_rejected():
 def test_malformed_line_identified():
     bad = "version 1\n[commands]\nfoo\t0\n"
     with pytest.raises(RegistryError, match="line 3"):
+        parse_registry_text(bad)
+
+
+def test_arity_past_two_rejected():
+    # no translation function takes three arguments
+    bad = "version 1\n[commands]\nfoo\t2\tfraction\t-\tfunction\nbar\t3\tfraction\t-\tfunction\n"
+    with pytest.raises(RegistryError, match="line 4: command 'bar': arity 3 out of range"):
         parse_registry_text(bad)
 
 

@@ -9,6 +9,7 @@ text gives (0, 1).  Errors found inside a ``\\ce``/``\\pu`` body or an
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -226,6 +227,32 @@ def test_generator_error_is_located_in_bytes_of_the_source(registry):
 def test_arg_binding_error_is_located_in_the_option_block():
     raw = "intent='f', arg='a=\\$x'"
     assert _slice(raw, _error(parse_macro, raw).span) == "\\$"
+
+
+def _raised(fn, *args, **kwargs):
+    with pytest.raises(Exception) as err:
+        fn(*args, **kwargs)
+    return err.value
+
+
+def test_errors_cross_a_process_boundary(registry):
+    """A caller converting in a process pool gets the diagnostics back."""
+    errors = [
+        _raised(convert_formula, "\\zz"),
+        _raised(expand_ce, "H@"),
+        _raised(parse_intent, "f($x"),
+        _raised(to_mathml, parse("\\intent{x}{intent='f($y)'}", registry).ast, registry),
+    ]
+    assert [type(e).__name__ for e in errors] == [
+        "ConversionFailed", "ChemError", "IntentError", "IntentError"]
+    assert errors[3].text is None
+    fields = ("code", "message", "span", "text", "diagnostic", "diagnostics")
+    for exc in errors:
+        copy = pickle.loads(pickle.dumps(exc))
+        assert type(copy) is type(exc)
+        assert str(copy) == str(exc)
+        for name in fields:
+            assert getattr(copy, name, None) == getattr(exc, name, None), name
 
 
 # -- every scanner ------------------------------------------------------
