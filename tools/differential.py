@@ -12,7 +12,7 @@ imports ``texmathc`` from that tree's ``src/`` and writes one JSON line per
 inputs file, so only the package differs.  Lines are compared as they
 arrive.
 
-Inputs, built once from ``--seed``:
+Inputs, built once from SEED:
 
 * the sources of ``corpora/combined_423.json`` and
   ``corpora/mhchem_conformance.json``, and the pairs of
@@ -37,7 +37,7 @@ semantics + annotation} x chemistry {off, on}; the ``render_tex`` round trip
 COMPARE_OPTIONS, on batches of BATCH pairs.
 
 The report gives, per entry point, how many outcomes were compared and how
-many differ, then the first ``--show`` differing cases of each.  The exit
+many differ, then the first SHOW differing cases of each.  The exit
 status is 1 when a difference is not listed in the ``--expect`` file, 0
 otherwise.  That file holds one JSON object per line: ``entry`` (an entry
 point name, or a prefix of one ending before a ``/``) and either ``input``
@@ -60,6 +60,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 20261019
+SHOW = 5  # differing cases shown per entry point
 COUNT = 60000
 BATCH = 50
 LONG_DIGITS = 4400
@@ -270,37 +271,45 @@ def _listed(expect: list[dict], entry: str, key: str) -> bool:
 
 
 def _short(value, limit: int = 300) -> str:
-    text = json.dumps(value, ensure_ascii=False)
+    text = json.dumps(value)  # ASCII: generated inputs hold lone surrogates
     return text if len(text) <= limit else text[:limit] + f"... ({len(text)} chars)"
 
 
-def compare(trees: list[Path], inputs_path: Path, expect: list[dict], show: int) -> int:
+def compare(trees: list[Path], inputs_path: Path, expect: list[dict]) -> int:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     procs = [subprocess.Popen([sys.executable, __file__, "--worker", str(tree), str(inputs_path)],
                               stdout=subprocess.PIPE, text=True, env=env, encoding="utf-8")
              for tree in trees]
     counts: dict[str, list[int]] = {}  # entry -> [outcomes, differing, expected]
     shown: dict[str, list[str]] = {}
-    for line_a, line_b in zip(procs[0].stdout, procs[1].stdout):
-        a, b = json.loads(line_a), json.loads(line_b)
-        if a[:2] != b[:2]:
-            raise SystemExit(f"the workers went out of step: {a[:2]} against {b[:2]}")
-        entry, key = a[0], a[1]
-        row = counts.setdefault(entry, [0, 0, 0])
-        row[0] += 1
-        if line_a == line_b:
-            continue
-        row[1] += 1
-        if _listed(expect, entry, key):
-            row[2] += 1
-            continue
-        cases = shown.setdefault(entry, [])
-        if len(cases) < show:
-            cases.append(f"  input {_short(key)}\n    base {_short(a[2])}\n"
-                         f"    head {_short(b[2])}")
+    line_a = line_b = ""
+    try:
+        while True:
+            line_a, line_b = (proc.stdout.readline() for proc in procs)
+            if not line_a or not line_b:
+                break
+            a, b = json.loads(line_a), json.loads(line_b)
+            if a[:2] != b[:2]:
+                raise SystemExit(f"the workers went out of step: {a[:2]} against {b[:2]}")
+            entry, key = a[0], a[1]
+            row = counts.setdefault(entry, [0, 0, 0])
+            row[0] += 1
+            if line_a == line_b:
+                continue
+            row[1] += 1
+            if _listed(expect, entry, key):
+                row[2] += 1
+                continue
+            cases = shown.setdefault(entry, [])
+            if len(cases) < SHOW:
+                cases.append(f"  input {_short(key)}\n    base {_short(a[2])}\n"
+                             f"    head {_short(b[2])}")
+    finally:
+        if line_a or line_b:  # a worker still writing would block on a full pipe
+            for proc in procs:
+                proc.kill()
     codes = [proc.wait() for proc in procs]
-    left = [proc.stdout.read() for proc in procs]
-    if any(codes) or any(left):
+    if any(codes) or line_a or line_b:
         raise SystemExit(f"a worker failed (exit status {codes}) or stopped early")
     print(f"{'entry point':52} {'outcomes':>9} {'differ':>7} {'expected':>9}")
     for entry, (total, differ, expected) in counts.items():
@@ -321,20 +330,18 @@ def main(argv: list[str] | None = None) -> int:
                         "(default: the working tree)")
     parser.add_argument("--expect", type=Path, help="JSON lines of expected differences")
     parser.add_argument("--count", type=int, default=COUNT, help="generated sources")
-    parser.add_argument("--seed", type=int, default=SEED)
-    parser.add_argument("--show", type=int, default=5, help="differing cases shown per entry")
     args = parser.parse_args(argv)
     expect = _expected(args.expect)
     with tempfile.TemporaryDirectory(prefix="texmathc-differential-") as tmp:
         tmp_path = Path(tmp)
-        inputs = build_inputs(args.seed, args.count)
+        inputs = build_inputs(SEED, args.count)
         inputs_path = tmp_path / "inputs.json"
         inputs_path.write_text(json.dumps(inputs), "utf-8")
         print(f"{len(inputs['sources'])} sources, {len(inputs['bodies'])} chemistry bodies, "
-              f"{len(inputs['pairs'])} MathML pairs (seed {args.seed})", flush=True)
+              f"{len(inputs['pairs'])} MathML pairs (seed {SEED})", flush=True)
         trees = [extract(args.base, tmp_path / "base"),
                  extract(args.head, tmp_path / "head") if args.head else ROOT]
-        return compare(trees, inputs_path, expect, args.show)
+        return compare(trees, inputs_path, expect)
 
 
 if __name__ == "__main__":
