@@ -21,7 +21,6 @@ from .nodes import (
     Matrix,
     Script,
     Sequence,
-    Text,
 )
 from .registry import CommandSpec, Registry, decode_param
 
@@ -195,7 +194,6 @@ _NODES = {
     Matrix: _matrix_env,
     Delimited: _delimited,
     IntentWrap: _intent,
-    Text: lambda node, registry: token("mtext", node.content),  # only under text-class commands
 }
 
 
@@ -233,14 +231,12 @@ def _fn_space(registry, spec, args):
     return elem("mspace", width=spec.params[0])
 
 
-def _fn_text(registry, spec, args):
-    content = args[0].content if isinstance(args[0], Text) else ""
-    return token("mtext", content)
+def _fn_text(registry, spec, args):  # args[0] is the parser's Text
+    return token("mtext", args[0].content)
 
 
 def _fn_operatorname(registry, spec, args):
-    content = args[0].content if isinstance(args[0], Text) else ""
-    return token("mi", content, mathvariant="normal")
+    return token("mi", args[0].content, mathvariant="normal")
 
 
 def _fn_stacked(registry, spec, args):
@@ -328,6 +324,32 @@ TRANSLATION_FNS = {
     "pmod": _fn_pmod,
 }
 
-# Translation ids of registry entries translated from their own AST nodes
-# (Matrix, IntentWrap) rather than through TRANSLATION_FNS.
-STRUCTURAL_FNS = frozenset({"matrix", "intent"})
+# Every translation id a registry row may name, with its arities (0 is the
+# infix form of "fraction", "binom" and "atop") and the fewest and most
+# parameters it reads; the loader rejects a row outside these.  "matrix" and
+# "intent" are translated from their own AST nodes (Matrix, IntentWrap), the
+# others through TRANSLATION_FNS.
+SHAPES = {
+    "identifier": ((0,), 1, 1),
+    "operator": ((0,), 1, 1),
+    "bigop": ((0,), 1, 1),
+    "function": ((0,), 1, 1),
+    "delimiter": ((0,), 1, 1),
+    "space": ((0,), 1, 1),
+    "text": ((1,), 0, 0),
+    "operatorname": ((1,), 0, 0),
+    "accent": ((1,), 1, 1),
+    "under": ((1,), 1, 1),
+    "stacked": ((2,), 1, 1),
+    "radical": ((1,), 0, 0),
+    "root": ((2,), 0, 0),
+    "fraction": ((0, 2), 0, 1),
+    "binom": ((0, 2), 2, 3),
+    "atop": ((0, 2), 0, 0),
+    "style": ((1,), 1, 1),
+    "phantom": ((1,), 0, 0),
+    "enclose": ((1,), 0, 1),
+    "pmod": ((1,), 0, 0),
+    "matrix": ((0,), 0, 2),
+    "intent": ((2,), 0, 0),
+}

@@ -155,7 +155,13 @@ def xml_parts(element: ET.Element) -> tuple[str, str | None, dict[str, str], ET.
         attributes = {_local(key): value for key, value in attributes.items()}
     if len(element):
         return name, None, attributes, element
-    return name, (element.text or "").strip() or None, attributes, element
+    return name, token_text(element.text), attributes, element
+
+
+def token_text(text: str | None) -> str | None:
+    """Text as read and compared: whitespace-trimmed, and none when nothing
+    is left."""
+    return (text or "").strip() or None
 
 
 def _local(name: str) -> str:

@@ -113,6 +113,9 @@ def _split_attrs(text: str, where: str) -> tuple[tuple[str, str], ...]:
 
 def parse_registry_text(text: str) -> Registry:
     """Parse registry file content.  Raises RegistryError naming the bad line."""
+    # Imported here: the generator imports this module for its types.
+    from .generator import SHAPES
+
     version: str | None = None
     commands: dict[str, CommandSpec] = {}
     operators: dict[str, OperatorSpec] = {}
@@ -148,7 +151,7 @@ def parse_registry_text(text: str) -> Registry:
                     raise RegistryError(f"line {lineno}: unknown flag {flags!r}")
                 deprecated = True
             try:
-                commands[name] = CommandSpec(
+                spec = CommandSpec(
                     name=name,
                     arity=arity,
                     translation_fn=fn,
@@ -156,8 +159,10 @@ def parse_registry_text(text: str) -> Registry:
                     category=category,
                     deprecated=deprecated,
                 )
+                _check_shape(spec, SHAPES)
             except RegistryError as exc:
                 raise RegistryError(f"line {lineno}: {exc}") from None
+            commands[name] = spec
         elif section == "[operators]":
             if len(fields) != 4:
                 raise RegistryError(f"line {lineno}: expected 4 tab-separated fields")
@@ -179,21 +184,23 @@ def parse_registry_text(text: str) -> Registry:
     if version is None:
         raise RegistryError("missing version header")
 
-    registry = Registry(version=version, commands=commands, operators=operators)
-    _check_translation_fns(registry)
-    return registry
+    return Registry(version=version, commands=commands, operators=operators)
 
 
-def _check_translation_fns(registry: Registry) -> None:
-    # Imported lazily: the generator imports this module for its types.
-    from .generator import STRUCTURAL_FNS, TRANSLATION_FNS
-
-    known = TRANSLATION_FNS.keys() | STRUCTURAL_FNS
-    for spec in registry.commands.values():
-        if spec.translation_fn not in known:
-            raise RegistryError(
-                f"command {spec.name!r}: unknown translation function {spec.translation_fn!r}"
-            )
+def _check_shape(spec: CommandSpec, shapes: dict) -> None:
+    """Raise unless the translation function of `spec` can render its arity
+    and parameters (see `generator.SHAPES`)."""
+    fn = spec.translation_fn
+    if fn not in shapes:
+        raise RegistryError(f"command {spec.name!r}: unknown translation function {fn!r}")
+    arities, fewest, most = shapes[fn]
+    if spec.arity not in arities:
+        raise RegistryError(f"command {spec.name!r}: {fn} takes arity "
+                            f"{' or '.join(map(str, arities))}, not arity {spec.arity}")
+    if not fewest <= len(spec.params) <= most:
+        wanted = str(fewest) if fewest == most else f"{fewest} to {most}"
+        raise RegistryError(f"command {spec.name!r}: {len(spec.params)} parameters given, "
+                            f"{fn} takes {wanted}")
 
 
 def load_registry(source: str | Path | None = None) -> Registry:

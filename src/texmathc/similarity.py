@@ -10,12 +10,10 @@ renderers do not count as differences.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
 
-from .mathml import MathMLNode, xml_parts
+from .mathml import MathMLNode, token_text, xml_parts
 
 # Elements whose single-child mrow is structural bookkeeping, not content.
 _INFERRED_MROW_PARENTS = frozenset({
@@ -94,11 +92,13 @@ class CorpusReport:
 #
 # A tree is read through an accessor that gives a node's (name, text,
 # attributes, children): `xml_parts` for a parsed XML element, `_node_parts`
-# for a MathMLNode.  `batch_compare` walks the parsed documents themselves,
-# so no MathMLNode tree is built on its path.
+# for a MathMLNode.  Both read text by `token_text`, so a tree and its XML
+# compare equal.  `batch_compare` walks the parsed documents themselves, so
+# no MathMLNode tree is built on its path.
 
 
-_node_parts = attrgetter("element", "text", "attributes", "children")
+def _node_parts(node: MathMLNode) -> tuple:
+    return node.element, token_text(node.text), node.attributes, node.children
 
 
 def _node_wrapper(children: list[MathMLNode]) -> MathMLNode:
@@ -234,9 +234,9 @@ def tree_edit_distance(a: MathMLNode, b: MathMLNode,
     O(n).  Otherwise a lower bound L and an upper bound U are taken from
     the same arrays; for trees of one shape, L is raised to the edit
     distance between their postorder label strings.  When L and U still
-    differ the Zhang-Shasha kernel runs banded to a cutoff k (see
-    `_ted_within`), k doubling from about L until the distance is found;
-    past `FULL_BAND_SHARE` of the node count it runs unbanded.
+    differ, one Zhang-Shasha run (`_ted`) gives the distance; its cost
+    grows with the product of the two node counts and does not fall with
+    the distance.
     """
     lmld_a, items_a = _walk(a, _node_parts, _node_wrapper, options)
     lmld_b, items_b = _walk(b, _node_parts, _node_wrapper, options)
@@ -250,7 +250,7 @@ def _distance(lmld_a: list[int], items_a: list, lmld_b: list[int], items_b: list
     trees; slot 0 holds -1.  Trees equal but for attributes are settled by
     the bounds, which meet at 0.  Between the bounds, the postorder string
     distance (`_levenshtein`) raises the lower one where it can reach the
-    upper one, and the cutoff search starts from the raised bound.
+    upper one.  A pair the bounds leave open runs the kernel once.
     """
     if lmld_a == lmld_b and items_a == items_b:  # equal trees, attributes and all
         return 0
@@ -259,21 +259,14 @@ def _distance(lmld_a: list[int], items_a: list, lmld_b: list[int], items_b: list
                  for element, text, _ in items_a]
     lb = [-1] + [codes.setdefault((element, text or ""), len(codes))
                  for element, text, _ in items_b]
-    m, n = len(items_a), len(items_b)
     low, high = _bounds(la, lmld_a, lb, lmld_b)
     # The string bound is at most max(m, n), so it can reach `high` only
     # there, which takes equal shapes.
-    if low < high <= max(m, n):
+    if low < high <= max(len(items_a), len(items_b)):
         low = max(low, _levenshtein(la[1:], lb[1:]))
     if low == high:
         return low
-    k = high if high <= 2 * low else max(low, 1)
-    while k < FULL_BAND_SHARE * (m + n):
-        distance = _ted_within(la, lmld_a, lb, lmld_b, k)
-        if distance <= k:
-            return distance
-        k = min(2 * k, high)
-    return _ted_within(la, lmld_a, lb, lmld_b)
+    return _ted(la, lmld_a, lb, lmld_b)
 
 
 def _bounds(la: list[int], lmld_a: list[int], lb: list[int], lmld_b: list[int]) -> tuple[int, int]:
@@ -327,72 +320,19 @@ def _levenshtein(a: list[int], b: list[int]) -> int:
     return score
 
 
-# A cutoff k at or above this share of m + n runs the kernel unbanded.  A
-# banded run there costs about a sixth of an unbanded one (200-600 nodes),
-# so a search that fails below it wastes about a third of one at most, and
-# unrelated trees, whose lower bound is above it (tools/scaling.py),
-# run unbanded at once.
-FULL_BAND_SHARE = 0.1
+def _ted(la: list[int], lmld_a: list[int], lb: list[int], lmld_b: list[int]) -> int:
+    """The tree edit distance between trees given as postorder label codes
+    and leftmost leaves (both 1-based).
 
-
-def _ted_within(la: list[int], lmld_a: list[int], lb: list[int], lmld_b: list[int],
-                k: int | None = None) -> int:
-    """min(TED, k + 1) for trees given as postorder label codes and leftmost
-    leaves (both 1-based); with no k, the distance itself.
-
-    Zhang-Shasha with a k-strip band (Touzet, CPM 2005).  A mapping maps
-    the nodes left of, below and after x in A to those left of, below and
-    after y in B, so when it maps x to y it leaves at least
-
-        |li - lj| + |size(x) - size(y)| + |(m - x) - (n - y)|
-
-    nodes unmapped (li, lj: their leftmost leaves).  With a cost of at most
-    k, a keyroot pair runs only when its leftmost paths hold such a pair
-    (x, y), and its rows and columns stop at the last one.  In its table
-    only the cells whose two forests differ in size by at most
-    k - |li - lj| are computed; every other `fd` cell, and every `treedist`
-    cell left uncomputed, counts as k + 1.  Each cell then holds at least
-    min(its distance, k + 1), and every cell that a mapping of cost <= k
-    passes through is exact.
+    Zhang-Shasha: for every pair of keyroots (i, j), a forest table over
+    the subtrees of i and j gives the distance between every pair of
+    subtrees whose roots lie on their leftmost paths, from the distances
+    of the subtrees to their left, which earlier pairs computed.
     """
     m, n = len(la) - 1, len(lb) - 1
-    leaves_a, paths_a = _leftmost_paths(lmld_a)
-    leaves_b, paths_b = _leftmost_paths(lmld_b)
-    if k is None:  # every keyroot pair, whole
-        k = 2 * (m + n)
-        pairs = [(i, j, i, j) for i in paths_a for j in paths_b]
-    else:
-        # On the leftmost paths of keyroots i and j, with d = li - lj and s
-        # the subtree size difference, x - y = d + s and the bound above is
-        # |d| + |s| + |m - n - d - s| <= k: y - x lies in lo..hi.
-        pairs = []
-        starts = sorted((lmld_b[j], j) for j in paths_b)
-        firsts = [first for first, _ in starts]
-        for i, path_i in paths_a.items():
-            li = path_i[0]
-            for lj, j in starts[bisect_left(firsts, li - k):bisect_right(firsts, li + k)]:
-                d = li - lj
-                e = m - n - d
-                slack = k - abs(d) - abs(e)
-                if slack < 0:
-                    continue
-                lo = -d - max(0, e) - slack // 2
-                hi = -d - min(0, e) + slack // 2
-                if j - li < lo or lj - i > hi:
-                    continue
-                path_j = paths_b[j]
-                for last_x in reversed(path_i):
-                    if _meets(path_j, last_x + lo, last_x + hi):
-                        break
-                else:
-                    continue
-                for last_y in reversed(path_j):
-                    if _meets(path_i, last_y - hi, last_y - lo):
-                        break
-                pairs.append((i, j, last_x, last_y))
-        pairs.sort()
-    over = k + 1
-    treedist = [[over] * (n + 1) for _ in range(m + 1)]
+    leaves_a, keyroots_a = _keyroots(lmld_a)
+    leaves_b, keyroots_b = _keyroots(lmld_b)
+    treedist = [[0] * (n + 1) for _ in range(m + 1)]
     # A keyroot that is a leaf is its own leftmost path, and a tree edit
     # distance from a single node is the other tree's size less one if the
     # label occurs in it: these rows and columns need no forest table.
@@ -402,89 +342,55 @@ def _ted_within(la: list[int], lmld_a: list[int], lb: list[int], lmld_b: list[in
     columns = _single_node_distances(la, lmld_a, {lb[j] for j in leaves_b})
     for j in leaves_b:
         column = columns[lb[j]]
-        for x in range(max(1, j - k), min(m, j + k) + 1):
+        for x in range(1, m + 1):
             treedist[x][j] = column[x]
     # fd[x][y]: distance between the forests lmld[i]..x of A and lmld[j]..y
     # of B for the keyroot pair (i, j) being computed; shared by all pairs.
     # Row or column lmld[x] - 1 holds the forest left of x's subtree.
-    fd = [[over] * (n + 2) for _ in range(m + 1)]
+    fd = [[0] * (n + 1) for _ in range(m + 1)]
     pa = [x - 1 for x in lmld_a]
     pb = [y - 1 for y in lmld_b]
-    for i, j, last_x, last_y in pairs:
-        li1, lj1 = lmld_a[i] - 1, lmld_b[j] - 1
-        width = k - abs(li1 - lj1)  # the band's half-width for this pair
-        prev = fd[li1]
-        hi = lj1 + width
-        if hi >= last_y:
-            hi = last_y
-        else:
-            prev[hi + 1] = over
-        prev[lj1:hi + 1] = range(hi + 1 - lj1)
-        for x in range(li1 + 1, last_x + 1):
-            # Row x's band: the B forests at most `width` nodes larger or
-            # smaller than the A forest.  Cells outside it may hold values
-            # from an earlier keyroot pair, except the one to its right, set
-            # to k + 1 for the row below.
-            size = x - li1
-            row = fd[x]
-            lo = lj1 + size - width
-            if lo > lj1:
-                left = over
-            else:
-                lo = lj1 + 1
-                left = row[lj1] = size
-            hi = lj1 + size + width
-            if hi >= last_y:
-                hi = last_y
-            else:
-                row[hi + 1] = over
-            tdx = treedist[x]
-            p = pa[x]
-            # min(up + 1, left + 1, cost) with a single addition: the
-            # smaller of up and left, plus one, if it is below cost.
-            if p == li1:  # x's subtree is the whole A forest
-                ax = la[x]
-                for y in range(lo, hi + 1):
-                    q = pb[y]
-                    if q == lj1:  # both forests are whole trees
-                        cost = prev[y - 1] + (ax != lb[y])
-                    else:
-                        cost = q - lj1 + tdx[y]
-                    up = prev[y]
-                    if left < up:
-                        up = left
-                    if up < cost:
-                        cost = up + 1
-                    if q == lj1:
-                        tdx[y] = cost
-                    row[y] = left = cost
+    for i in keyroots_a:
+        li1 = lmld_a[i] - 1
+        for j in keyroots_b:
+            lj1 = lmld_b[j] - 1
+            prev = fd[li1]
+            prev[lj1:j + 1] = range(j + 1 - lj1)
+            for x in range(li1 + 1, i + 1):
+                row = fd[x]
+                left = row[lj1] = x - li1
+                tdx = treedist[x]
+                p = pa[x]
+                # min(up + 1, left + 1, cost) with a single addition: the
+                # smaller of up and left, plus one, if it is below cost.
+                if p == li1:  # x's subtree is the whole A forest
+                    ax = la[x]
+                    for y in range(lj1 + 1, j + 1):
+                        q = pb[y]
+                        if q == lj1:  # both forests are whole trees
+                            cost = prev[y - 1] + (ax != lb[y])
+                        else:
+                            cost = q - lj1 + tdx[y]
+                        up = prev[y]
+                        if left < up:
+                            up = left
+                        if up < cost:
+                            cost = up + 1
+                        if q == lj1:
+                            tdx[y] = cost
+                        row[y] = left = cost
+                else:
+                    base = fd[p]
+                    for y in range(lj1 + 1, j + 1):
+                        cost = base[pb[y]] + tdx[y]
+                        up = prev[y]
+                        if left < up:
+                            up = left
+                        if up < cost:
+                            cost = up + 1
+                        row[y] = left = cost
                 prev = row
-                continue
-            base = fd[p]
-            # Cells read from row p lie in lj1..hi - 1; its band is q_lo..q_hi.
-            q_lo = lj1 + p - li1 - width
-            q_hi = q_lo + 2 * width
-            if q_lo <= lj1 and hi <= q_hi:
-                for y in range(lo, hi + 1):
-                    cost = base[pb[y]] + tdx[y]
-                    up = prev[y]
-                    if left < up:
-                        up = left
-                    if up < cost:
-                        cost = up + 1
-                    row[y] = left = cost
-            else:
-                for y in range(lo, hi + 1):
-                    q = pb[y]
-                    cost = base[q] + tdx[y] if q_lo <= q <= q_hi else over
-                    up = prev[y]
-                    if left < up:
-                        up = left
-                    if up < cost:
-                        cost = up + 1
-                    row[y] = left = cost
-            prev = row
-    return min(treedist[m][n], over)
+    return treedist[m][n]
 
 
 def _single_node_distances(labels: list[int], lmld: list[int], wanted: set[int]) -> dict:
@@ -508,24 +414,15 @@ def _single_node_distances(labels: list[int], lmld: list[int], wanted: set[int])
     return out
 
 
-def _leftmost_paths(lmld: list[int]) -> tuple[list[int], dict[int, list[int]]]:
-    """The keyroots that are leaves, and the leftmost path, bottom up, of
-    every other keyroot, keyroots in postorder.
-
-    A keyroot is the highest node of its leftmost leaf; the nodes that share
-    that leaf form its path.
-    """
-    paths: dict[int, list[int]] = {}
+def _keyroots(lmld: list[int]) -> tuple[list[int], list[int]]:
+    """The keyroots that are leaves, and the other keyroots, each in
+    postorder.  A keyroot is the highest node of its leftmost leaf."""
+    highest = {}
     for x in range(1, len(lmld)):
-        paths.setdefault(lmld[x], []).append(x)
-    leaves = sorted(path[0] for path in paths.values() if len(path) == 1)
-    return leaves, dict(sorted((path[-1], path) for path in paths.values() if len(path) > 1))
-
-
-def _meets(path: list[int], lo: int, hi: int) -> bool:
-    """Whether the sorted `path` holds a node in lo..hi."""
-    at = bisect_left(path, lo)
-    return at < len(path) and path[at] <= hi
+        highest[lmld[x]] = x
+    keyroots = sorted(highest.values())
+    return ([x for x in keyroots if lmld[x] == x],
+            [x for x in keyroots if lmld[x] != x])
 
 
 # -- corpus aggregation -------------------------------------------------------

@@ -167,6 +167,18 @@ def test_every_script_element(registry, source, element, children, tex):
     assert render_tex(parse(source, registry).ast) == tex
 
 
+@pytest.mark.parametrize("source, mathml, tex", [
+    # a style over one token that is not a letter styles that token
+    ("\\mathbf{1}", '<mn mathvariant="bold">1</mn>', "\\mathbf{1}"),
+    # an empty root index is no index
+    ("\\sqrt[]{x}", "<msqrt><mi>x</mi></msqrt>", "\\sqrt{x}"),
+])
+def test_branches_no_corpus_formula_reaches(registry, source, mathml, tex):
+    out = serialize(convert(registry, source))
+    assert out == f'<math display="inline">{mathml}</math>'
+    assert render_tex(parse(source, registry).ast) == tex
+
+
 def test_display_attribute(registry):
     assert serialize(convert(registry, "x", display="block")).startswith(
         '<math display="block">')

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from texmathc.generator import STRUCTURAL_FNS, TRANSLATION_FNS
+from texmathc.generator import SHAPES, TRANSLATION_FNS
 from texmathc.registry import (
     Registry,
     RegistryError,
@@ -53,13 +53,14 @@ def test_lookup_absent_is_none(registry):
 def test_default_registry_breadth(registry):
     assert len(registry.commands) >= 200
     used_fns = {spec.translation_fn for spec in registry.commands.values()}
-    assert used_fns == set(TRANSLATION_FNS) | STRUCTURAL_FNS, (
+    assert used_fns == set(SHAPES), (
         "every translation function must be exercised by the shipped data")
 
 
 def test_every_fn_resolves(registry):
+    assert set(SHAPES) == set(TRANSLATION_FNS) | {"matrix", "intent"}
     for spec in registry.commands.values():
-        assert spec.translation_fn in TRANSLATION_FNS.keys() | STRUCTURAL_FNS, spec.name
+        assert spec.translation_fn in SHAPES, spec.name
 
 
 def test_categories_and_arities(registry):
@@ -101,6 +102,22 @@ def test_arity_past_two_rejected():
     bad = "version 1\n[commands]\nfoo\t2\tfraction\t-\tfunction\nbar\t3\tfraction\t-\tfunction\n"
     with pytest.raises(RegistryError, match="line 4: command 'bar': arity 3 out of range"):
         parse_registry_text(bad)
+
+
+@pytest.mark.parametrize("row, shape", [
+    ("foo\t0\taccent\t005E\tfunction", "arity 0"),
+    ("foo\t0\ttext\t-\tfunction", "arity 0"),
+    ("foo\t0\tspace\t-\tfunction", "0 parameters given"),
+    ("foo\t1\tidentifier\t0061\tliteral", "arity 1"),
+    ("foo\t1\tfraction\t-\tfunction", "arity 1"),
+    ("foo\t1\tstyle\tbold,italic\tstyle", "2 parameters given"),
+], ids=["accent-0", "text-0", "space-no-param", "identifier-1", "fraction-1", "style-2-params"])
+def test_row_its_function_cannot_render_rejected(registry, row, shape):
+    """Such a row added to the default registry used to load, pass `check`
+    and crash `convert`."""
+    head, _, tail = dump_registry(registry).partition("[commands]\n")
+    with pytest.raises(RegistryError, match=f"line 4: command 'foo': .*{shape}"):
+        parse_registry_text(head + "[commands]\n" + row + "\n" + tail)
 
 
 def test_missing_version_rejected():

@@ -22,7 +22,8 @@ from oracles import (
     ted_mapping_oracle,
     ted_recursive_oracle,
 )
-from texmathc import convert_formula, similarity
+from texmathc import convert_formula, parse, similarity
+from texmathc.generator import to_mathml
 from texmathc.mathml import GenOptions, MathMLNode, from_xml, serialize, xml_parts
 from texmathc.similarity import (
     _INFERRED_MROW_PARENTS,
@@ -32,8 +33,7 @@ from texmathc.similarity import (
     _multiset,
     _walk,
     _xml_wrapper,
-    _ted_within,
-    FULL_BAND_SHARE,
+    _ted,
     FULL_NORMALIZATION,
     CompareOptions,
     ComparePair,
@@ -447,6 +447,20 @@ def test_ted_equal_trees_report_normalized_node_counts():
     assert (unnormalized.node_count_a, unnormalized.node_count_b) == (6, 6)
 
 
+@pytest.mark.parametrize("options", [CompareOptions(), FULL_NORMALIZATION])
+def test_a_tree_compares_equal_to_its_xml_read_back(registry, options):
+    """Token text is read by one rule on both sides: a tree and its own
+    serialization, read back, are at distance 0 with F1 1.0, also where the
+    text has surrounding spaces or is empty."""
+    cases = json.loads((CORPORA / "combined_423.json").read_text("utf-8"))["cases"]
+    sources = [(case["input"], case["options"].get("chem", False)) for case in cases]
+    for source, chem in sources + [(r"\text{ if }", False), (r"\text{}", False)]:
+        tree = to_mathml(parse(source, registry, allow_chem=chem).ast, registry)
+        back = from_xml(serialize(tree))
+        assert tree_edit_distance(tree, back, options).distance == 0, source
+        assert element_fscore(tree, back, options).f1 == 1.0, source
+
+
 # Up to 30 nodes over a two- or three-letter alphabet, so that equal label
 # sequences and equal subtrees are common: (label, parent pick) per node in
 # preorder, node i hanging under node pick % i.
@@ -489,30 +503,20 @@ def _arrays(a: MathMLNode, b: MathMLNode):
 
 @settings(max_examples=400, deadline=None)
 @given(_SHAPES, _SHAPES, _EDITS, st.sampled_from([2, 3]))
-# Two pairs whose runs read just outside a band, cells that hold values of an
-# earlier keyroot pair unless guarded: mo(mi, mi(mo(mo), mo)) against
-# mi(mi(mi), mi(mi), mo(mo)) at k = 5, the cell right of a row's band, and
-# mrow(mrow(mi(mrow(mrow)), mo), mrow(mi(mrow))) against
-# mo(mi(mrow), mrow(mo(mi(mo(mrow))), mrow)) at k = 6, the cell left of the
-# band of the row left of a subtree.
 @example([(1, 0), (0, 0), (0, 0), (1, 2), (1, 3), (1, 2)],
          [(0, 0), (0, 0), (0, 1), (0, 0), (0, 3), (1, 0), (1, 5)], [], 3)
 @example([(2, 0), (2, 0), (0, 1), (2, 2), (2, 3), (1, 1), (2, 0), (0, 6), (2, 7)],
          [(1, 0), (0, 0), (2, 1), (2, 0), (1, 3), (0, 4), (1, 5), (2, 6), (2, 3)], [], 3)
-def test_cutoff_kernel_is_exact_up_to_its_cutoff(shape_a, shape_b, edits, alphabet):
-    """min(TED, k + 1) for every cutoff k from 0 to m + n, and TED without one."""
+def test_kernel_matches_the_recursive_oracle(shape_a, shape_b, edits, alphabet):
+    """The kernel alone, past the bounds that settle many of these pairs
+    before it runs in tree_edit_distance."""
     a = _tree(shape_a[:20], alphabet)
     edited = list(shape_a[:20])
     for index, label, parent in edits:
         if index < len(edited):
             edited[index] = (label, parent)
     for b in (_tree(shape_b[:20], alphabet), _tree(edited, alphabet)):
-        arrays = _arrays(a, b)
-        expected = ted_recursive_oracle(a, b)
-        assert _ted_within(*arrays) == expected
-        size = len(arrays[0]) + len(arrays[2]) - 2
-        assert [_ted_within(*arrays, k) for k in range(size + 1)] == \
-            [min(expected, k + 1) for k in range(size + 1)]
+        assert _ted(*_arrays(a, b)) == ted_recursive_oracle(a, b)
 
 
 @settings(max_examples=200, deadline=None)
@@ -570,9 +574,10 @@ def _edited(rng: random.Random, tree: MathMLNode, edits: int) -> MathMLNode:
     return out
 
 
-def test_banded_kernel_matches_the_unbanded_one_on_corpus_trees():
+def test_kernel_matches_the_oracle_on_edited_corpus_trees():
     """80-200 node trees from corpus formulas against copies with up to five
-    edits: small distances, so tree_edit_distance takes the band."""
+    renames, deletions or insertions: small distances, mostly between trees
+    of different shapes, where the bounds stay apart."""
     rng = random.Random(2005)
     pieces = [piece for piece in _corpus_pieces() if len(list(piece.iter())) <= 40]
     for _ in range(40):
@@ -582,28 +587,24 @@ def test_banded_kernel_matches_the_unbanded_one_on_corpus_trees():
             children.append(copy_tree(rng.choice(pieces)))
         a = MathMLNode("math", {}, [MathMLNode("mrow", {}, children)])
         b = _edited(rng, a, rng.randint(1, 5))
-        arrays = _arrays(a, b)
-        full = _ted_within(*arrays)
-        size = len(arrays[0]) + len(arrays[2]) - 2
-        assert 0 < full < FULL_BAND_SHARE * size
-        assert tree_edit_distance(a, b).distance == full
-        for k in range(2 * full + 2):
-            assert _ted_within(*arrays, k) == min(full, k + 1), k
+        expected = ted_recursive_oracle(a, b)
+        assert 0 < expected
+        assert _ted(*_arrays(a, b)) == tree_edit_distance(a, b).distance == expected
 
 
-def _cutoffs(monkeypatch, a: MathMLNode, b: MathMLNode) -> tuple[int, list]:
-    """The distance, and the cutoff of every kernel run it took."""
-    cutoffs = []
+def _kernel_runs(monkeypatch, a: MathMLNode, b: MathMLNode) -> tuple[int, int]:
+    """The distance, and how many kernel runs it took."""
+    runs = []
 
     def recording(*args):
-        cutoffs.append(args[4] if len(args) > 4 else None)
-        return _ted_within(*args)
+        runs.append(args)
+        return _ted(*args)
 
-    monkeypatch.setattr(similarity, "_ted_within", recording)
-    return tree_edit_distance(a, b).distance, cutoffs
+    monkeypatch.setattr(similarity, "_ted", recording)
+    return tree_edit_distance(a, b).distance, len(runs)
 
 
-def test_loose_bounds_make_the_cutoff_double(monkeypatch):
+def test_loose_bounds_take_one_kernel_run(monkeypatch):
     """One leaf moves from under an mrow to under the next: the labels and
     sizes are equal, so L = 0, and the shapes differ, so U = m + n and the
     string bound is not taken.  TED = 2."""
@@ -611,9 +612,9 @@ def test_loose_bounds_make_the_cutoff_double(monkeypatch):
     a = math("<mrow>" + names[0] + "<mrow>" + names[1] + "</mrow>" + "".join(names[2:]) + "</mrow>")
     b = math("<mrow><mrow>" + names[0] + "</mrow>" + "".join(names[1:]) + "</mrow>")
     assert _bounds(*_arrays(a, b)) == (0, 46)
-    distance, cutoffs = _cutoffs(monkeypatch, a, b)
+    distance, runs = _kernel_runs(monkeypatch, a, b)
     assert distance == 2 == ted_recursive_oracle(a, b)
-    assert cutoffs == [1, 2]
+    assert runs == 1
 
 
 def test_string_bound_settles_swapped_labels(monkeypatch):
@@ -624,9 +625,9 @@ def test_string_bound_settles_swapped_labels(monkeypatch):
     names[3], names[11] = names[11], names[3]
     b = math("<mrow>" + "".join(names) + "</mrow>")
     assert _bounds(*_arrays(a, b)) == (0, 2)
-    distance, cutoffs = _cutoffs(monkeypatch, a, b)
+    distance, runs = _kernel_runs(monkeypatch, a, b)
     assert distance == 2 == ted_recursive_oracle(a, b)
-    assert cutoffs == []
+    assert runs == 0
 
 
 # -- batch comparison -----------------------------------------------------------

@@ -34,7 +34,9 @@ bytes or diagnostics under display {inline, block} x {plain, semantics,
 semantics + annotation} x chemistry {off, on}; the ``render_tex`` round trip
 (the corrected TeX and whether it re-parses to the same tree);
 ``expand_ce``/``expand_pu``; ``batch_compare(...).to_dict()`` under
-COMPARE_OPTIONS, on batches of BATCH pairs.
+COMPARE_OPTIONS, on batches of BATCH pairs; ``tree_edit_distance`` (the
+distance and both node counts) and ``element_fscore`` under COMPARE_OPTIONS,
+on each pair read by ``from_xml``.
 
 The report gives, per entry point, how many outcomes were compared and how
 many differ, then the first SHOW differing cases of each.  The exit
@@ -176,7 +178,9 @@ def work(tree: Path, inputs_path: Path) -> None:
     import texmathc
     from texmathc import ConversionFailed, GenOptions, check_formula, convert_formula, parse
     from texmathc import default_registry, expand_ce, expand_pu, render_tex
-    from texmathc.similarity import CompareOptions, ComparePair, batch_compare
+    from texmathc.mathml import from_xml
+    from texmathc.similarity import (CompareOptions, ComparePair, batch_compare,
+                                     element_fscore, tree_edit_distance)
 
     if not Path(texmathc.__file__).is_relative_to(tree):
         raise SystemExit(f"texmathc was imported from {texmathc.__file__}, not from {tree}")
@@ -237,6 +241,28 @@ def work(tree: Path, inputs_path: Path) -> None:
         for start in range(0, len(pairs), BATCH):
             emit(f"batch_compare/{name}", f"pairs {start}-{start + BATCH - 1}",
                  lambda: batch_compare(pairs[start:start + BATCH], options).to_dict())
+    read: dict = {}  # document -> its tree, read once
+
+    def trees(a, b):
+        for document in (a, b):
+            if document not in read:
+                read[document] = from_xml(document)
+        return read[a], read[b]
+
+    def ted(a, b, options):
+        result = tree_edit_distance(*trees(a, b), options)
+        return [result.distance, result.node_count_a, result.node_count_b]
+
+    def fscore(a, b, options):
+        report = element_fscore(*trees(a, b), options)
+        return [report.precision, report.recall, report.f1, report.matched,
+                report.only_in_a, report.only_in_b]
+
+    for name, kwargs in COMPARE_OPTIONS.items():
+        options = CompareOptions(**kwargs)
+        for pair_id, a, b in inputs["pairs"]:
+            emit(f"tree_edit_distance/{name}", pair_id, lambda: ted(a, b, options))
+            emit(f"element_fscore/{name}", pair_id, lambda: fscore(a, b, options))
     out.flush()
 
 

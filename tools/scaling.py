@@ -34,10 +34,13 @@ linear front end keeps it flat.
 Tree edit distance: for each of TREE_SIZES, side A is built from the frozen
 reference MathML of ``corpora/combined_423.json``: whole formula bodies,
 picked with a fixed seed, under one ``mrow`` until the tree has exactly that
-many nodes.  Three pairs are timed per size:
+many nodes.  Four pairs are timed per size:
 
 * identical: A against a copy of itself;
 * relabelled: A against a copy with max(1, size // 15) token texts changed;
+* edited: A against a copy after EDITS seeded mrow insertions or removals
+  (its own seed per size), a small distance between trees of different
+  shapes, which the bounds leave to the dynamic program;
 * unrelated: A against a tree of the same size built independently (its
   own seeded picks), the case where a small distance cannot be exploited.
 
@@ -99,6 +102,7 @@ TEXT_PIECE = "some words \\{a\\} {b} and "
 TREE_SIZES = (50, 100, 200, 300, 400, 600)
 TED_REPEAT = 3
 SEED = 2024
+EDITS = 3
 
 
 def best_of(call, repeat: int) -> float:
@@ -197,6 +201,25 @@ def relabel(rng: random.Random, tree: MathMLNode, size: int) -> MathMLNode:
     return out
 
 
+def reshape(rng: random.Random, tree: MathMLNode) -> MathMLNode:
+    """A copy of `tree` after EDITS edits, each a new mrow above a run of a
+    node's children or, half the time where the node has one, an mrow child
+    giving way to its children."""
+    out = _copy(tree)
+    for _ in range(EDITS):
+        node = rng.choice([node for node in out.iter() if node.children])
+        kids = node.children
+        mrows = [k for k, child in enumerate(kids) if child.element == "mrow" and child.children]
+        if mrows and rng.random() < 0.5:
+            k = rng.choice(mrows)
+            kids[k:k + 1] = kids[k].children
+        else:
+            start = rng.randrange(len(kids))
+            end = rng.randrange(start + 1, len(kids) + 1)
+            kids[start:end] = [MathMLNode("mrow", {}, kids[start:end])]
+    return out
+
+
 def ted_cells(a: MathMLNode, b: MathMLNode) -> tuple[float, float, int]:
     """Best TED time, best batch_compare time, and the distance."""
     options = CompareOptions()
@@ -236,8 +259,8 @@ def main() -> int:
     print(f"\n# best of {TED_REPEAT} calls of tree_edit_distance (TED) and of batch_compare "
           f"(batch), CompareOptions(), seed {SEED}")
     print("| nodes | identical TED | batch | relabelled TED | batch | distance "
-          "| unrelated TED | batch | distance |")
-    print("|---:|---:|---:|---:|---:|---:|---:|---:|---:|")
+          "| edited TED | batch | distance | unrelated TED | batch | distance |")
+    print("|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|")
     rng = random.Random(SEED)
     pieces = _pieces()
     ms = 1e3
@@ -245,9 +268,11 @@ def main() -> int:
         a = build(rng, pieces, size)
         same, same_batch, _ = ted_cells(a, _copy(a))
         changed, changed_batch, distance = ted_cells(a, relabel(rng, a, size))
+        edited, edited_batch, near = ted_cells(a, reshape(random.Random(SEED - size), a))
         other, other_batch, far = ted_cells(a, build(random.Random(SEED + size), pieces, size))
         print(f"| {size} | {same * ms:.2f} ms | {same_batch * ms:.2f} ms "
               f"| {changed * ms:.1f} ms | {changed_batch * ms:.1f} ms | {distance} "
+              f"| {edited * ms:.1f} ms | {edited_batch * ms:.1f} ms | {near} "
               f"| {other * ms:.1f} ms | {other_batch * ms:.1f} ms | {far} |", flush=True)
     return 0
 
