@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .value import Value
 
 ERROR = "error"
 WARNING = "warning"
@@ -22,14 +22,10 @@ E_INTENT_UNBOUND_REF = "E_INTENT_UNBOUND_REF"
 E_INTENT_AMBIGUOUS_REF = "E_INTENT_AMBIGUOUS_REF"
 W_DEPRECATED = "W_DEPRECATED"
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Value):
     """One validation finding, located by byte span in the source formula."""
 
-    severity: str  # ERROR or WARNING
-    code: str
-    message: str
-    span: tuple[int, int]  # byte offsets, start inclusive, end exclusive
+    __slots__ = ("severity", "code", "message", "span")  # span: bytes, end exclusive
 
     def __post_init__(self) -> None:
         if self.severity not in (ERROR, WARNING):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Union
 
 from .diagnostics import (
@@ -23,6 +22,7 @@ from .diagnostics import (
 )
 from .mathml import MathMLNode
 from .parser import MAX_DEPTH
+from .value import Value
 
 HINTS = frozenset({
     "prefix", "infix", "postfix", "function", "silent",
@@ -38,32 +38,24 @@ _DIGITS = re.compile(r"[0-9]+")
 IntentExpr = Union["Concept", "Number", "Reference", "Structure", "Application"]
 
 
-@dataclass(frozen=True)
-class Concept:
-    name: str
+class Concept(Value):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Number:
-    value: str
-    negative: bool
+class Number(Value):
+    __slots__ = ("value", "negative")
 
 
-@dataclass(frozen=True)
-class Reference:
-    name: str
+class Reference(Value):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Structure:
-    kind: str
+class Structure(Value):
+    __slots__ = ("kind",)
 
 
-@dataclass(frozen=True)
-class Application:
-    head: IntentExpr
-    hint: str | None
-    args: tuple[IntentExpr, ...]
+class Application(Value):
+    __slots__ = ("head", "hint", "args")
 
 
 class _Scanner:

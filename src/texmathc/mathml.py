@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
+
+from .value import Value
 
 if TYPE_CHECKING:
     import xml.etree.ElementTree as ET
@@ -22,18 +23,20 @@ SUPPORTED_ELEMENTS = frozenset({
 TOKEN_ELEMENTS = frozenset({"mi", "mo", "mn", "mtext", "ms", "annotation"})
 
 
-@dataclass(slots=True)
-class MathMLNode:
-    """Element name, ordered attributes, and either children or text."""
+class MathMLNode(Value, attributes=None, children=None, text=None):
+    """Element name, ordered attributes, and either children or text; the one
+    mutable value, as a tree is built and then edited in place."""
 
-    element: str
-    attributes: dict[str, str] = field(default_factory=dict)
-    children: list["MathMLNode"] = field(default_factory=list)
-    text: str | None = None
+    __slots__ = ("element", "attributes", "children", "text")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
     def __post_init__(self) -> None:
         if self.text is not None and self.children:
             raise ValueError(f"<{self.element}> cannot carry both text and children")
+        if self.attributes is None:
+            self.attributes = {}
+        if self.children is None:
+            self.children = []
 
     def is_token(self) -> bool:
         return self.text is not None
@@ -55,16 +58,13 @@ def token(element: str, text: str, **attributes: str) -> MathMLNode:
 
 def elem(element: str, children: list[MathMLNode] | None = None,
          **attributes: str) -> MathMLNode:
-    return MathMLNode(element, attributes, [] if children is None else children)
+    return MathMLNode(element, attributes, children)
 
 
-@dataclass(frozen=True)
-class GenOptions:
+class GenOptions(Value, display="inline", wrap_semantics=False, annotate_tex=False):
     """Output options: display mode, optional semantics/annotation wrapping."""
 
-    display: str = "inline"  # "inline" or "block"
-    wrap_semantics: bool = False
-    annotate_tex: bool = False
+    __slots__ = ("display", "wrap_semantics", "annotate_tex")
 
     def __post_init__(self) -> None:
         if self.display not in ("inline", "block"):

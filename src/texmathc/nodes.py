@@ -1,6 +1,6 @@
 """AST node types produced by the validator.
 
-The tree is a plain tagged union of frozen dataclasses, one class per shape:
+The tree is a plain tagged union of frozen value classes, one class per shape:
 a command with its arguments is a ``Fun``, a base with its scripts a
 ``Script``.  Two synthetic containers exist alongside the user-visible ones:
 
@@ -15,8 +15,9 @@ Equal ``Literal`` nodes may be one object; nodes are frozen, so that is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Union
+
+from .value import Value
 
 AstNode = Union[
     "Literal", "Fun", "Curly", "Script", "Infix", "Matrix", "Delimited", "Text",
@@ -24,82 +25,64 @@ AstNode = Union[
 ]
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(Value):
     """A single character or a zero-argument command token (kept with its backslash)."""
 
-    token: str
+    __slots__ = ("token",)
 
 
-@dataclass(frozen=True)
-class Fun:
+class Fun(Value):
     """A command and its arguments, one or two (as the registry's arity says)."""
 
-    command: str
-    args: tuple[AstNode, ...]
-
-    def __eq__(self, other):  # not via a (command, args) tuple: a recursion level less per command
-        return type(other) is Fun and self.command == other.command and self.args == other.args
+    __slots__ = ("command", "args")
 
 
-@dataclass(frozen=True)
-class Curly:
-    children: tuple[AstNode, ...]
+class Curly(Value):
+    __slots__ = ("children",)
 
 
-@dataclass(frozen=True)
-class Script:
+class Script(Value):
     """A base with a subscript, a superscript or both; an absent one is None."""
 
-    base: AstNode
-    sub: AstNode | None
-    sup: AstNode | None
+    __slots__ = ("base", "sub", "sup")
 
 
-@dataclass(frozen=True)
-class Infix:
+class Infix(Value):
     """``left \\command right`` forms (\\over, \\choose, \\atop); sides are Sequences."""
 
-    command: str
-    left: AstNode
-    right: AstNode
+    __slots__ = ("command", "left", "right")
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Value):
     """A tabular environment.  Rows may be ragged; cells are single nodes."""
 
-    env: str
-    rows: tuple[tuple[AstNode, ...], ...]
+    __slots__ = ("env", "rows")
 
 
-@dataclass(frozen=True)
-class Delimited:
+class Delimited(Value):
     """A ``\\left ... \\right`` pair; tokens are kept as written ("." for null)."""
 
-    open: str
-    close: str
-    body: AstNode
+    __slots__ = ("open", "close", "body")
 
 
-@dataclass(frozen=True)
-class Text:
+class Text(Value):
     """Raw text payload; only ever appears as the argument of a text-class command."""
 
-    content: str
+    __slots__ = ("content",)
 
 
-@dataclass(frozen=True)
-class Sequence:
-    children: tuple[AstNode, ...]
+class Sequence(Value):
+    __slots__ = ("children",)
 
 
-@dataclass(frozen=True)
-class IntentWrap:
-    """The accessibility-annotation macro: a wrapped body plus the raw intent string."""
+class IntentWrap(Value):
+    """The accessibility-annotation macro: a wrapped body plus the raw intent string.
 
-    body: AstNode
-    intent_raw: str
-    arg_map: tuple[tuple[str, str], ...]  # (formula identifier, intent identifier)
-    # (reference name, codepoint span of its first ``$name`` in the parsed source)
-    ref_spans: tuple[tuple[str, tuple[int, int]], ...] = field(compare=False)
+    `arg_map` holds (formula identifier, intent identifier) pairs, `ref_spans`
+    (reference name, codepoint span of its first ``$name`` in the parsed
+    source) pairs; the spans are not part of the value."""
+
+    __slots__ = ("body", "intent_raw", "arg_map", "ref_spans")
+
+    def _key(self) -> tuple:
+        return self.body, self.intent_raw, self.arg_map

@@ -13,7 +13,6 @@ brace groups are matched on the token list, never on the text.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .diagnostics import (
     E_AMBIGUOUS_INFIX,
@@ -49,6 +48,7 @@ from .nodes import (
     Text,
 )
 from .registry import CommandSpec, Registry
+from .value import Value
 
 MAX_DEPTH = 128
 
@@ -91,13 +91,10 @@ _CMD_TAIL = re.compile(r"\\[A-Za-z]+$")
 Token = tuple[str, str, int, int]
 
 
-@dataclass(frozen=True)
-class ParseResult:
+class ParseResult(Value):
     """Either an AST (root Sequence) or a non-empty error list; warnings ride along."""
 
-    ast: Sequence | None
-    errors: tuple[Diagnostic, ...]
-    warnings: tuple[Diagnostic, ...]
+    __slots__ = ("ast", "errors", "warnings")
 
     @property
     def ok(self) -> bool:
@@ -360,7 +357,7 @@ class _Parser:
         self.leave()
         radicand = self.argument(cmd_tok, "argument of \\sqrt")
         if not items:
-            return Fun("sqrt", (radicand,))
+            return Fun(cmd_tok[1], (radicand,))
         index = _collapse_arg(items[0]) if len(items) == 1 else Curly(tuple(items))
         return Fun("root", (index, radicand))
 

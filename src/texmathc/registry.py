@@ -10,9 +10,10 @@ widths literally).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
+
+from .value import Value
 
 CATEGORIES = frozenset(
     {"literal", "function", "environment", "delimiter", "style", "chem-only", "intent-only"}
@@ -21,21 +22,18 @@ MAX_ARITY = 2
 
 _HEX_PARAM = re.compile(r"^[0-9A-F]{4,6}$")
 
+# Categories the parser reads by themselves, each with its own translation function.
+_CATEGORY_FNS = {"environment": "matrix", "intent-only": "intent", "delimiter": "delimiter"}
+
 
 class RegistryError(ValueError):
     """Malformed registry data; loading fails atomically."""
 
 
-@dataclass(frozen=True)
-class CommandSpec:
+class CommandSpec(Value, deprecated=False):
     """One whitelisted command: a row of the translation mapping table."""
 
-    name: str
-    arity: int
-    translation_fn: str
-    params: tuple[str, ...]
-    category: str
-    deprecated: bool = False
+    __slots__ = ("name", "arity", "translation_fn", "params", "category", "deprecated")
 
     def __post_init__(self) -> None:
         if not 0 <= self.arity <= MAX_ARITY:
@@ -44,14 +42,11 @@ class CommandSpec:
             raise RegistryError(f"command {self.name!r}: unknown category {self.category!r}")
 
 
-@dataclass(frozen=True)
-class OperatorSpec:
+class OperatorSpec(Value, attributes=()):
     """Mapping of a literal source token to its MathML token element."""
 
-    token: str
-    element: str  # mo, mi, or mn
-    codepoint: str  # uppercase hex of the emitted character(s)
-    attributes: tuple[tuple[str, str], ...] = ()
+    # element: mo, mi or mn; codepoint: uppercase hex of the emitted character(s)
+    __slots__ = ("token", "element", "codepoint", "attributes")
 
     def __post_init__(self) -> None:
         if self.element not in ("mo", "mi", "mn"):
@@ -62,13 +57,10 @@ class OperatorSpec:
         return decode_param(self.codepoint)
 
 
-@dataclass(frozen=True)
-class Registry:
+class Registry(Value):
     """Immutable after load; shared freely between concurrent parses."""
 
-    version: str
-    commands: dict[str, CommandSpec] = field(default_factory=dict)
-    operators: dict[str, OperatorSpec] = field(default_factory=dict)
+    __slots__ = ("version", "commands", "operators", "__dict__")  # `digest` is cached in it
 
     def lookup(self, name: str) -> CommandSpec | None:
         """Exact-match command lookup; None means not whitelisted."""
@@ -120,6 +112,7 @@ def parse_registry_text(text: str) -> Registry:
     commands: dict[str, CommandSpec] = {}
     operators: dict[str, OperatorSpec] = {}
     section = None
+    radical = None  # (line, name) of the first radical row
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip("\n")
@@ -145,24 +138,17 @@ def parse_registry_text(text: str) -> Registry:
                 raise RegistryError(f"line {lineno}: arity {arity_text!r} is not an integer")
             if name in commands:
                 raise RegistryError(f"line {lineno}: duplicate command {name!r}")
-            deprecated = False
-            if flags:
-                if flags != "deprecated":
-                    raise RegistryError(f"line {lineno}: unknown flag {flags!r}")
-                deprecated = True
+            if flags not in ("", "deprecated"):
+                raise RegistryError(f"line {lineno}: unknown flag {flags!r}")
             try:
-                spec = CommandSpec(
-                    name=name,
-                    arity=arity,
-                    translation_fn=fn,
-                    params=_split_params(params_text),
-                    category=category,
-                    deprecated=deprecated,
-                )
+                spec = CommandSpec(name, arity, fn, _split_params(params_text), category,
+                                   flags == "deprecated")
                 _check_shape(spec, SHAPES)
             except RegistryError as exc:
                 raise RegistryError(f"line {lineno}: {exc}") from None
             commands[name] = spec
+            if fn == "radical" and radical is None:
+                radical = lineno, name
         elif section == "[operators]":
             if len(fields) != 4:
                 raise RegistryError(f"line {lineno}: expected 4 tab-separated fields")
@@ -170,12 +156,8 @@ def parse_registry_text(text: str) -> Registry:
             if token in operators:
                 raise RegistryError(f"line {lineno}: duplicate operator {token!r}")
             try:
-                operators[token] = OperatorSpec(
-                    token=token,
-                    element=element,
-                    codepoint=codepoint,
-                    attributes=_split_attrs(attrs_text, f"line {lineno}"),
-                )
+                operators[token] = OperatorSpec(token, element, codepoint,
+                                                _split_attrs(attrs_text, f"line {lineno}"))
             except RegistryError as exc:
                 raise RegistryError(f"line {lineno}: {exc}") from None
         else:
@@ -183,13 +165,16 @@ def parse_registry_text(text: str) -> Registry:
 
     if version is None:
         raise RegistryError("missing version header")
+    if radical and getattr(commands.get("root"), "translation_fn", None) != "root":
+        raise RegistryError(f"line {radical[0]}: command {radical[1]!r}: an index needs "
+                            "a 'root' row with translation function root")
 
-    return Registry(version=version, commands=commands, operators=operators)
+    return Registry(version, commands, operators)
 
 
 def _check_shape(spec: CommandSpec, shapes: dict) -> None:
     """Raise unless the translation function of `spec` can render its arity
-    and parameters (see `generator.SHAPES`)."""
+    and parameters (see `generator.SHAPES`) and serves its category."""
     fn = spec.translation_fn
     if fn not in shapes:
         raise RegistryError(f"command {spec.name!r}: unknown translation function {fn!r}")
@@ -201,6 +186,10 @@ def _check_shape(spec: CommandSpec, shapes: dict) -> None:
         wanted = str(fewest) if fewest == most else f"{fewest} to {most}"
         raise RegistryError(f"command {spec.name!r}: {len(spec.params)} parameters given, "
                             f"{fn} takes {wanted}")
+    if _CATEGORY_FNS.get(spec.category) != (fn if fn in _CATEGORY_FNS.values() else None):
+        raise RegistryError(f"command {spec.name!r}: category {spec.category} cannot use {fn}")
+    if fn == "intent" and spec.name != "intent":
+        raise RegistryError(f"command {spec.name!r}: only \\intent is read as the intent macro")
 
 
 def load_registry(source: str | Path | None = None) -> Registry:

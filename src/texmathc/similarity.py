@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from collections import Counter
-from dataclasses import dataclass
 
 from .mathml import MathMLNode, token_text, xml_parts
+from .value import Value
 
 # Elements whose single-child mrow is structural bookkeeping, not content.
 _INFERRED_MROW_PARENTS = frozenset({
@@ -22,12 +22,10 @@ _INFERRED_MROW_PARENTS = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class CompareOptions:
-    ignore_inferred_mrow: bool = False
-    ignored_attributes: frozenset[str] | str = frozenset()  # names, or "all"
-    strip_elements: frozenset[str] = frozenset()
-    require_semantics_wrapper: bool = False
+class CompareOptions(Value, ignore_inferred_mrow=False, ignored_attributes=frozenset(),
+                     strip_elements=frozenset(), require_semantics_wrapper=False):
+    __slots__ = ("ignore_inferred_mrow", "ignored_attributes",  # names, or "all"
+                 "strip_elements", "require_semantics_wrapper")
 
     def ignores_attr(self, name: str) -> bool:
         if self.ignored_attributes == "all":
@@ -42,38 +40,20 @@ FULL_NORMALIZATION = CompareOptions(
 )
 
 
-@dataclass(frozen=True)
-class FScoreReport:
-    precision: float
-    recall: float
-    f1: float
-    matched: int
-    only_in_a: int
-    only_in_b: int
+class FScoreReport(Value):
+    __slots__ = ("precision", "recall", "f1", "matched", "only_in_a", "only_in_b")
 
 
-@dataclass(frozen=True)
-class TedResult:
-    distance: int
-    node_count_a: int
-    node_count_b: int
+class TedResult(Value):
+    __slots__ = ("distance", "node_count_a", "node_count_b")
 
 
-@dataclass(frozen=True)
-class PairRow:
-    id: str
-    ted: int | None
-    f1: float | None
-    error: str | None = None
+class PairRow(Value, error=None):
+    __slots__ = ("id", "ted", "f1", "error")
 
 
-@dataclass(frozen=True)
-class CorpusReport:
-    formula_count: int
-    overall_ted: int
-    average_ted: float
-    rows: tuple[PairRow, ...]
-    errors: tuple[str, ...] = ()
+class CorpusReport(Value, errors=()):
+    __slots__ = ("formula_count", "overall_ted", "average_ted", "rows", "errors")
 
     def to_dict(self) -> dict:
         return {
@@ -428,11 +408,8 @@ def _keyroots(lmld: list[int]) -> tuple[list[int], list[int]]:
 # -- corpus aggregation -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComparePair:
-    id: str
-    a: str  # serialized MathML
-    b: str
+class ComparePair(Value):
+    __slots__ = ("id", "a", "b")  # a, b: serialized MathML
 
 
 def batch_compare(pairs: list[ComparePair],

@@ -221,6 +221,17 @@ def test_depth_cap_is_exact_at_any_stack_depth(registry, form, frames):
     assert _frames_deeper(frames, lambda: convert_formula(deepest, options=options))
 
 
+@pytest.mark.parametrize("form", list(NESTINGS))
+def test_ast_equality_is_the_same_from_a_deep_caller(registry, form):
+    deepest = parse(NESTINGS[form](128), registry).ast
+    again = parse(render_tex(deepest), registry).ast
+    shallower = parse(NESTINGS[form](127), registry).ast
+    shallow = (deepest == again, deepest != again, deepest == shallower)
+    assert shallow == (True, False, False)
+    assert _frames_deeper(400, lambda: (deepest == again, deepest != again,
+                                        deepest == shallower)) == shallow
+
+
 def test_chem_only_rejected_in_plain_mode(registry):
     diag = first_error(registry, "\\ce{H2O}")
     assert diag.code == E_UNKNOWN_COMMAND

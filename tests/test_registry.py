@@ -120,6 +120,29 @@ def test_row_its_function_cannot_render_rejected(registry, row, shape):
         parse_registry_text(head + "[commands]\n" + row + "\n" + tail)
 
 
+@pytest.mark.parametrize("row, rule", [
+    ("foo\t0\tmatrix\t-\tfunction", "category function"),
+    ("foo\t0\tidentifier\t0061\tenvironment", "category environment"),
+    ("foo\t2\tintent\t-\tintent-only", "only \\\\intent"),
+    ("foo\t0\tfraction\t-\tdelimiter", "category delimiter"),
+], ids=["matrix-function", "identifier-environment", "intent-foo", "fraction-delimiter"])
+def test_row_its_category_cannot_use_rejected(registry, row, rule):
+    """Such a row added to the default registry used to load, pass `check`
+    and crash `convert` (or, for the environment, never be usable)."""
+    head, _, tail = dump_registry(registry).partition("[commands]\n")
+    with pytest.raises(RegistryError, match=f"line 4: command 'foo': .*{rule}"):
+        parse_registry_text(head + "[commands]\n" + row + "\n" + tail)
+
+
+def test_radical_without_root_rejected(registry):
+    """Without a `root` row, `\\sqrt[3]{x}` passed `check` and crashed `convert`."""
+    lines = dump_registry(registry).split("\n")
+    lines.remove("root\t2\troot\t-\tfunction")
+    sqrt_line = lines.index("sqrt\t1\tradical\t-\tfunction") + 1
+    with pytest.raises(RegistryError, match=f"line {sqrt_line}: command 'sqrt': .*'root'"):
+        parse_registry_text("\n".join(lines))
+
+
 def test_missing_version_rejected():
     with pytest.raises(RegistryError, match="version"):
         parse_registry_text("[commands]\n")

@@ -67,7 +67,12 @@ def test_cold_import_loads_only_check_and_convert():
     # what loads on first use works after a cold import
     assert cold["intent"] == convert_formula(INTENT)
     assert cold["compared"] == [None]
-    # `-X importtime` lists every module the process imports, one per line
-    check = _run("-X", "importtime", "-m", "texmathc", "check", "x^2")
-    imported = {line.rsplit("|", 1)[-1].strip() for line in check.stderr.splitlines()}
-    assert "texmathc.cli" in imported and "texmathc.similarity" not in imported
+    # `-X importtime` lists every module the process imports, one per line;
+    # the value classes are plain slotted classes, so no `dataclasses` (and
+    # its `inspect`) either
+    for command in (["check", "x^2"], ["convert", "--no-cache", "x^2"]):
+        done = _run("-X", "importtime", "-m", "texmathc", *command)
+        imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+        assert "texmathc.cli" in imported, command
+        unwanted = {"texmathc.similarity", "dataclasses", "inspect"}
+        assert sorted(unwanted & imported) == [], command
