@@ -1,9 +1,10 @@
 """texmathc: whitelist-validated LaTeX math to presentation MathML.
 
 Importing the package loads what `check_formula` and `convert_formula` run.
-Comparison (`similarity`), `\\intent` (`intent`) and the render cache
-(`cache`) load on first use: the first lookup of one of their names here
-(PEP 562), the converter's first `\\intent`, or a caller's cache.
+Comparison (`similarity`), `\\intent` (`intent`), chemistry (`mhchem`) and
+the render cache (`cache`) load on first use: the first lookup of one of
+their names here (PEP 562), the parser's first `\\intent`, `\\ce` or `\\pu`,
+or a caller's cache.
 """
 
 import importlib
@@ -11,7 +12,6 @@ import importlib
 from .diagnostics import Diagnostic
 from .generator import to_mathml
 from .mathml import GenOptions, MathMLNode, from_xml, serialize
-from .mhchem import expand_ce, expand_pu
 from .parser import ParseResult, parse, render_tex
 from .pipeline import ConversionFailed, check_formula, convert_formula
 from .registry import CommandSpec, Registry, default_registry, load_registry
@@ -56,6 +56,9 @@ _LAZY = {
     "intent": "intent",
     "apply_intent": "intent",
     "parse_intent": "intent",
+    "mhchem": "mhchem",
+    "expand_ce": "mhchem",
+    "expand_pu": "mhchem",
     "similarity": "similarity",
     "CompareOptions": "similarity",
     "CorpusReport": "similarity",

@@ -1,11 +1,11 @@
 """Chemistry: expands the body of ``\\ce{...}`` and ``\\pu{...}`` to plain math.
 
-`expand` builds the expansion as the parser's own (kind, value) token pairs,
-chunk by chunk, in one pass over the body with no chemistry token list in
-between; under chemistry mode the parser puts them in place of the command's
-tokens with the command's span (see ``parser``), so no TeX text is built or
-scanned again.  `expand_ce` and `expand_pu` give the same expansion as
-whitelisted TeX, joined from those chunks.  The implemented subset covers
+`expand` builds the expansion as AST nodes, chunk by chunk, in one pass over
+the body with no chemistry token list in between; under chemistry mode the
+parser inserts them where it meets the command (see ``parser``), so no TeX
+text is built or read again.  `expand_ce` and `expand_pu` write the same
+expansion as whitelisted TeX: each chunk by ``parser.render_tex``, the chunks
+separated by a space.  The implemented subset covers
 elements, numeric subscripts, charges, stoichiometric coefficients (integer,
 decimal, and a/b fractions), isotope prescripts, aggregate states,
 single/double/triple bonds, reaction arrows, ``+`` separators, hydrate dots
@@ -17,11 +17,12 @@ rather than guessed at.
 from __future__ import annotations
 
 import re
-from itertools import repeat
 
 from .diagnostics import E_CHEM_SYNTAX, ChemError
+from .nodes import AstNode, Curly, Fun, Literal, Script, Sequence
+from .parser import render_tex
 
-_ELEMENT = re.compile(r"[A-Z][a-z]?")
+_ELEMENTS = re.compile(r"[A-Z][a-z]?(?:\s*[A-Z][a-z]?)*")  # a run: one upright name
 _DIGITS = re.compile(r"[0-9]+")
 _NUMBER = re.compile(r"[0-9]+(?:\.[0-9]+)?")
 _COEFF = re.compile(r"[0-9]+(?:\.[0-9]+)?(?:/[0-9]+)?")
@@ -39,43 +40,54 @@ _SPECIES_START = frozenset({"start", "arrow", "plus", "bond", "open", "stoich_co
 # The command an arrow, bond or hydrate dot stands for; any other symbol
 # (plus, bond, parenthesis) is itself.
 _COMMANDS = {
-    "<=>": "longrightleftharpoons",
-    "<->": "longleftrightarrow",
-    "->": "longrightarrow",
-    "<-": "longleftarrow",
-    "#": "equiv",
-    "*": "cdot",
+    "<=>": "\\longrightleftharpoons",
+    "<->": "\\longleftrightarrow",
+    "->": "\\longrightarrow",
+    "<-": "\\longleftarrow",
+    "#": "\\equiv",
+    "*": "\\cdot",
 }
 
-Pair = tuple[str, str]  # the kind and value of a parser token
+# Everything an expansion holds besides ASCII letters and digits: each
+# command with its number of (braced) arguments, and each other character.
+EMITTED_COMMANDS = {"mathrm": 1, "frac": 2, "times": 0, ",": 0,
+                    **{name[1:]: 0 for name in _COMMANDS.values()}}
+EMITTED_CHARACTERS = "+-()/=."
 
-_MATHRM: Pair = ("cmd", "mathrm")
-_SUB: Pair = ("sub", "_")
-_SUP: Pair = ("sup", "^")
-_EMPTY_BASE = (("lbrace", "{"), ("rbrace", "}"))
+# One shared node per token an expansion holds (nodes are frozen).
+_LIT = {token: Literal(token) for token in [
+    *"0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz", *EMITTED_CHARACTERS,
+    *("\\" + name for name, arity in EMITTED_COMMANDS.items() if not arity)]}
+_EMPTY = Curly(())
 
 
 def _err(message: str, text: str, start: int, end: int) -> ChemError:
     return ChemError(E_CHEM_SYNTAX, message, (start, end), text)
 
 
-def _braced(text: str) -> list[Pair]:
-    """``{text}``: every payload character is an ordinary character token."""
-    return [("lbrace", "{"), *zip(repeat("char"), text), ("rbrace", "}")]
+def _arg(text: str) -> AstNode:
+    """``{text}`` as an argument or script: one character is itself."""
+    return _LIT[text] if len(text) == 1 else Curly(tuple(map(_LIT.__getitem__, text)))
 
 
-def expand(body: str, command: str) -> list[list[Pair]]:
-    """The token pairs of ``\\ce{body}``, or of ``\\pu{body}`` when `command`
-    is "pu", chunk by chunk (a ``\\pu`` expansion is one chunk)."""
+def _mathrm(text: str) -> Fun:
+    return Fun("mathrm", (_arg(text),))
+
+
+def _on_empty(sub: str, sup: str) -> Script:
+    """``{}_{sub}^{sup}``, a script left out when empty."""
+    return Script(_EMPTY, _arg(sub) if sub else None, _arg(sup) if sup else None)
+
+
+def expand(body: str, command: str) -> list[list[AstNode]]:
+    """The nodes of ``\\ce{body}``, or of ``\\pu{body}`` when `command` is
+    "pu", chunk by chunk (a ``\\pu`` expansion is one chunk)."""
     return _pu_chunks(body) if command == "pu" else _ce_chunks(body)
 
 
-def _text(chunks: list[list[Pair]]) -> str:
-    """The TeX of the chunks, separated by a space.  No command name in a
-    chunk is followed by a letter, so the parser reads the text back as the
-    same pairs."""
-    return " ".join("".join("\\" + value if kind == "cmd" else value for kind, value in chunk)
-                    for chunk in chunks)
+def _text(chunks: list[list[AstNode]]) -> str:
+    """The TeX of the chunks, separated by a space."""
+    return " ".join(render_tex(Sequence(tuple(chunk))) for chunk in chunks)
 
 
 def expand_ce(body: str) -> str:
@@ -92,22 +104,18 @@ def expand_pu(body: str) -> str:
 
 
 def preprocess(body: str, command: str) -> str:
-    """The TeX of ``expand(body, command)``.
-
-    The parser does not call it; the name stays because the benchmark's
-    tracer names it as a target, and the benchmark's own test asserts the
-    exact list of targets it finds absent.
-    """
+    """The TeX of ``expand(body, command)``.  The parser inserts the nodes
+    instead; the benchmark's tracer and its own test name this function."""
     return _text(expand(body, command))
 
 
 # -- \ce ------------------------------------------------------------------
 
 
-def _ce_chunks(body: str) -> list[list[Pair]]:
+def _ce_chunks(body: str) -> list[list[AstNode]]:
     """Scan a ``\\ce`` body once, enforcing the subset, into one chunk per
-    chemistry token; a run of elements is one upright name."""
-    chunks: list[list[Pair]] = []
+    chemistry token."""
+    chunks: list[list[AstNode]] = []
     prev = "start"  # the kind of the last token
     depth = low = 0  # parenthesis depth and the lowest it went
     i, n = 0, len(body)
@@ -118,7 +126,7 @@ def _ce_chunks(body: str) -> list[list[Pair]]:
             continue
         spaced = body[i - 1:i].isspace()  # a space before this token
         if ch in "<-" and (arrow := _ARROW.match(body, i)):
-            kind, chunk, i = "arrow", [("cmd", _COMMANDS[arrow[0]])], arrow.end()
+            kind, chunk, i = "arrow", [_LIT[_COMMANDS[arrow[0]]]], arrow.end()
         elif ch == "$":
             raise _err("nested math inside \\ce is not supported", body, i, i + 1)
         elif ch == "+":
@@ -126,9 +134,9 @@ def _ce_chunks(body: str) -> list[list[Pair]]:
             # A charge sign touches its species; a separator is spaced or
             # stands between species starts.
             if not spaced and prev in _CHARGEABLE and not (nxt.isalnum() or nxt == "("):
-                kind, chunk = "charge", [*_EMPTY_BASE, _SUP, *_braced("+")]
+                kind, chunk = "charge", [_on_empty("", "+")]
             else:
-                kind, chunk = "plus", [("char", "+")]
+                kind, chunk = "plus", [_LIT["+"]]
             i += 1
         elif ch == "-":
             if prev not in _CHARGEABLE:
@@ -138,55 +146,51 @@ def _ce_chunks(body: str) -> list[list[Pair]]:
                 j += 1
             after = body[j:j + 1]
             if after.isupper() or after == "(" and not _STATE.match(body, j):
-                kind, chunk = "bond", [("char", "-")]
+                kind, chunk = "bond", [_LIT["-"]]
             elif not spaced:
-                kind, chunk = "charge", [*_EMPTY_BASE, _SUP, *_braced("-")]
+                kind, chunk = "charge", [_on_empty("", "-")]
             else:
                 raise _err("'-' must bond two species or trail as a charge", body, i, i + 1)
             i += 1
         elif ch in "=#*":
             if ch != "*" and prev not in _CHARGEABLE:
                 raise _err(f"'{ch}' bond must follow an element", body, i, i + 1)
-            name = _COMMANDS.get(ch)
-            kind, chunk, i = "bond", [("cmd", name) if name else ("char", ch)], i + 1
+            kind, chunk, i = "bond", [_LIT[_COMMANDS.get(ch, ch)]], i + 1
         elif ch == "(":
             state = _STATE.match(body, i)
             if state and prev in ("element", "count", "close", "charge"):
                 kind, i = "state", state.end()
-                chunk = [("char", "("), _MATHRM, *_braced(state[1]), ("char", ")")]
+                chunk = [_LIT["("], _mathrm(state[1]), _LIT[")"]]
             else:
-                kind, chunk, i = "open", [("char", "(")], i + 1
+                kind, chunk, i = "open", [_LIT["("]], i + 1
                 depth += 1
         elif ch == ")":
-            kind, chunk, i = "close", [("char", ")")], i + 1
+            kind, chunk, i = "close", [_LIT[")"]], i + 1
             depth -= 1
             low = min(low, depth)
         elif ch == "^":
             kind, chunk, i = _scan_caret(body, i, prev in _SPECIES_START)
         elif ch == "_":
             digits, i = _scan_script_digits(body, i + 1, "subscript")
-            kind, chunk = "count", [*_EMPTY_BASE, _SUB, *_braced(digits)]
+            kind, chunk = "count", [_on_empty(digits, "")]
         elif "0" <= ch <= "9":
             if prev in _SPECIES_START:
                 m = _COEFF.match(body, i)
                 num, _, den = m[0].partition("/")
-                kind, chunk = "stoich_coeff", [*zip(repeat("char"), m[0])]
+                kind, chunk = "stoich_coeff", [*map(_LIT.__getitem__, m[0])]
                 if den:
-                    chunk = [("cmd", "frac"), *_braced(num), *_braced(den), ("cmd", ",")]
+                    chunk = [Fun("frac", (_arg(num), _arg(den))), _LIT["\\,"]]
             elif prev == "element" or prev == "close":
                 m = _NUMBER.match(body, i)
-                kind, chunk = "count", [*_EMPTY_BASE, _SUB, *_braced(m[0])]
+                kind, chunk = "count", [_on_empty(m[0], "")]
             else:
                 raise _err("unexpected number", body, i, _NUMBER.match(body, i).end())
             i = m.end()
-        elif m := _ELEMENT.match(body, i):
-            kind, chunk, i = "element", [_MATHRM, *_braced(m[0])], m.end()
+        elif m := _ELEMENTS.match(body, i):
+            kind, chunk, i = "element", [_mathrm("".join(m[0].split()))], m.end()
         else:
             raise _err(f"unsupported character {ch!r} in \\ce", body, i, i + 1)
-        if prev == kind == "element":  # into the braces of the run's \mathrm
-            chunks[-1][-1:-1] = chunk[2:-1]
-        else:
-            chunks.append(chunk)
+        chunks.append(chunk)
         prev = kind
     if low < 0:
         raise _err("unbalanced ')'", body, 0, len(body))
@@ -207,7 +211,7 @@ def _scan_script_digits(body: str, i: int, what: str) -> tuple[str, int]:
     return m[0], m.end()
 
 
-def _scan_caret(body: str, i: int, species_start: bool) -> tuple[str, list[Pair], int]:
+def _scan_caret(body: str, i: int, species_start: bool) -> tuple[str, list[AstNode], int]:
     """The isotope prescript or charge at the ``^`` at `i`: kind, chunk, end."""
     if species_start:
         # Isotope prescripts: ^{227}_{90}Th or ^227_90Th.
@@ -217,8 +221,7 @@ def _scan_caret(body: str, i: int, species_start: bool) -> tuple[str, list[Pair]
             number, j = _scan_script_digits(body, j + 1, "atomic number")
         if not body[j:j + 1].isupper():
             raise _err("isotope prescript must precede an element", body, i, j)
-        return "isotope", ([*_EMPTY_BASE, _SUB, *_braced(number), _SUP, *_braced(mass)]
-                           if number else [*_EMPTY_BASE, _SUP, *_braced(mass)]), j
+        return "isotope", [_on_empty(number, mass)], j
     j = i + 1
     if body[j:j + 1] == "{":
         end = body.find("}", j)
@@ -227,43 +230,43 @@ def _scan_caret(body: str, i: int, species_start: bool) -> tuple[str, list[Pair]
         content = body[j + 1:end]
         if not _CHARGE.fullmatch(content):
             raise _err(f"malformed charge {content!r}", body, i, end)
-        return "charge", [*_EMPTY_BASE, _SUP, *_braced(content)], end + 1
+        return "charge", [_on_empty("", content)], end + 1
     m = _CHARGE.match(body, j)
     if not m:
         raise _err("malformed charge", body, i, j + 1)
-    return "charge", [*_EMPTY_BASE, _SUP, *_braced(m[0])], m.end()
+    return "charge", [_on_empty("", m[0])], m.end()
 
 
 # -- \pu ------------------------------------------------------------------
 
 
-def _pu_chunks(body: str) -> list[list[Pair]]:
+def _pu_chunks(body: str) -> list[list[AstNode]]:
     text = body.strip()
     if not text:
         return []
     shift = body.find(text[0])
-    out: list[Pair] = []
+    out: list[AstNode] = []
     i = 0
     m = _PU_NUMBER.match(text)
     if m:
-        out += zip(repeat("char"), m[1])
+        out += map(_LIT.__getitem__, m[1])
         if m[2]:
             # Normalized as text: int() refuses more than 4300 digits.
             digits = m[2].lstrip("+-").lstrip("0")
             power = "-" + digits if digits and m[2][0] == "-" else digits or "0"
-            out += [("cmd", "times"), *_braced("10"), _SUP, *_braced(power)]
+            out += [_LIT["\\times"], Script(Curly((_LIT["1"], _LIT["0"])), None, _arg(power))]
         i = m.end()
     while i < len(text) and text[i].isspace():
         i += 1
     if i < len(text):
         if out:
-            out.append(("cmd", ","))
+            out.append(_LIT["\\,"])
         _unit(body, text[i:], shift + i, out)
     return [out]
 
 
-def _unit(body: str, unit: str, base: int, out: list[Pair]) -> None:
-    """Append the pairs of `unit`, found at codepoint `base` of `body`."""
+def _unit(body: str, unit: str, base: int, out: list[AstNode]) -> None:
+    """Append the nodes of `unit`, found at codepoint `base` of `body`."""
     i = 0
     while True:
         m = _UNIT_ATOM.match(unit, i)
@@ -272,17 +275,15 @@ def _unit(body: str, unit: str, base: int, out: list[Pair]) -> None:
                 raise _err("dangling unit separator", body, base + i - 1, base + i)
             raise _err(f"expected a unit symbol at {unit[i:]!r}", body,
                        base + i, base + i + 1)
-        out += [_MATHRM, *_braced(m[1])]
-        if m[2]:
-            out += [_SUP, *_braced(m[2])]
+        out.append(Script(_mathrm(m[1]), None, _arg(m[2])) if m[2] else _mathrm(m[1]))
         i = m.end()
         if i == len(unit):
             return
         sep = unit[i]
         if sep in ".*":
-            out.append(("cmd", "cdot"))
+            out.append(_LIT["\\cdot"])
         elif sep == "/":
-            out.append(("char", "/"))
+            out.append(_LIT["/"])
         else:
             raise _err(f"unsupported unit separator {sep!r}", body, base + i, base + i + 1)
         i += 1

@@ -6,8 +6,9 @@ offending token.  One successful parse yields the tree used both for
 validation verdicts and for MathML generation.
 
 A token is a plain tuple (kind, value, start, end); `tokenize` builds them
-with one regex scan, a chemistry expansion is spliced in as the same, and
-brace groups are matched on the token list, never on the text.
+with one regex scan, and brace groups are matched on the token list, never
+on the text.  A chemistry expansion arrives as the nodes `mhchem.expand`
+builds, which the parser checks and inserts where it meets the command.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .diagnostics import (
     byte_offsets,
     warning,
 )
-from .mhchem import expand
 from .nodes import (
     AstNode,
     Curly,
@@ -110,6 +110,13 @@ def _collapse_arg(node: AstNode) -> AstNode:
     while isinstance(node, Curly) and len(node.children) == 1:
         node = node.children[0]
     return node
+
+
+def _fits(spec: CommandSpec, arity: int) -> bool:
+    """Whether `spec` reads as a command with `arity` braced math arguments."""
+    fn = spec.translation_fn
+    return (spec.arity == arity and spec.category != "environment" and fn not in RAW_ARG_FNS
+            and (arity or fn not in INFIX_FNS))
 
 
 def tokenize(source: str) -> list[Token]:
@@ -218,7 +225,10 @@ class _Parser:
                 self.fail(E_BAD_ENV, "\\end without matching \\begin", tok)
             if kind == "cmd":
                 if self.allow_chem and value in CHEM_COMMANDS:
-                    self.expand_chem(braced=False)
+                    nodes = self.chem(braced=False)
+                    if nodes and toks[self.i][0] in ("sup", "sub"):
+                        nodes.append(self.item(nodes.pop()))
+                    items += nodes
                     continue
                 spec = self.registry.lookup(value)
                 if spec is not None and spec.arity == 0 and spec.translation_fn in INFIX_FNS:
@@ -231,23 +241,26 @@ class _Parser:
                     return [Infix(value, Sequence(tuple(items)), Sequence(tuple(right)))]
             items.append(self.item())
 
-    def item(self) -> AstNode:
-        """An atom (group, character or command) and its scripts."""
+    def item(self, node: AstNode | None = None) -> AstNode:
+        """An atom (group, character or command), or `node`, and its scripts."""
         toks = self.toks
-        tok = toks[self.i]
-        kind = tok[0]
-        if kind == "lbrace":
-            node: AstNode = self.group()
-        elif kind == "char":
-            node = self.char_literal()
-        elif kind == "cmd":
-            node = self.command()
-        elif kind in ("sup", "sub"):
-            self.fail(E_EMPTY_ARG, "script without a base", tok)
-        else:
-            self.fail(E_UNKNOWN_COMMAND, f"unexpected token {tok[1]!r}", tok)
         sub: AstNode | None = None
         sup: AstNode | None = None
+        if node is None:
+            tok = toks[self.i]
+            kind = tok[0]
+            if kind == "lbrace":
+                node = self.group()
+            elif kind == "char":
+                node = self.char_literal()
+            elif kind == "cmd":
+                node = self.command()
+            elif kind in ("sup", "sub"):
+                self.fail(E_EMPTY_ARG, "script without a base", tok)
+            else:
+                self.fail(E_UNKNOWN_COMMAND, f"unexpected token {tok[1]!r}", tok)
+        elif type(node) is Script:  # its scripts were read with it, as in its TeX
+            node, sub, sup = node.base, node.sub, node.sup
         while True:
             tok = toks[self.i]
             kind = tok[0]
@@ -299,8 +312,7 @@ class _Parser:
             return self.intent_macro(tok)
         if self.allow_chem and name in CHEM_COMMANDS:  # an argument or a root index item
             self.i -= 1
-            self.expand_chem(braced=True)
-            return _collapse_arg(self.group())
+            return _collapse_arg(Curly(tuple(self.chem(braced=True))))
         spec = self.registry.lookup(name)
         if spec is None:
             self.fail(E_UNKNOWN_COMMAND, f"\\{name} is not a whitelisted command", tok)
@@ -355,7 +367,7 @@ class _Parser:
                 self.fail(E_EMPTY_ARG, "unterminated root index", cmd_tok)
             items.append(self.item())
         self.leave()
-        radicand = self.argument(cmd_tok, "argument of \\sqrt")
+        radicand = self.argument(cmd_tok, f"argument of \\{cmd_tok[1]}")
         if not items:
             return Fun(cmd_tok[1], (radicand,))
         index = _collapse_arg(items[0]) if len(items) == 1 else Curly(tuple(items))
@@ -480,10 +492,12 @@ class _Parser:
         self.i = close + 1
         return self.source[start + 1:self.toks[close][2]]
 
-    def expand_chem(self, braced: bool) -> None:
-        """Replace the ``\\ce{…}``/``\\pu{…}`` at the current token by the tokens
-        `mhchem.expand` builds, each given the span of the whole command
-        (`braced`: as one group)."""
+    def chem(self, braced: bool) -> list[AstNode]:
+        """The nodes `mhchem.expand` builds for the ``\\ce{…}``/``\\pu{…}`` at
+        the current token, checked as their TeX would be read (`braced`: as
+        one group), each finding on the span of the whole command."""
+        from . import mhchem  # loaded at the first \\ce or \\pu
+
         toks, i = self.toks, self.i
         _, name, start, _ = toks[i]
         open_kind, _, open_start, open_end = toks[i + 1]
@@ -496,14 +510,57 @@ class _Parser:
                                   (start, len(self.source)), self.source)
         body_end = toks[close][2]
         try:
-            chunks = expand(self.source[open_end:body_end], name)
+            chunks = mhchem.expand(self.source[open_end:body_end], name)
         except ChemError as exc:
             raise exc.within(self.source, open_end) from None
-        end = body_end + 1
-        new = [(kind, value, start, end) for chunk in chunks for kind, value in chunk]
+        self.i = close + 1
+        tok = ("cmd", name, start, body_end + 1)
+        nodes = [node for chunk in chunks for node in chunk]
         if braced:
-            new = [("lbrace", "{", start, end), *new, ("rbrace", "}", start, end)]
-        toks[i:close + 1] = new
+            self.enter(tok)
+        # Whether the registry holds every command an expansion writes, in that
+        # shape and not deprecated, and every character; kept in it, as its digest
+        # is.  If so, only the depth cap can object, and the groups are one level.
+        registry = self.registry
+        ready = registry.__dict__.get("chem_ready")
+        if ready is None:
+            ready = registry.__dict__["chem_ready"] = all(
+                (spec := registry.lookup(command)) and _fits(spec, arity) and not spec.deprecated
+                for command, arity in mhchem.EMITTED_COMMANDS.items()
+            ) and all(map(registry.operator, mhchem.EMITTED_CHARACTERS))
+        if self.depth >= MAX_DEPTH or not ready:
+            self.check_chem(nodes, tok)
+        if braced:
+            self.leave()
+        return nodes
+
+    def check_chem(self, nodes: list[AstNode] | tuple[AstNode, ...], tok: Token) -> None:
+        """Check expansion nodes as their TeX is read: each command and
+        character against the registry, each brace group against the cap."""
+        for node in nodes:
+            kind, groups = type(node), ()
+            if kind is Script:
+                self.check_chem((node.base,), tok)
+                groups = [group for group in (node.sub, node.sup) if group is not None]
+            elif kind is Curly:
+                groups = (node,)
+            elif kind is Literal and node.token[0] != "\\":
+                ch = node.token
+                if not (ch.isascii() and ch.isalnum() or self.registry.operator(ch)):
+                    self.fail(E_UNKNOWN_COMMAND, f"character {ch!r} is not whitelisted", tok)
+            else:  # a command and its arguments
+                name, groups = (node.token[1:], ()) if kind is Literal else (node.command, node.args)
+                spec = self.registry.lookup(name)
+                if spec is None:
+                    self.fail(E_UNKNOWN_COMMAND, f"\\{name} is not a whitelisted command", tok)
+                if not _fits(spec, len(groups)):
+                    self.fail(E_UNKNOWN_COMMAND, f"\\{name} is registered with another shape "
+                              f"than \\{tok[1]} writes (arity {len(groups)})", tok)
+                self.note_deprecated(spec, tok)
+            for group in groups:
+                self.enter(tok)
+                self.check_chem(group.children if type(group) is Curly else (group,), tok)
+                self.leave()
 
     def intent_macro(self, tok: Token) -> IntentWrap:
         # Loaded at the outermost \intent, not at the innermost of a chain.

@@ -60,7 +60,7 @@ class OperatorSpec(Value, attributes=()):
 class Registry(Value):
     """Immutable after load; shared freely between concurrent parses."""
 
-    __slots__ = ("version", "commands", "operators", "__dict__")  # `digest` is cached in it
+    __slots__ = ("version", "commands", "operators", "__dict__")  # caches `digest`, `chem_ready`
 
     def lookup(self, name: str) -> CommandSpec | None:
         """Exact-match command lookup; None means not whitelisted."""

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import json
 import xml.etree.ElementTree as ET
 
@@ -11,8 +12,16 @@ from conftest import CORPORA, FIXTURES
 from oracles import preprocess_oracle
 from texmathc import check_formula, convert_formula, default_registry, parse
 from texmathc.diagnostics import E_CHEM_SYNTAX, E_UNBALANCED_BRACE, ChemError, DiagnosticError
-from texmathc.mhchem import expand, expand_ce, expand_pu, preprocess
-from texmathc.parser import _Parser, tokenize
+from texmathc.mhchem import (
+    EMITTED_CHARACTERS,
+    EMITTED_COMMANDS,
+    expand,
+    expand_ce,
+    expand_pu,
+    preprocess,
+)
+from texmathc.nodes import Fun, Literal, Script, Sequence
+from texmathc.registry import dump_registry, parse_registry_text
 
 
 def conformance_cases():
@@ -291,7 +300,91 @@ def test_preprocess_expands_one_body():
     assert preprocess("5 m/s", "pu") == expand_pu("5 m/s")
 
 
-# -- the token stream the parser splices in ---------------------------------
+# -- chemistry edges: scripts, groups, depth and registry checks -------------
+
+
+def _verdict(source, registry=None):
+    result = parse(source, registry or default_registry(), allow_chem=True)
+    return result.ast, [(d.code, d.message, d.span) for d in result.diagnostics]
+
+
+def _edited_registry(edit):
+    """The default registry with `edit` applied to each line (None drops it)."""
+    lines = (edit(line) for line in dump_registry(default_registry()).splitlines())
+    return parse_registry_text("\n".join(line for line in lines if line is not None))
+
+
+def test_script_after_the_command_binds_the_last_atom():
+    h = Fun("mathrm", (Literal("H"),))
+    assert _verdict("\\ce{H}^2") == (Sequence((Script(h, None, Literal("2")),)), [])
+    assert _verdict("\\ce{H2}^3")[0] == _verdict("\\mathrm{H} {}_{2}^3")[0]
+    assert _verdict("\\ce{H2}_3") == (None, [("E_DOUBLE_SCRIPT", "double subscript", (7, 8))])
+    # an empty expansion leaves the script no base
+    assert _verdict("x\\ce{}^2") == (None, [("E_EMPTY_ARG", "script without a base", (6, 7))])
+
+
+def test_expansion_is_one_group_as_argument_script_or_index():
+    assert _verdict("\\sqrt\\ce{H2O}") == _verdict("\\sqrt{\\mathrm{H} {}_{2} \\mathrm{O}}")
+    assert _verdict("\\sqrt[\\ce{H}]{x}") == (Sequence((Fun("root", (
+        Fun("mathrm", (Literal("H"),)), Literal("x"))),)), [])
+    assert _verdict("x^\\ce{2H2}") == _verdict("x^{2 \\mathrm{H} {}_{2}}")
+
+
+@pytest.mark.parametrize("inner,at_127,at_128", [
+    ("\\ce{H}", [], [("E_TOO_DEEP", "nesting exceeds 128 levels", (128, 134))]),
+    ("\\ce{->}", [], []),
+    # unbraced, the script argument and its expansion group are two levels
+    ("x^\\ce{2}", [("E_TOO_DEEP", "nesting exceeds 128 levels", (129, 135))],
+     [("E_TOO_DEEP", "nesting exceeds 128 levels", (130, 133))]),
+])
+def test_depth_cap_counts_the_expansion_groups(inner, at_127, at_128):
+    for n, want in ((127, at_127), (128, at_128)):
+        ast, diagnostics = _verdict("{" * n + inner + "}" * n)
+        assert diagnostics == want, n
+        assert (ast is not None) == (not want)
+
+
+def test_expansion_commands_are_checked_against_the_registry():
+    no_arrow = _edited_registry(lambda line: None if line.startswith("longrightarrow\t") else line)
+    assert _verdict("\\ce{A -> B}", no_arrow) == (None, [
+        ("E_UNKNOWN_COMMAND", "\\longrightarrow is not a whitelisted command", (0, 11))])
+    assert _verdict("\\ce{A <- B}", no_arrow)[1] == []
+
+
+def test_expansion_characters_are_checked_in_reading_order():
+    no_plus = _edited_registry(lambda line: None if line.startswith("+\t") else line)
+    unknown = ("E_UNKNOWN_COMMAND", "character '+' is not whitelisted")
+    assert _verdict("\\ce{Na+ + Cl-}", no_plus) == (None, [(*unknown, (0, 14))])
+    assert _verdict("\\ce{H2O} + \\ce{Na+}", no_plus) == (None, [(*unknown, (9, 10))])
+    assert _verdict("\\badcmd \\ce{Na+}", no_plus)[1] == [
+        ("E_UNKNOWN_COMMAND", "\\badcmd is not a whitelisted command", (0, 7))]
+    assert _verdict("\\ce{H2O}", no_plus)[1] == []
+
+
+@pytest.mark.parametrize("row,source,arity", [
+    ("frac\t0\tfraction\t-\tfunction", "\\ce{1/2H2}", 2),  # infix
+    ("mathrm\t1\ttext\t-\tfunction", "\\ce{H2O}", 1),  # raw text
+    ("cdot\t0\tmatrix\t-\tenvironment", "\\pu{1 kg*m}", 0),
+    ("longrightarrow\t1\tradical\t-\tfunction", "\\ce{A -> B}", 0),  # another arity
+])
+def test_a_command_registered_in_another_shape_is_rejected_by_name(row, source, arity):
+    name = row.split("\t")[0]
+    registry = _edited_registry(lambda line: row if line.startswith(name + "\t") else line)
+    message = f"\\{name} is registered with another shape than {source[:3]} writes (arity {arity})"
+    assert _verdict(source, registry) == (None, [("E_UNKNOWN_COMMAND", message, (0, len(source)))])
+
+
+def test_deprecated_expansion_command_warns_on_each_use():
+    old_cdot = _edited_registry(
+        lambda line: line + "\tdeprecated" if line.startswith("cdot\t") else line)
+    ast, diagnostics = _verdict("\\ce{CuSO4 * 5H2O}", old_cdot)
+    assert ast == _verdict("\\ce{CuSO4 * 5H2O}")[0]
+    assert diagnostics == [("W_DEPRECATED", "\\cdot is deprecated", (0, 17))]
+    assert _verdict("\\pu{1 kg*m*s}", old_cdot)[1] == \
+        [("W_DEPRECATED", "\\cdot is deprecated", (0, 13))] * 2
+
+
+# -- the nodes the parser inserts --------------------------------------------
 
 
 def test_non_ascii_digit_is_an_unsupported_character():
@@ -315,26 +408,75 @@ _PU_TOKEN_BODY = st.lists(st.sampled_from(
     max_size=6).map("".join)
 
 
+@functools.lru_cache(maxsize=1)
+def _unready_registry():
+    """A registry the parser walks every expansion against: `cdot` deprecated,
+    `longleftarrow` and the `=` operator missing."""
+    def edit(line):
+        if line.startswith(("longleftarrow\t", "=\t")):
+            return None
+        return line + "\tdeprecated" if line.startswith("cdot\t") else line
+    return _edited_registry(edit)
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.one_of(_CE_TOKEN_BODY.map(lambda body: ("ce", body)),
-                 _PU_TOKEN_BODY.map(lambda body: ("pu", body))))
-def test_spliced_tokens_are_the_tokens_of_the_expansion_text(case):
+                 _PU_TOKEN_BODY.map(lambda body: ("pu", body))),
+       st.sampled_from(["{}", "x^{{{}}}", "x^{}", "{}_2", "{} 3",
+                        "{{" * 127 + "{}" + "}}" * 127, "{{" * 128 + "{}" + "}}" * 128]),
+       st.booleans())
+def test_inserted_nodes_are_the_tree_of_the_expansion_text(case, form, unready):
     command, body = case
+    registry = _unready_registry() if unready else default_registry()
     source = f"\\{command}{{{body}}}"
-    parser = _Parser(source, default_registry(), allow_chem=True)
+    formula = form.format(source)
+    got = parse(formula, registry, allow_chem=True)
     try:
         text = expand_pu(body) if command == "pu" else expand_ce(body)
     except ChemError as exc:
-        with pytest.raises(ChemError) as err:
-            parser.expand_chem(braced=False)
-        want, got = exc.diagnostic, err.value.diagnostic
-        shift = len(f"\\{command}{{")  # ASCII: bytes and codepoints agree
-        assert (got.code, got.message) == (want.code, want.message)
-        assert got.span == (want.span[0] + shift, want.span[1] + shift)
+        want = exc.diagnostic
+        shift = formula.index(source) + len(f"\\{command}{{")  # ASCII: bytes and codepoints agree
+        (diag,) = got.diagnostics
+        assert (diag.code, diag.message) == (want.code, want.message)
+        assert diag.span == (want.span[0] + shift, want.span[1] + shift)
         return
-    parser.expand_chem(braced=False)
-    spliced = parser.toks[:-1]
-    assert [t[:2] for t in spliced] == [t[:2] for t in tokenize(text)[:-1]]
-    assert all(t[2:] == (0, len(source)) for t in spliced)
-    assert [t[:2] for t in spliced] == \
-        [pair for chunk in expand(body, command) for pair in chunk]
+    # unbraced as a script, the expansion is one group, as if braced
+    want = parse(form.replace("^{}", "^{{{}}}").format(text), registry, allow_chem=True)
+    assert got.ast == want.ast
+    assert [(d.code, d.message) for d in got.diagnostics] == \
+        [(d.code, d.message) for d in want.diagnostics]
+
+
+def _command_and_characters(node, commands, characters):
+    if isinstance(node, Literal):
+        if node.token[0] == "\\":
+            commands.add((node.token[1:], 0))
+        elif not (node.token.isascii() and node.token.isalnum()):
+            characters.add(node.token)
+        return
+    if isinstance(node, Fun):
+        commands.add((node.command, len(node.args)))
+        children = node.args
+    elif isinstance(node, Script):
+        children = [n for n in (node.base, node.sub, node.sup) if n is not None]
+    else:
+        children = node.children
+    for child in children:
+        _command_and_characters(child, commands, characters)
+
+
+def test_expansions_hold_only_the_declared_commands_and_characters():
+    # a registry that holds these skips the per-node registry check
+    commands, characters = set(), set()
+    bodies = [case["body"] for case in json.loads(
+        (FIXTURES / "chem_expansions.json").read_text("utf-8"))["cases"]]
+    for body in bodies + ["1/2O2 + N#N <-> A <- B <=> C", "1e3 kg*m/s2"]:
+        for command in ("ce", "pu"):
+            try:
+                chunks = expand(body, command)
+            except ChemError:
+                continue
+            for node in (node for chunk in chunks for node in chunk):
+                _command_and_characters(node, commands, characters)
+    assert commands == set(EMITTED_COMMANDS.items())
+    assert characters == set(EMITTED_CHARACTERS)

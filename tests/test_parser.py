@@ -31,6 +31,7 @@ from texmathc.nodes import (
 )
 from texmathc.mathml import GenOptions
 from texmathc.parser import parse, render_tex, tokenize
+from texmathc.registry import dump_registry, parse_registry_text
 
 
 def ok(registry, source):
@@ -147,6 +148,15 @@ def test_empty_arg(registry):
     assert first_error(registry, "\\sqrt").code == E_EMPTY_ARG
     assert first_error(registry, "\\frac{a}").code == E_EMPTY_ARG
     assert first_error(registry, "x^").code == E_EMPTY_ARG
+
+
+def test_missing_radicand_names_the_radical(registry):
+    assert first_error(registry, "\\sqrt[3]").message == "missing argument of \\sqrt"
+    row = "foo\t1\tradical\t-\tfunction"
+    foo = parse_registry_text(dump_registry(registry) + "\n[commands]\n" + row + "\n")
+    (diag,) = check_formula("\\foo[3]", registry=foo)
+    assert (diag.code, diag.message, diag.span) == \
+        (E_EMPTY_ARG, "missing argument of \\foo", (0, 4))
 
 
 def test_double_script(registry):

@@ -15,9 +15,9 @@ SRC = str(Path(texmathc.__file__).resolve().parents[1])
 ENV = {**os.environ,
        "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
 
-# Loaded only by comparison, `\intent`, a render cache or the command line.
-ON_FIRST_USE = ("texmathc.similarity", "texmathc.intent", "texmathc.cache", "texmathc.cli",
-                "xml.etree.ElementTree", "hashlib")
+# Loaded only by comparison, `\intent`, chemistry, a render cache or the command line.
+ON_FIRST_USE = ("texmathc.similarity", "texmathc.intent", "texmathc.mhchem", "texmathc.cache",
+                "texmathc.cli", "xml.etree.ElementTree", "hashlib")
 INTENT = r"\intent{x}{intent='a'}"
 
 _COLD = r"""

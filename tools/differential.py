@@ -22,8 +22,12 @@ Inputs, built once from SEED:
   ``\\text{``, ``\\{``, ``\\\\``, a lone ``\\``, unbalanced braces, ``\\intent``
   fragments, non-ASCII text); ``\\ce``/``\\pu`` commands and random joins
   around them whose bodies have the shapes of ``tools/gen_chem_expansions.py``;
-* chains of 128 and 129 levels of every form of nesting, and numbers of
+* chains of 128 and 129 levels of every form of nesting, the same chains
+  126 to 128 levels deep around each of CHEM_CORES, and numbers of
   LONG_DIGITS digits in plain TeX and in a ``\\pu`` exponent;
+* COUNT // 10 ``\\ce``/``\\pu`` commands, each followed by one of
+  CHEM_TAILS (scripts, primes) and inside a ``\\sqrt[…]`` index, alone and
+  beside other items;
 * COUNT // 3 chemistry bodies for ``expand_ce``/``expand_pu``;
 * MathML pairs: the two-renderer pairs, neighbouring reference outputs of
   the combined corpus, and seeded random trees against one another, against
@@ -86,6 +90,11 @@ CHAINS = {
     "fence": ("\\left(", "x", "\\right)"),
     "matrix": ("\\begin{pmatrix}", "x", "\\end{pmatrix}"),
 }
+# Chemistry at the bottom of a chain: scripts after it, an unbraced script
+# argument (two levels), a root index, an empty and an ungrouped expansion.
+CHEM_CORES = ("\\ce{H}", "\\ce{->}", "\\ce{}", "x^\\ce{2}", "\\ce{H2}_3", "\\ce{H}^2",
+              "\\pu{1 s2}^3", "\\sqrt[\\ce{H}]{x}", "\\sqrt\\ce{H2O}")
+CHEM_TAILS = ("_2", "^2", "'", "''", "_{2}^{3}", "^{+}", "^2_3'", " x", "^\\ce{H}")
 LEAVES = ("mi", "mo", "mn")
 INNER = ("mrow", "mrow", "msqrt", "mfrac", "msup", "semantics", "annotation", "mstyle")
 TEXTS = ("a", "b", "x", "+", "=", "1", "2")
@@ -147,6 +156,13 @@ def build_inputs(seed: int, count: int) -> dict:
         sources.append(source)
     for head, core, tail in CHAINS.values():
         sources += [head * n + core + tail * n for n in (128, 129)]
+        sources += [head * n + chem_core + tail * n
+                    for chem_core in CHEM_CORES for n in (126, 127, 128)]
+    chem = random.Random(seed + 1)  # leaves the other inputs as they were
+    for _ in range(count // 10):
+        command = "\\%s{%s}" % (chem.choice(("ce", "pu")), body(chem, chem.randrange(3)))
+        sources += [command + chem.choice(CHEM_TAILS), f"\\sqrt[{command}]{{x}}",
+                    f"\\sqrt[n {command}{chem.choice(CHEM_TAILS)}]{{x}}"]
     sources.append("\\intent{x}{intent='" + "f(" * 129 + "a" + ")" * 129 + "'}")
     digits = "1" * LONG_DIGITS
     sources += [digits, f"x^{{{digits}}}", f"\\pu{{1e{digits} m}}", f"\\pu{{1.5e-{digits}}}"]

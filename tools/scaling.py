@@ -25,6 +25,15 @@ Front end, timed through the public entry points (cache off):
   balanced group), the path of a raw argument: its braces are matched on the
   token list and its text is taken from the source.
 
+Chemistry against plain TeX, ``parse`` alone (tokenize, expand, check,
+build the tree), best of PARSE_REPEAT rounds: for each of CHEM_SIZES, one
+``\\ce{...}`` of whole copies of CE_PIECE next to plain TeX of whole copies
+of PIECE of about the same length, in µs per source character, and the
+ratio of the two; then the same over the corpora the benchmark's
+corpus_convert workload reads: its chemistry formulas (the ``chem`` cases of
+``corpora/combined_423.json`` and every ``corpora/mhchem_conformance.json``
+input) against the other combined cases.
+
 Each cell is the best of FRONT_REPEAT calls of ``check_formula`` or
 ``convert_formula``, one per round; each round times every cell once, so a
 change of machine speed during the run reaches all cells alike.  The
@@ -69,7 +78,7 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from texmathc import check_formula, convert_formula, default_registry  # noqa: E402
+from texmathc import check_formula, convert_formula, default_registry, parse  # noqa: E402
 from texmathc.mathml import MathMLNode, from_xml, serialize  # noqa: E402
 from texmathc.similarity import (  # noqa: E402
     CompareOptions,
@@ -99,6 +108,8 @@ STARTUP = (
 PIECE = "x_{1}^{2}+\\alpha y-\\frac{a}{b}\\cdot 3 = "
 CE_PIECE = "2H2 + O2 -> 2H2O + "
 TEXT_PIECE = "some words \\{a\\} {b} and "
+CHEM_SIZES = (30, 100, 300, 1_000, 3_000, 10_000)
+PARSE_REPEAT = 30
 TREE_SIZES = (50, 100, 200, 300, 400, 600)
 TED_REPEAT = 3
 SEED = 2024
@@ -159,6 +170,40 @@ def front_rows(cells: list[tuple[str, str, int, str, bool]]) -> list[str]:
     return [f"| {label} | {len(source)} | {check * 1e3:.2f} ms | {convert * 1e3:.2f} ms "
             f"| {convert / units * 1e6:.2f} µs/{unit} |"
             for (label, source, units, unit, _), (check, convert) in zip(cells, best)]
+
+
+def parse_rows() -> list[str]:
+    """µs per character of ``parse``: chemistry and plain TeX, side by side."""
+    def corpus(name: str) -> list[dict]:
+        return json.loads((ROOT / "corpora" / name).read_text("utf-8"))["cases"]
+
+    combined = corpus("combined_423.json")
+    chem = [c["input"] for c in combined if c["options"].get("chem")]
+    chem += [c["input"] for c in corpus("mhchem_conformance.json")]
+    plain = [c["input"] for c in combined if not c["options"].get("chem")]
+    rows = [(f"\\ce of about {size} chars against plain TeX",
+             ["\\ce{" + CE_PIECE * max(1, (size - 5) // len(CE_PIECE)) + "}"],
+             [PIECE * max(1, size // len(PIECE))]) for size in CHEM_SIZES]
+    rows.append((f"corpus_convert: {len(chem)} chemistry against {len(plain)} plain formulas",
+                 chem, plain))
+    registry = default_registry()
+    best = [[float("inf"), float("inf")] for _ in rows]
+    for _ in range(PARSE_REPEAT):
+        for (_, *sides), times in zip(rows, best):
+            for k, sources in enumerate(sides):
+                start = perf_counter()
+                for source in sources:
+                    parse(source, registry, allow_chem=k == 0)
+                times[k] = min(times[k], perf_counter() - start)
+    out = []
+    for (label, chem_sources, plain_sources), (chem_s, plain_s) in zip(rows, best):
+        chem_chars = sum(map(len, chem_sources))
+        plain_chars = sum(map(len, plain_sources))
+        per_chem, per_plain = chem_s / chem_chars * 1e6, plain_s / plain_chars * 1e6
+        out.append(f"| {label} | {chem_chars} | {chem_s * 1e3:.3f} ms | {per_chem:.2f} µs "
+                   f"| {plain_chars} | {plain_s * 1e3:.3f} ms | {per_plain:.2f} µs "
+                   f"| {per_chem / per_plain:.2f} |")
+    return out
 
 
 def _copy(tree: MathMLNode) -> MathMLNode:
@@ -256,6 +301,12 @@ def main() -> int:
         source = "\\text{" + TEXT_PIECE * (size // len(TEXT_PIECE)) + "}"
         cells.append(("\\text raw argument", source, len(source), "char", False))
     print("\n".join(front_rows(cells)), flush=True)
+    print(f"\n# parse only: chemistry against plain TeX, best of {PARSE_REPEAT} rounds, "
+          f"default registry")
+    print("| input | chem chars | chem parse | per char | plain chars | plain parse "
+          "| per char | chem / plain |")
+    print("|---|---:|---:|---:|---:|---:|---:|---:|")
+    print("\n".join(parse_rows()), flush=True)
     print(f"\n# best of {TED_REPEAT} calls of tree_edit_distance (TED) and of batch_compare "
           f"(batch), CompareOptions(), seed {SEED}")
     print("| nodes | identical TED | batch | relabelled TED | batch | distance "
