@@ -9,7 +9,7 @@ and `_translate` appends it to the run being built.
 
 from __future__ import annotations
 
-from .mathml import GenOptions, MathMLNode, elem, token
+from .mathml import GenOptions, MathMLNode, elem, shared, token
 from .nodes import (
     AstNode,
     Curly,
@@ -29,6 +29,9 @@ def to_mathml(ast: AstNode, registry: Registry,
               options: GenOptions | None = None) -> MathMLNode:
     """Translate a parser-produced AST into a presentation MathML tree.
 
+    Each letter, digit, operator and zero-argument command becomes the leaf
+    that `registry` holds for it, shared between trees and read-only (see
+    `mathml.shared`): replace one in its parent's children to change it.
     An unbound intent reference raises `IntentError` with no text (see `within`)."""
     options = options or GenOptions()
     content: list[MathMLNode] = []
@@ -91,7 +94,7 @@ def _translate(node, registry: Registry, out: list[MathMLNode]) -> None:
             digits += (".", after.token)
             seen_dot = True
             i += 2
-        out.append(token("mn", "".join(digits)))
+        out.append(token("mn", "".join(digits)) if len(digits) > 1 else _literal(item, registry))
 
 
 def _spec(name: str, registry: Registry) -> CommandSpec:
@@ -109,7 +112,14 @@ def _command(node: Fun | Infix, registry: Registry) -> MathMLNode:
 
 
 def _literal(node: Literal, registry: Registry) -> MathMLNode:
-    tok = node.token
+    """The registry's one read-only leaf for the token, built at its first use."""
+    leaf = registry.leaves.get(node.token)
+    if leaf is None:
+        leaf = registry.leaves[node.token] = shared(_leaf(node.token, registry))
+    return leaf
+
+
+def _leaf(tok: str, registry: Registry) -> MathMLNode:
     if tok.startswith("\\"):
         spec = _spec(tok[1:], registry)
         return TRANSLATION_FNS[spec.translation_fn](registry, spec, ())
@@ -286,8 +296,7 @@ def _fn_style(registry, spec, args):
         return token("mi", merged, mathvariant=variant)
     if len(translated) == 1 and translated[0].is_token() and not translated[0].attributes:
         single = translated[0]
-        single.attributes["mathvariant"] = variant
-        return single
+        return token(single.element, single.text, mathvariant=variant)
     return MathMLNode("mstyle", {"mathvariant": variant}, translated)
 
 

@@ -321,6 +321,8 @@ def apply_intent(node, subtree: MathMLNode) -> MathMLNode:
     root = subtree
     if root.is_token():
         root = MathMLNode("mrow", {}, [subtree])
+    elif not root.children:  # an empty element, perhaps a shared leaf: edit a copy
+        root = MathMLNode(root.element, dict(root.attributes))
     root.attributes["intent"] = intent_raw
 
     by_intent_name: dict[str, list[str]] = {}
@@ -329,8 +331,8 @@ def apply_intent(node, subtree: MathMLNode) -> MathMLNode:
 
     for name, span in node.ref_spans:  # each reference once, in document order
         targets = by_intent_name.get(name, [name])
-        matches = [
-            tok for tok in root.iter()
+        matches = [  # (parent, index): the token is replaced, as it may be shared
+            (parent, i) for parent in root.iter() for i, tok in enumerate(parent.children)
             if tok.element in _REF_TARGET_ELEMENTS and tok.text in targets
         ]
         if not matches:
@@ -341,5 +343,7 @@ def apply_intent(node, subtree: MathMLNode) -> MathMLNode:
             raise IntentError(
                 E_INTENT_AMBIGUOUS_REF,
                 f"intent reference ${name} matches {len(matches)} identifiers", span)
-        matches[0].attributes["arg"] = name
+        parent, i = matches[0]
+        tok = parent.children[i]
+        parent.children[i] = MathMLNode(tok.element, {**tok.attributes, "arg": name}, [], tok.text)
     return root

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 from .value import Value
@@ -25,10 +26,16 @@ TOKEN_ELEMENTS = frozenset({"mi", "mo", "mn", "mtext", "ms", "annotation"})
 
 class MathMLNode(Value, attributes=None, children=None, text=None):
     """Element name, ordered attributes, and either children or text; the one
-    mutable value, as a tree is built and then edited in place."""
+    value whose fields can be assigned.  A leaf from `shared` is read-only and
+    carries its `markup`; a copy or a pickle of any node is an editable node."""
 
-    __slots__ = ("element", "attributes", "children", "text")
+    __slots__ = ("element", "attributes", "children", "text", "__dict__")
     __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+    __copy__ = __deepcopy__ = None
+    markup = None  # a shared leaf's serialized text
+
+    def __reduce__(self):
+        return MathMLNode, (self.element, dict(self.attributes), list(self.children), self.text)
 
     def __post_init__(self) -> None:
         if self.text is not None and self.children:
@@ -48,6 +55,14 @@ class MathMLNode(Value, attributes=None, children=None, text=None):
             node = stack.pop()
             yield node
             stack.extend(reversed(node.children))
+
+
+def shared(node: MathMLNode) -> MathMLNode:
+    """A read-only copy of the leaf `node` that trees may share, with its
+    markup written once."""
+    leaf = MathMLNode(node.element, MappingProxyType(node.attributes), (), node.text)
+    leaf.markup = serialize(leaf)
+    return leaf
 
 
 # Both keep the keyword dict, which each call builds anew, and `elem` keeps
@@ -114,7 +129,10 @@ def _write(node: MathMLNode, out: list[str]) -> None:
         out.append(_escape_text(node.text))
     else:
         for child in node.children:
-            _write(child, out)
+            if child.markup is None:
+                _write(child, out)
+            else:
+                out.append(child.markup)
     out.append("</" + node.element + ">")
 
 

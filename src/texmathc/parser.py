@@ -225,10 +225,7 @@ class _Parser:
                 self.fail(E_BAD_ENV, "\\end without matching \\begin", tok)
             if kind == "cmd":
                 if self.allow_chem and value in CHEM_COMMANDS:
-                    nodes = self.chem(braced=False)
-                    if nodes and toks[self.i][0] in ("sup", "sub"):
-                        nodes.append(self.item(nodes.pop()))
-                    items += nodes
+                    items += self.chem_atoms(braced=False)
                     continue
                 spec = self.registry.lookup(value)
                 if spec is not None and spec.arity == 0 and spec.translation_fn in INFIX_FNS:
@@ -310,7 +307,7 @@ class _Parser:
             return self.environment(tok)
         if name == "intent":
             return self.intent_macro(tok)
-        if self.allow_chem and name in CHEM_COMMANDS:  # an argument or a root index item
+        if self.allow_chem and name in CHEM_COMMANDS:  # an argument: one group
             self.i -= 1
             return _collapse_arg(Curly(tuple(self.chem(braced=True))))
         spec = self.registry.lookup(name)
@@ -365,7 +362,10 @@ class _Parser:
                 break
             if tok[0] == "eof":
                 self.fail(E_EMPTY_ARG, "unterminated root index", cmd_tok)
-            items.append(self.item())
+            if self.allow_chem and tok[0] == "cmd" and tok[1] in CHEM_COMMANDS:  # one group
+                items.append(_collapse_arg(Curly(tuple(self.chem_atoms(braced=True)))))
+            else:
+                items.append(self.item())
         self.leave()
         radicand = self.argument(cmd_tok, f"argument of \\{cmd_tok[1]}")
         if not items:
@@ -532,6 +532,13 @@ class _Parser:
             self.check_chem(nodes, tok)
         if braced:
             self.leave()
+        return nodes
+
+    def chem_atoms(self, braced: bool) -> list[AstNode]:
+        """`chem`, and a script after the command on the expansion's last atom."""
+        nodes = self.chem(braced)
+        if nodes and self.toks[self.i][0] in ("sup", "sub"):
+            nodes.append(self.item(nodes.pop()))
         return nodes
 
     def check_chem(self, nodes: list[AstNode] | tuple[AstNode, ...], tok: Token) -> None:

@@ -60,7 +60,7 @@ class OperatorSpec(Value, attributes=()):
 class Registry(Value):
     """Immutable after load; shared freely between concurrent parses."""
 
-    __slots__ = ("version", "commands", "operators", "__dict__")  # caches `digest`, `chem_ready`
+    __slots__ = ("version", "commands", "operators", "__dict__")  # `digest`, `chem_ready`, `leaves`
 
     def lookup(self, name: str) -> CommandSpec | None:
         """Exact-match command lookup; None means not whitelisted."""
@@ -75,6 +75,11 @@ class Registry(Value):
         import hashlib
 
         return hashlib.sha256(dump_registry(self).encode("utf-8")).hexdigest()
+
+    @cached_property
+    def leaves(self) -> dict:
+        """The generator's shared MathML leaf of each literal token, by token."""
+        return {}
 
 
 def decode_param(param: str) -> str:

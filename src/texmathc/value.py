@@ -10,7 +10,9 @@ class Value:
     class allows assignment) in a statement of its own, as by hand: on
     CPython 3.11 a loop over the fields builds a value in 1.7 times the time.
     Then it calls `__post_init__` if the class has one.  `==` walks nested
-    values, tuples and lists on a stack: deep trees compare from any depth.
+    values, tuples and lists on a stack: deep trees compare from any depth,
+    and a tuple equals a list of equal items.  A value is its own copy, as a
+    tuple of immutables is, so `copy.deepcopy` of a deep tree does not recurse.
     """
 
     __slots__ = ()
@@ -38,7 +40,7 @@ class Value:
                 continue
             if isinstance(a, Value) and type(b) is type(a):
                 stack.extend(zip(a._key(), b._key()))
-            elif type(a) in (tuple, list) and type(b) is type(a):
+            elif type(a) in (tuple, list) and type(b) in (tuple, list):
                 if len(a) != len(b):
                     return False
                 stack.extend(zip(a, b))
@@ -57,6 +59,12 @@ class Value:
 
     def __reduce__(self):  # rebuilt by `__init__`, which checks the fields
         return type(self), Value._key(self)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

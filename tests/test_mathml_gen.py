@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import copy
 import json
+import os
+import pickle
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 from xml.sax.saxutils import escape
 
 import pytest
@@ -10,6 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import CORPORA, FIXTURES
 from oracles import escape_attr_oracle, escape_text_oracle
+import texmathc
 from texmathc import convert_formula, parse, render_tex, serialize, to_mathml
 from texmathc.mathml import (
     SUPPORTED_ELEMENTS,
@@ -19,6 +26,9 @@ from texmathc.mathml import (
     from_xml,
     token,
 )
+from texmathc.registry import dump_registry, parse_registry_text
+
+SRC = str(Path(texmathc.__file__).resolve().parents[1])
 
 
 def convert(registry, source, **kwargs):
@@ -272,3 +282,64 @@ def test_every_reference_under_every_option_variant(registry, display, semantics
         expected = _variant(case["expect"]["mathml"], display, semantics, tex)
         out = convert_formula(case["input"], chem=chem, options=options, registry=registry)
         assert out == expected, case["id"]
+
+
+# -- shared token leaves -----------------------------------------------------
+
+
+def _row(registry, source):
+    return convert(registry, source).children[0].children
+
+
+def test_token_leaves_are_built_once_per_registry(registry, monkeypatch):
+    from texmathc import generator
+
+    fresh = parse_registry_text(dump_registry(registry))
+    built = []
+    leaf = generator._leaf
+    monkeypatch.setattr(generator, "_leaf", lambda tok, reg: built.append(tok) or leaf(tok, reg))
+    first = _row(fresh, "x+\\alpha+x 2")
+    assert built == ["x", "+", "\\alpha", "2"]
+    again = _row(fresh, "x+\\alpha+x 2")
+    assert built == ["x", "+", "\\alpha", "2"] and all(a is b for a, b in zip(first, again))
+    assert first[0] is first[4] and first[1] is first[3]
+    # another registry, even with equal content, builds its own
+    default = _row(registry, "x+\\alpha+x 2")
+    assert default == first and not any(a is b for a, b in zip(default, first))
+    tree = convert(fresh, "x+\\alpha+x 2")
+    assert from_xml(serialize(tree)) == tree
+
+
+def test_a_shared_leaf_cannot_be_edited_in_place(registry):
+    before = convert_formula("x+y")
+    x = _row(registry, "x+y")[0]
+    with pytest.raises(TypeError):
+        x.attributes["mathvariant"] = "bold"
+    with pytest.raises(AttributeError):
+        x.children.append(token("mi", "z"))
+    assert x.attributes == {} and x.children == ()
+    assert convert_formula("x+y") == before
+    # a copy or a pickle of a generated tree is an editable tree
+    tree = convert(registry, "x+y")
+    for again in (copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+        assert again == tree
+        again.children[0].children[0].attributes["mathvariant"] = "bold"
+        again.children[0].children[0].children.append(token("mi", "z"))
+    mine = copy.copy(x)
+    mine.attributes["mathvariant"] = "bold"
+    assert x.attributes == {} and convert_formula("x+y") == before
+
+
+@pytest.mark.parametrize("first", [
+    "\\intent{x+y}{intent='f($x)'}", "\\intent{x+y}{intent='f($a)', arg='x=a'}",
+    "\\mathbf{x}+\\mathrm{y}", "\\intent{\\,}{intent='space'}", "\\intent{x}{intent='g'}",
+])
+def test_no_attribute_leaks_into_a_shared_leaf(first):
+    later = "x+y \\, x"
+    fresh = subprocess.run(
+        [sys.executable, "-c", f"import texmathc; print(texmathc.convert_formula({later!r}))"],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, check=True)
+    edited = convert_formula(first)
+    assert 'arg="' in edited or "mathvariant" in edited or "intent" in edited
+    assert convert_formula(first) == edited
+    assert convert_formula(later) + "\n" == fresh.stdout

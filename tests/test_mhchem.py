@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import CORPORA, FIXTURES
 from oracles import preprocess_oracle
-from texmathc import check_formula, convert_formula, default_registry, parse
+from texmathc import check_formula, convert_formula, default_registry, parse, render_tex
 from texmathc.diagnostics import E_CHEM_SYNTAX, E_UNBALANCED_BRACE, ChemError, DiagnosticError
 from texmathc.mhchem import (
     EMITTED_CHARACTERS,
@@ -328,6 +328,23 @@ def test_expansion_is_one_group_as_argument_script_or_index():
     assert _verdict("\\sqrt[\\ce{H}]{x}") == (Sequence((Fun("root", (
         Fun("mathrm", (Literal("H"),)), Literal("x"))),)), [])
     assert _verdict("x^\\ce{2H2}") == _verdict("x^{2 \\mathrm{H} {}_{2}}")
+
+
+def test_script_after_chemistry_in_a_root_index_binds_the_last_atom():
+    # as in a sequence: `n \pu{C2}^{+}` is a double superscript ...
+    assert _verdict("\\sqrt[n \\pu{C2}^{+}]{x}") == (
+        None, [("E_DOUBLE_SCRIPT", "double superscript", (15, 16))])
+    assert _verdict("n \\pu{C2}^{+}")[1][0][:2] == ("E_DOUBLE_SCRIPT", "double superscript")
+    # ... and `\pu{s2}_2` one msubsup, inside the expansion's group
+    assert _verdict("\\sqrt[\\pu{s2}_2]{x}") == _verdict("\\sqrt[\\mathrm{s}_{2}^{2}]{x}")
+    assert "<msubsup><mi mathvariant=\"normal\">s</mi><mn>2</mn><mn>2</mn></msubsup>" in \
+        convert_formula("\\sqrt[\\pu{s2}_2]{x}", chem=True)
+    assert _verdict("\\sqrt[\\ce{H2}^{+}]{x}") == _verdict("\\sqrt[{\\mathrm{H} {}_{2}^{+}}]{x}")
+    assert _verdict("\\sqrt[\\ce{}^2]{x}") == (
+        None, [("E_EMPTY_ARG", "script without a base", (11, 12))])
+    for source in ("\\sqrt[\\pu{s2}_2]{x}", "\\sqrt[a \\ce{H2}^{+} b]{x}", "\\sqrt[\\ce{H}^2]{x}"):
+        ast = _verdict(source)[0]
+        assert _verdict(render_tex(ast))[0] == ast, source
 
 
 @pytest.mark.parametrize("inner,at_127,at_128", [

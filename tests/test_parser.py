@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -242,6 +244,14 @@ def test_ast_equality_is_the_same_from_a_deep_caller(registry, form):
                                         deepest == shallower)) == shallow
 
 
+@pytest.mark.parametrize("form", ["braced, two items", "fence", "matrix"])
+def test_deepcopy_of_the_deepest_tree_is_the_tree(registry, form):
+    # An AST is immutable, so it is its own copy, as a tuple of immutables is.
+    deepest = parse(NESTINGS[form](128), registry)
+    assert copy.deepcopy(deepest) is deepest and copy.copy(deepest.ast) is deepest.ast
+    assert copy.deepcopy([deepest.ast])[0] == deepest.ast
+
+
 def test_chem_only_rejected_in_plain_mode(registry):
     diag = first_error(registry, "\\ce{H2O}")
     assert diag.code == E_UNKNOWN_COMMAND
@@ -463,6 +473,10 @@ _pipeline_leaf = st.sampled_from([
 ])
 
 
+_index_chem = st.sampled_from(["\\ce{H2O}", "\\ce{SO4^2-}", "\\ce{}", "\\pu{C2}", "\\pu{s2}"])
+_chem_script = st.sampled_from(["^{+}", "_2", "_{2}^{3}", "^\\ce{H}"])
+
+
 def _compose_unbraced(children):
     pair = st.tuples(children, children)
     return st.one_of(
@@ -474,6 +488,9 @@ def _compose_unbraced(children):
         children.map(lambda a: f"x_{{{a}}}"),
         pair.map(lambda ab: f"\\frac {ab[0]} {ab[1]}"),
         pair.map(lambda ab: f"\\sqrt[{ab[0]}]{{{ab[1]}}}"),
+        # a script after chemistry in a root index binds the expansion's last atom
+        st.tuples(children, _index_chem, _chem_script, children).map(
+            lambda t: f"\\sqrt[{t[0]} {t[1]}{t[2]}]{{{t[3]}}}"),
         pair.map(lambda ab: f"\\left( {ab[0]} \\right) {ab[1]}"),
         pair.map(lambda ab: f"\\begin{{matrix}} {ab[0]} & {ab[1]} \\end{{matrix}}"),
     )
@@ -486,6 +503,8 @@ pipeline_strings = st.recursive(_pipeline_leaf, _compose_unbraced, max_leaves=8)
 @given(pipeline_strings, st.booleans())
 @example("\\sqrt \\atop_{\\sin}", False)
 @example("x^\\ce{H2O} \\over 2", True)
+@example("\\sqrt[n \\pu{C2}^{+}]{x}", True)
+@example("\\sqrt[\\pu{s2}_2]{x}", True)
 def test_what_parses_converts_and_round_trips(source, chem):
     registry = default_registry()
     first = parse(source, registry, allow_chem=chem)
