@@ -167,10 +167,10 @@ def xml_parts(element: ET.Element) -> tuple[str, str | None, dict[str, str], ET.
     """
     name = element.tag
     if "}" in name:
-        name = _local(name)
+        name = local_name(name)
     attributes = element.attrib
     if attributes and any("}" in key for key in attributes):
-        attributes = {_local(key): value for key, value in attributes.items()}
+        attributes = {local_name(key): value for key, value in attributes.items()}
     if len(element):
         return name, None, attributes, element
     return name, token_text(element.text), attributes, element
@@ -182,6 +182,6 @@ def token_text(text: str | None) -> str | None:
     return (text or "").strip() or None
 
 
-def _local(name: str) -> str:
+def local_name(name: str) -> str:
     """`name` less the `{namespace}` prefix that ElementTree gives it."""
     return name[name.index("}") + 1:] if name[:1] == "{" and "}" in name else name

@@ -69,6 +69,10 @@ CHEM_COMMANDS = frozenset({"ce", "pu"})
 # the end of the input) or one other character.
 _PIECE = re.compile(r"\s*(?:\\(?:[A-Za-z]+|.?)|\S)", re.S)
 
+# The code points outside XML 1.0's Char production.  `re` compiles it at the
+# first raw argument: the wide ranges take about 1 ms, which import would pay.
+_NOT_XML = r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
+
 # The kind of a one-character token; any other character is a "char".
 _KINDS = {"{": "lbrace", "}": "rbrace", "^": "sup", "_": "sub", "&": "amp"}
 
@@ -330,7 +334,7 @@ class _Parser:
             token = "\\" + name
             return _LITERALS.get(token) or _LITERALS.setdefault(token, Literal(token))
         if spec.translation_fn in RAW_ARG_FNS:
-            return Fun(name, (Text(self.raw_group(tok)),))
+            return Fun(name, (Text(self.raw_text(tok)),))
         if spec.translation_fn == "radical" and self.peek()[:2] == ("char", "["):
             return self.radical_with_index(tok)
         args = []
@@ -491,6 +495,18 @@ class _Parser:
             self.fail(E_UNBALANCED_BRACE, "unterminated argument", tok)
         self.i = close + 1
         return self.source[start + 1:self.toks[close][2]]
+
+    def raw_text(self, owner: Token) -> str:
+        """`raw_group`, for text that the output carries as it is: a
+        character that XML cannot carry is not whitelisted, on its own span."""
+        kind, _, start, _ = self.peek()
+        text = self.raw_group(owner)
+        bad = re.search(_NOT_XML, text)
+        if bad:
+            at = start + (kind == "lbrace") + bad.start()
+            self.fail(E_UNKNOWN_COMMAND, f"character {bad.group()!r} is not whitelisted",
+                      ("char", bad.group(), at, at + 1))
+        return text
 
     def chem(self, braced: bool) -> list[AstNode]:
         """The nodes `mhchem.expand` builds for the ``\\ce{…}``/``\\pu{…}`` at

@@ -12,7 +12,7 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from collections import Counter
 
-from .mathml import MathMLNode, token_text, xml_parts
+from .mathml import MathMLNode, local_name, serialize
 from .value import Value
 
 # Elements whose single-child mrow is structural bookkeeping, not content.
@@ -28,9 +28,7 @@ class CompareOptions(Value, ignore_inferred_mrow=False, ignored_attributes=froze
                  "strip_elements", "require_semantics_wrapper")
 
     def ignores_attr(self, name: str) -> bool:
-        if self.ignored_attributes == "all":
-            return True
-        return name in self.ignored_attributes
+        return self.ignored_attributes == "all" or name in self.ignored_attributes
 
 
 FULL_NORMALIZATION = CompareOptions(
@@ -69,32 +67,17 @@ class CorpusReport(Value, errors=()):
 
 
 # -- the normalizing walk ------------------------------------------------------
-#
-# A tree is read through an accessor that gives a node's (name, text,
-# attributes, children): `xml_parts` for a parsed XML element, `_node_parts`
-# for a MathMLNode.  Both read text by `token_text`, so a tree and its XML
-# compare equal.  `batch_compare` walks the parsed documents themselves, so
-# no MathMLNode tree is built on its path.
 
 
-def _node_parts(node: MathMLNode) -> tuple:
-    return node.element, token_text(node.text), node.attributes, node.children
+def _read(tree: MathMLNode, options: CompareOptions) -> tuple[list[int], list]:
+    """The walk of `tree` read as its XML: a tree and its XML compare equal."""
+    return _walk(ET.fromstring(serialize(tree)), options)
 
 
-def _node_wrapper(children: list[MathMLNode]) -> MathMLNode:
-    return MathMLNode("semantics", {}, children)
-
-
-def _xml_wrapper(children: ET.Element) -> ET.Element:
-    wrapper = ET.Element("semantics")
-    wrapper.extend(children)
-    return wrapper
-
-
-def _walk(root, parts, wrapper, options: CompareOptions) -> tuple[list[int], list]:
+def _walk(root: ET.Element, options: CompareOptions) -> tuple[list[int], list]:
     """The normalized tree in postorder: the leftmost-leaf indices, 1-based
     (slot 0 unused), and the (element, text, attribute items) of every
-    node, node x at items[x - 1].
+    node, node x at items[x - 1], each element read as `xml_parts` reads it.
 
     The subtree of node x is the postorder range lmld[x]..x, so the two
     arrays together fix the ordered tree.  The rules, applied bottom-up as
@@ -108,49 +91,69 @@ def _walk(root, parts, wrapper, options: CompareOptions) -> tuple[list[int], lis
     * the root is never replaced.  Under `require_semantics_wrapper` a
       `math` root with no `semantics` child has its children wrapped in
       one, and so has no text.
+
+    One loop reads the elements in document order and keeps the open ones
+    on a stack, so a document of any depth walks from any caller.
     """
-    element, text, attributes, children = parts(root)
-    if (options.require_semantics_wrapper and element == "math"
-            and all(parts(child)[0] != "semantics" for child in children)):
-        text, children = None, [wrapper(children)]
+    if (options.require_semantics_wrapper and local_name(root.tag) == "math"
+            and all(local_name(child.tag) != "semantics" for child in root)):
+        wrapped = ET.Element(root.tag, root.attrib)
+        ET.SubElement(wrapped, "semantics").extend(root)
+        root = wrapped
+    strip = options.strip_elements
+    mrows = options.ignore_inferred_mrow
+    every = options.ignored_attributes == "all"
+    names: dict = {}  # tag -> local name
     lmld = [0]
     items: list = []
-    _emit((element, text, attributes, children), parts, options, lmld, items, True)
-    return lmld, items
+    # Open elements: [name, attributes, children left, index of the first
+    # node emitted below, nodes emitted as its normalized children].
+    stack: list = []
+    for element in root.iter():
+        name = names.get(element.tag) or names.setdefault(element.tag, local_name(element.tag))
+        children = len(element)
+        if children:
+            stack.append([name, element.attrib, children, len(lmld), 0])
+            continue
+        # A leaf closes at once, and then each element whose last child closed.
+        attributes, start, count = element.attrib, len(lmld), 0
+        text = (element.text or "").strip() or None
+        while True:
+            if stack and (name in strip or mrows and count == 1 and name == "mrow"):
+                added = count
+            else:
+                # A single child is the last node emitted; dropping it leaves
+                # its children in place, as the parent's.
+                if (mrows and count == 1 and name in _INFERRED_MROW_PARENTS
+                        and items[-1][0] == "mrow" and not items[-1][2]):
+                    lmld.pop()
+                    items.pop()
+                lmld.append(start)
+                items.append((name, text, () if every or not attributes
+                              else _kept(attributes, options)))
+                added = 1
+            if not stack:
+                return lmld, items
+            parent = stack[-1]
+            parent[4] += added
+            parent[2] -= 1
+            if parent[2]:
+                break
+            name, attributes, _, start, count = stack.pop()
+            text = None
 
 
-def _emit(node: tuple, parts, options: CompareOptions, lmld: list[int], items: list,
-          root: bool = False) -> int:
-    """Append what takes the node with these parts in its normalized parent
-    to the postorder arrays; return how many nodes that is."""
-    element, text, attributes, children = node
-    start = len(lmld)  # the index of the first node emitted below
-    count = 0
-    for child in children:  # one frame per level
-        count += _emit(parts(child), parts, options, lmld, items)
-    mrows = options.ignore_inferred_mrow
-    if not root and (element in options.strip_elements
-                     or mrows and count == 1 and element == "mrow"):
-        return count
-    # A single child is the last node emitted; dropping it leaves its
-    # children in place, as the parent's.
-    if (mrows and count == 1 and element in _INFERRED_MROW_PARENTS
-            and items[-1][0] == "mrow" and not items[-1][2]):
-        lmld.pop()
-        items.pop()
-    if not attributes or options.ignored_attributes == "all":
-        kept = ()
-    else:
-        kept = tuple(item for item in attributes.items() if not options.ignores_attr(item[0]))
-    lmld.append(start)
-    items.append((element, text, kept))
-    return 1
+def _kept(attributes: dict, options: CompareOptions) -> tuple:
+    """The attribute items, by local name, that `options` does not ignore."""
+    if any("}" in key for key in attributes):
+        attributes = {local_name(key): value for key, value in attributes.items()}
+    return tuple(item for item in attributes.items() if not options.ignores_attr(item[0]))
 
 
 def normalize(tree: MathMLNode, options: CompareOptions) -> MathMLNode:
     """The tree as compared (see `_walk`), rebuilt from the walk's postorder
     output; `tree` is not changed."""
-    lmld, items = _walk(tree, _node_parts, _node_wrapper, options)
+    lmld, items = _read(tree, options)
     built: list = [None]  # built[x]: node x
     for x, (element, text, attributes) in enumerate(items, 1):
         children = []
@@ -169,8 +172,7 @@ def normalize(tree: MathMLNode, options: CompareOptions) -> MathMLNode:
 def element_fscore(a: MathMLNode, b: MathMLNode,
                    options: CompareOptions = CompareOptions()) -> FScoreReport:
     """Order-insensitive multiset overlap of (element, token text, attributes)."""
-    return _fscore(_walk(a, _node_parts, _node_wrapper, options)[1],
-                   _walk(b, _node_parts, _node_wrapper, options)[1])
+    return _fscore(_read(a, options)[1], _read(b, options)[1])
 
 
 def _multiset(items: list) -> Counter:
@@ -218,8 +220,8 @@ def tree_edit_distance(a: MathMLNode, b: MathMLNode,
     grows with the product of the two node counts and does not fall with
     the distance.
     """
-    lmld_a, items_a = _walk(a, _node_parts, _node_wrapper, options)
-    lmld_b, items_b = _walk(b, _node_parts, _node_wrapper, options)
+    lmld_a, items_a = _read(a, options)
+    lmld_b, items_b = _read(b, options)
     return TedResult(_distance(lmld_a, items_a, lmld_b, items_b), len(items_a), len(items_b))
 
 
@@ -417,10 +419,9 @@ def batch_compare(pairs: list[ComparePair],
     """Per-pair TED and F-score plus Table-style aggregates.
 
     Each document is parsed and then walked once (`_walk`), and both
-    measures read the walk's arrays; a byte-identical pair is parsed and
-    walked once for both sides.  Pairs that fail to parse as XML, or
-    that are nested too deeply for the interpreter's stack, are excluded
-    from the aggregates and surfaced in the report header.
+    measures read the walk's arrays.  A byte-identical pair is parsed once
+    and scores TED 0 and F1 1.0 unwalked.  Pairs that fail to parse as XML
+    are excluded from the aggregates and surfaced in the report header.
     """
     rows: list[PairRow] = []
     errors: list[str] = []
@@ -435,16 +436,13 @@ def batch_compare(pairs: list[ComparePair],
             errors.append(f"{pair.id}: XML parse failure: {exc}")
             rows.append(PairRow(pair.id, None, None, error=str(exc)))
             continue
-        try:
-            lmld_a, items_a = _walk(root_a, xml_parts, _xml_wrapper, options)
-            lmld_b, items_b = ((lmld_a, items_a) if same
-                               else _walk(root_b, xml_parts, _xml_wrapper, options))
-        except RecursionError as exc:  # read, but nested too deeply to walk
-            errors.append(f"{pair.id}: too deeply nested to compare: {exc}")
-            rows.append(PairRow(pair.id, None, None, error=str(exc)))
-            continue
-        ted = _distance(lmld_a, items_a, lmld_b, items_b)
-        rows.append(PairRow(pair.id, ted, _fscore(items_a, items_b).f1))
+        if same:  # the root is never replaced, so each side has a node
+            ted, f1 = 0, 1.0
+        else:
+            lmld_a, items_a = _walk(root_a, options)
+            lmld_b, items_b = _walk(root_b, options)
+            ted, f1 = _distance(lmld_a, items_a, lmld_b, items_b), _fscore(items_a, items_b).f1
+        rows.append(PairRow(pair.id, ted, f1))
         overall += ted
         counted += 1
     average = overall / counted if counted else 0.0

@@ -127,6 +127,14 @@ def test_convert_intent(capsys):
     assert 'intent="open-interval($x,$y)"' in out
 
 
+def test_convert_rejects_an_undecodable_argument_byte_in_raw_text(capsys):
+    # An argv byte that is not UTF-8 arrives as a lone surrogate, which
+    # stdout would write back as the raw byte: not XML.
+    code, out, err = run(capsys, "convert", "\\text{\udcff}")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:E_UNKNOWN_COMMAND:6-9:")
+
+
 def test_convert_failure_keeps_stdout_clean(capsys):
     code, out, err = run(capsys, "convert", "\\badcmd")
     assert code == 1

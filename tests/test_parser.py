@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import example, given, settings
@@ -463,6 +464,37 @@ def test_raw_argument_ends_where_the_text_scan_does(rest):
     if result.ok:
         assert result.ast.children == (Fun("text", (Text(source[6:close]),)),
                                        *after.ast.children)
+
+
+# Code points outside XML 1.0's Char production, and the nearest ones inside it.
+_XML_ILLEGAL = ["\x00", "\x01", "\x08", "\x0b", "\x0c", "\x0e", "\x1f", "\ud800", "\udcff",
+                "\udfff", "\ufffe", "\uffff"]
+_XML_LEGAL = ["\t", "\n", "\r", " ", "\x7f", "\ud7ff", "\ue000", "\ufffd", "\U00010000",
+              "\U0010ffff"]
+
+
+@pytest.mark.parametrize("command", ["text", "operatorname"])
+@pytest.mark.parametrize("ch", _XML_ILLEGAL)
+def test_raw_text_rejects_a_character_xml_cannot_carry(command, ch):
+    """Raw text goes into the output as it is, so a character that XML
+    cannot carry is rejected there as it is elsewhere, on its own span."""
+    sources = [f"\\{command}{{a{ch}b}}"]
+    if not ch.isspace():  # unbraced, the character is the argument
+        sources.append(f"\\{command}{ch}")
+    for source in sources:
+        at = source.index(ch)
+        start = len(source[:at].encode("utf-8", "surrogatepass"))
+        diag = (E_UNKNOWN_COMMAND, f"character {ch!r} is not whitelisted",
+                (start, start + len(ch.encode("utf-8", "surrogatepass"))))
+        assert [(d.code, d.message, d.span) for d in check_formula(source)] == [diag]
+        with pytest.raises(ConversionFailed):
+            convert_formula(source)
+
+
+@pytest.mark.parametrize("ch", _XML_LEGAL)
+def test_raw_text_keeps_a_character_xml_can_carry(ch):
+    document = convert_formula(f"\\text{{a{ch}b}}")
+    assert ET.fromstring(document)[0].text == f"a{ch}b"
 
 
 # -- grammar fuzz past the parser ---------------------------------------------

@@ -24,7 +24,7 @@ from oracles import (
 )
 from texmathc import convert_formula, parse, similarity
 from texmathc.generator import to_mathml
-from texmathc.mathml import GenOptions, MathMLNode, from_xml, serialize, xml_parts
+from texmathc.mathml import GenOptions, MathMLNode, from_xml, serialize
 from texmathc.similarity import (
     _INFERRED_MROW_PARENTS,
     _bounds,
@@ -32,7 +32,6 @@ from texmathc.similarity import (
     _levenshtein,
     _multiset,
     _walk,
-    _xml_wrapper,
     _ted,
     FULL_NORMALIZATION,
     CompareOptions,
@@ -238,7 +237,7 @@ def _documents(tree: MathMLNode, roots: tuple[str, str]) -> tuple[str, str]:
 
 def _read(document: str, options: CompareOptions) -> tuple[list[int], list]:
     """The walk's arrays for a serialized document, as `batch_compare` reads it."""
-    return _walk(ET.fromstring(document), xml_parts, _xml_wrapper, options)
+    return _walk(ET.fromstring(document), options)
 
 
 def _oracle_f1(a: MathMLNode, b: MathMLNode) -> float:
@@ -676,46 +675,65 @@ def test_batch_reads_back_the_deepest_conversion():
     assert (row.ted, row.f1, row.error) == (0, 1.0, None)
 
 
+def _chain(depth: int) -> str:
+    return "<math>" + "<mrow>" * depth + "<mi>x</mi>" + "</mrow>" * depth + "</math>"
+
+
 @pytest.mark.parametrize("options", [CompareOptions(), FULL_NORMALIZATION])
 def test_batch_survives_any_nesting_depth(options):
-    """A deep pair gives a row, with or without an error, never an exception.
-
-    Every depth just under the recursion limit is tried, where reading a
-    document succeeds but walking it may not.
-    """
+    """A deep pair compares, byte-identical or not, at every depth around
+    the recursion limit."""
     limit = sys.getrecursionlimit()
     for depth in [400, *range(limit - 100, limit + 1), 2000]:
-        doc = "<math>" + "<mrow>" * depth + "<mi>x</mi>" + "</mrow>" * depth + "</math>"
-        report = batch_compare([ComparePair("chain", doc, doc)], options)
-        (row,) = report.rows
-        assert (row.ted == 0) != (row.error is not None), depth
-        assert len(report.errors) == report.formula_count ^ 1
-        assert not any("XML parse failure" in error for error in report.errors), depth
+        doc = _chain(depth)
+        spaced = doc.replace("<mi>x</mi>", "<mi> x </mi>")  # read as `doc`, but walked
+        report = batch_compare([ComparePair("chain", doc, doc),
+                                ComparePair("spaced", doc, spaced)], options)
+        for row in report.rows:
+            assert (row.ted, row.f1, row.error) == (0, 1.0, None), depth
+        assert report.errors == () and report.formula_count == 2
 
 
-_DEEP = "<math>" + "<mrow>" * 2000 + "<mi>x</mi>" + "</mrow>" * 2000 + "</math>"
+_DEEP = _chain(2000)
 
 
-def test_batch_reports_a_deep_document_as_too_deeply_nested():
-    report = batch_compare([ComparePair("chain", _DEEP, "<math><mi>x</mi></math>")])
-    (row,) = report.rows
-    assert (row.ted, row.f1) == (None, None) and row.error
-    (error,) = report.errors
-    assert error.startswith("chain: too deeply nested to compare: ")
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def _from_depth(frames: int, call):
+    """`call()` from a caller `frames` frames deep, counting every frame on
+    the stack."""
+    return call() if _stack_depth() >= frames else _from_depth(frames, call)
+
+
+def test_batch_compares_a_deep_document_from_a_deep_caller():
+    """Documents of any depth compare, from a caller near the recursion
+    limit too: a chain of n mrows is n deletions from its leaf, none once
+    single-child mrows give way."""
+    pairs = [ComparePair(str(depth), _chain(depth), "<math><mi>x</mi></math>")
+             for depth in (2000, 100_000)]
+    for options, distances in ((CompareOptions(), {"2000": 2000, "100000": 100_000}),
+                               (FULL_NORMALIZATION, {"2000": 0, "100000": 0})):
+        report = _from_depth(950, lambda: batch_compare(pairs, options))
+        assert {row.id: row.ted for row in report.rows} == distances
+        assert report.errors == () and all(row.error is None for row in report.rows)
 
 
 def test_batch_reads_an_identical_pair_once(monkeypatch):
-    """A byte-identical pair is parsed and walked once.  A document that does
-    not parse, or is nested too deeply to walk, gives the one error row and
-    message it gives against any other document."""
+    """A byte-identical pair is parsed once and not walked.  A document that
+    does not parse gives the one error row and message it gives against any
+    other document."""
     doc = serialize(math("<mrow><mi>x</mi><mo>+</mo><mi>y</mi></mrow>"))
-    for bad, prefix in (("<math><mi>x</mi>", "p: XML parse failure: "),
-                        (_DEEP, "p: too deeply nested to compare: ")):
-        report = batch_compare([ComparePair("p", bad, bad)])
-        assert report == batch_compare([ComparePair("p", bad, doc)])
-        (error,) = report.errors
-        (row,) = report.rows
-        assert error.startswith(prefix) and error == prefix + row.error
+    bad, prefix = "<math><mi>x</mi>", "p: XML parse failure: "
+    report = batch_compare([ComparePair("p", bad, bad)])
+    assert report == batch_compare([ComparePair("p", bad, doc)])
+    (error,) = report.errors
+    (row,) = report.rows
+    assert error.startswith(prefix) and error == prefix + row.error
     calls = Counter()
 
     def counting(name, function):
@@ -728,7 +746,7 @@ def test_batch_reads_an_identical_pair_once(monkeypatch):
     monkeypatch.setattr(similarity, "_walk", counting("walk", _walk))
     (row,) = batch_compare([ComparePair("p", doc, doc)]).rows
     assert (row.ted, row.f1, row.error) == (0, 1.0, None)
-    assert calls == {"parse": 1, "walk": 1}
+    assert calls == {"parse": 1}
 
 
 def test_comparison_leaves_no_garbage():
@@ -738,7 +756,8 @@ def test_comparison_leaves_no_garbage():
     pair = ComparePair("p", serialize(a), _MATHML_NS.join(["<math", serialize(b)[5:]]))
     options = CompareOptions(ignore_inferred_mrow=True, require_semantics_wrapper=True)
     pairs = [pair, ComparePair("malformed", "<math><mi>x</mi>", "<math><mi>x</mi>"),
-             ComparePair("deep", _DEEP, _DEEP)]
+             ComparePair("deep", _DEEP, _DEEP),
+             ComparePair("deep and leaf", _DEEP, "<math><mi>x</mi></math>")]
     calls = [lambda: tree_edit_distance(a, b, options), lambda: element_fscore(a, b, options),
              lambda: batch_compare(pairs, options)]
     gc.collect()

@@ -30,8 +30,9 @@ Inputs, built once from SEED:
   beside other items;
 * COUNT // 3 chemistry bodies for ``expand_ce``/``expand_pu``;
 * MathML pairs: the two-renderer pairs, neighbouring reference outputs of
-  the combined corpus, and seeded random trees against one another, against
-  a copy and against a copy with one token changed.
+  the combined corpus, seeded random trees against one another, against
+  a copy and against a copy with one token changed, and ``<mrow>`` chains of
+  CHAIN_DEPTHS levels against a leaf and against themselves.
 
 Entry points: ``check_formula`` (chemistry off and on); ``convert_formula``
 bytes or diagnostics under display {inline, block} x {plain, semantics,
@@ -98,6 +99,7 @@ CHEM_TAILS = ("_2", "^2", "'", "''", "_{2}^{3}", "^{+}", "^2_3'", " x", "^\\ce{H
 LEAVES = ("mi", "mo", "mn")
 INNER = ("mrow", "mrow", "msqrt", "mfrac", "msup", "semantics", "annotation", "mstyle")
 TEXTS = ("a", "b", "x", "+", "=", "1", "2")
+CHAIN_DEPTHS = (1000, 5000)  # levels of <mrow> around one <mi>
 COMPARE_OPTIONS = {  # name -> CompareOptions keyword arguments
     "none": {},
     "full": {"ignore_inferred_mrow": True, "ignored_attributes": "all",
@@ -182,6 +184,10 @@ def build_inputs(seed: int, count: int) -> dict:
         changed = re.sub(r">[^<]+<", ">z<", a, count=1)
         pairs += [(f"random/{k}/ab", a, b), (f"random/{k}/aa", a, a),
                   (f"random/{k}/ba", b, a), (f"random/{k}/az", a, changed)]
+    for depth in CHAIN_DEPTHS:
+        chain = "<math>" + "<mrow>" * depth + "<mi>x</mi>" + "</mrow>" * depth + "</math>"
+        pairs += [(f"chain/{depth}/leaf", chain, "<math><mi>x</mi></math>"),
+                  (f"chain/{depth}/same", chain, chain)]
     return {"sources": sources, "bodies": bodies, "pairs": pairs}
 
 

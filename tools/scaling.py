@@ -58,7 +58,14 @@ node counts are exact.  Each pair gets two times, each the best of
 TED_REPEAT calls: ``tree_edit_distance`` on the two trees (which includes
 the normalizing walk over each), and ``batch_compare`` on the two
 serialized documents, the whole compare path: parsing, one walk per
-document, the distance and the F-score.  Nothing is asserted.
+document, the distance and the F-score.
+
+Compare read, the two steps ``batch_compare`` takes per document before
+any distance: ``ET.fromstring`` (parse) and the normalizing walk over the
+parsed elements (``similarity._walk``, ``CompareOptions()``), each the best
+of READ_REPEAT calls and per node in µs.  Documents of READ_SIZES nodes are
+built as the TED trees are; ``<mrow>`` chains of READ_DEPTHS levels hold
+one ``<mi>``.  Nothing is asserted.
 
     PYTHONPATH=src python3 tools/scaling.py
 """
@@ -72,6 +79,7 @@ import random
 import statistics
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 from time import perf_counter
 
@@ -83,6 +91,7 @@ from texmathc.mathml import MathMLNode, from_xml, serialize  # noqa: E402
 from texmathc.similarity import (  # noqa: E402
     CompareOptions,
     ComparePair,
+    _walk,
     batch_compare,
     tree_edit_distance,
 )
@@ -114,6 +123,9 @@ TREE_SIZES = (50, 100, 200, 300, 400, 600)
 TED_REPEAT = 3
 SEED = 2024
 EDITS = 3
+READ_SIZES = (10, 100, 1_000, 10_000)
+READ_DEPTHS = (10, 100, 1_000, 10_000, 100_000)
+READ_REPEAT = 5
 
 
 def best_of(call, repeat: int) -> float:
@@ -274,6 +286,24 @@ def ted_cells(a: MathMLNode, b: MathMLNode) -> tuple[float, float, int]:
     return ted, batch, tree_edit_distance(a, b, options).distance
 
 
+def read_rows(rng: random.Random, pieces) -> list[str]:
+    documents = [(f"document, {size} nodes", serialize(build(rng, pieces, size)))
+                 for size in READ_SIZES]
+    documents += [(f"`<mrow>` chain, {depth} levels",
+                   "<math>" + "<mrow>" * depth + "<mi>x</mi>" + "</mrow>" * depth + "</math>")
+                  for depth in READ_DEPTHS]
+    options = CompareOptions()
+    out = []
+    for label, document in documents:
+        root = ET.fromstring(document)
+        nodes = sum(1 for _ in root.iter())
+        parse = best_of(lambda: ET.fromstring(document), READ_REPEAT)
+        walk = best_of(lambda: _walk(root, options), READ_REPEAT)
+        out.append(f"| {label} | {nodes} | {parse * 1e3:.3f} ms | {parse / nodes * 1e6:.2f} µs "
+                   f"| {walk * 1e3:.3f} ms | {walk / nodes * 1e6:.2f} µs |")
+    return out
+
+
 def main() -> int:
     print(f"# Python {platform.python_version()} ({platform.python_implementation()}), "
           f"CPU: {cpu_name()}")
@@ -325,6 +355,11 @@ def main() -> int:
               f"| {changed * ms:.1f} ms | {changed_batch * ms:.1f} ms | {distance} "
               f"| {edited * ms:.1f} ms | {edited_batch * ms:.1f} ms | {near} "
               f"| {other * ms:.1f} ms | {other_batch * ms:.1f} ms | {far} |", flush=True)
+    print(f"\n# compare read: best of {READ_REPEAT} calls of ET.fromstring (parse) and of the "
+          f"normalizing walk, CompareOptions(), seed {SEED}")
+    print("| document | nodes | parse | per node | walk | per node |")
+    print("|---|---:|---:|---:|---:|---:|")
+    print("\n".join(read_rows(random.Random(SEED), pieces)), flush=True)
     return 0
 
 
