@@ -73,7 +73,7 @@ class DiagnosticError(Exception):
         """The finding located in UTF-8 bytes of `text`; None without a text."""
         if self.text is None:
             return None
-        (span,) = byte_offsets(self.text, [self.span])
+        span = self.span if self.text.isascii() else byte_offsets(self.text, [self.span])[0]
         return Diagnostic(ERROR, self.code, self.message, span)
 
     def within(self, outer: str, start: int) -> DiagnosticError:

@@ -29,9 +29,10 @@ def to_mathml(ast: AstNode, registry: Registry,
               options: GenOptions | None = None) -> MathMLNode:
     """Translate a parser-produced AST into a presentation MathML tree.
 
-    Each letter, digit, operator and zero-argument command becomes the leaf
-    that `registry` holds for it, shared between trees and read-only (see
-    `mathml.shared`): replace one in its parent's children to change it.
+    Each letter, digit, operator, zero-argument command, fence and mark
+    becomes the leaf that `registry` holds for it, shared between trees and
+    read-only (see `mathml.shared`): replace one in its parent's children to
+    change it.
     An unbound intent reference raises `IntentError` with no text (see `within`)."""
     options = options or GenOptions()
     content: list[MathMLNode] = []
@@ -119,6 +120,13 @@ def _literal(node: Literal, registry: Registry) -> MathMLNode:
     return leaf
 
 
+def _mo(text: str, registry: Registry, **attributes: str) -> MathMLNode:
+    """The registry's one read-only `mo` of a fence or mark, whose text a
+    registry row or the grammar's delimiters give; keyed apart from tokens."""
+    key, leaves = (text, *attributes.items()), registry.leaves
+    return leaves.get(key) or leaves.setdefault(key, shared(token("mo", text, **attributes)))
+
+
 def _leaf(tok: str, registry: Registry) -> MathMLNode:
     if tok.startswith("\\"):
         spec = _spec(tok[1:], registry)
@@ -154,10 +162,10 @@ def _script(node: Script, registry: Registry) -> MathMLNode:
 def _delimited(node: Delimited, registry: Registry) -> MathMLNode:
     row: list[MathMLNode] = []
     if node.open != ".":
-        row.append(token("mo", _delim_text(node.open, registry)))
+        row.append(_mo(_delim_text(node.open, registry), registry))
     _translate(node.body, registry, row)
     if node.close != ".":
-        row.append(token("mo", _delim_text(node.close, registry)))
+        row.append(_mo(_delim_text(node.close, registry), registry))
     return elem("mrow", row)
 
 
@@ -182,10 +190,10 @@ def _matrix_env(node: Matrix, registry: Registry) -> MathMLNode:
     table = MathMLNode("mtable", dict(_TABLE_ATTRS.get(node.env, {})), rows)
     if not open_fence and not close_fence:
         return table
-    row = [token("mo", decode_param(open_fence))] if open_fence else []
+    row = [_mo(decode_param(open_fence), registry)] if open_fence else []
     row.append(table)
     if close_fence:
-        row.append(token("mo", decode_param(close_fence)))
+        row.append(_mo(decode_param(close_fence), registry))
     return elem("mrow", row)
 
 
@@ -228,7 +236,7 @@ def _wrap_fn(element: str, *param_names: str):
 def _mark_fn(element: str, **attributes: str):
     """A command that sets the mark its first parameter names over or under its argument."""
     def translate(registry, spec, args):
-        mark = token("mo", decode_param(spec.params[0]))
+        mark = _mo(decode_param(spec.params[0]), registry)
         return elem(element, [_slot(args[0], registry), mark], **attributes)
     return translate
 
@@ -280,7 +288,7 @@ def _fn_atop(registry, spec, args):
 def _fn_binom(registry, spec, args):  # its own mfrac: via _fn_atop costs a frame a level
     core = elem("mfrac", [_slot(args[0], registry), _slot(args[1], registry)],
                 linethickness="0")
-    row = elem("mrow", [token("mo", spec.params[0]), core, token("mo", spec.params[1])])
+    row = elem("mrow", [_mo(spec.params[0], registry), core, _mo(spec.params[1], registry)])
     return _style_wrap(row, spec.params, 2)
 
 
@@ -302,11 +310,11 @@ def _fn_style(registry, spec, args):
 
 def _fn_pmod(registry, spec, args):
     return elem("mrow", [
-        token("mo", "(", stretchy="false"),
+        _mo("(", registry, stretchy="false"),
         token("mi", "mod"),
         elem("mspace", width="0.333em"),
         _slot(args[0], registry),
-        token("mo", ")", stretchy="false"),
+        _mo(")", registry, stretchy="false"),
     ])
 
 

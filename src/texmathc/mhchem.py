@@ -121,11 +121,13 @@ def _ce_chunks(body: str) -> list[list[AstNode]]:
     i, n = 0, len(body)
     while i < n:
         ch = body[i]
-        if ch.isspace():
+        if "A" <= ch <= "Z":  # the most common token first
+            m = _ELEMENTS.match(body, i)
+            kind, chunk, i = "element", [_mathrm("".join(m[0].split()))], m.end()
+        elif ch.isspace():
             i += 1
             continue
-        spaced = body[i - 1:i].isspace()  # a space before this token
-        if ch in "<-" and (arrow := _ARROW.match(body, i)):
+        elif ch in "<-" and (arrow := _ARROW.match(body, i)):
             kind, chunk, i = "arrow", [_LIT[_COMMANDS[arrow[0]]]], arrow.end()
         elif ch == "$":
             raise _err("nested math inside \\ce is not supported", body, i, i + 1)
@@ -133,6 +135,7 @@ def _ce_chunks(body: str) -> list[list[AstNode]]:
             nxt = body[i + 1:i + 2]
             # A charge sign touches its species; a separator is spaced or
             # stands between species starts.
+            spaced = body[i - 1:i].isspace()
             if not spaced and prev in _CHARGEABLE and not (nxt.isalnum() or nxt == "("):
                 kind, chunk = "charge", [_on_empty("", "+")]
             else:
@@ -147,7 +150,7 @@ def _ce_chunks(body: str) -> list[list[AstNode]]:
             after = body[j:j + 1]
             if after.isupper() or after == "(" and not _STATE.match(body, j):
                 kind, chunk = "bond", [_LIT["-"]]
-            elif not spaced:
+            elif not body[i - 1:i].isspace():
                 kind, chunk = "charge", [_on_empty("", "-")]
             else:
                 raise _err("'-' must bond two species or trail as a charge", body, i, i + 1)
@@ -186,8 +189,6 @@ def _ce_chunks(body: str) -> list[list[AstNode]]:
             else:
                 raise _err("unexpected number", body, i, _NUMBER.match(body, i).end())
             i = m.end()
-        elif m := _ELEMENTS.match(body, i):
-            kind, chunk, i = "element", [_mathrm("".join(m[0].split()))], m.end()
         else:
             raise _err(f"unsupported character {ch!r} in \\ce", body, i, i + 1)
         chunks.append(chunk)

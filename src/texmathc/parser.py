@@ -82,9 +82,10 @@ _STOP_GROUP = frozenset({"rbrace"})
 _STOP_FENCE = frozenset({"right"})
 _STOP_CELL = frozenset({"amp", "newrow", "end"})
 
-# One shared Literal per token text (nodes are frozen, so sharing is safe).
-# Only whitelisted characters and arity-0 commands are put in it.
-_LITERALS: dict[str, Literal] = {}
+# Command names the grammar reads before, or instead of, a registry lookup.
+_GRAMMAR_NAMES = frozenset({"left", "right", "begin", "end", "intent"}) | CHEM_COMMANDS
+
+mhchem = None  # the module, once the first \\ce or \\pu has loaded it
 
 _CMD_TAIL = re.compile(r"\\[A-Za-z]+$")
 
@@ -123,6 +124,23 @@ def _fits(spec: CommandSpec, arity: int) -> bool:
             and (arity or fn not in INFIX_FNS))
 
 
+def leaf_table(registry: Registry) -> dict[tuple[str, str], Literal]:
+    """The one shared Literal of each token that reads as a bare leaf under
+    `registry`, by (kind, value): each whitelisted character, and each arity-0
+    command that is not deprecated, chem-only, infix, an environment or a name
+    the grammar reads.  Built at the registry's first parse and kept in it."""
+    table = registry.__dict__.get("literals")
+    if table is None:
+        chars = [ch for ch in map(chr, range(128)) if ch.isalnum()] + list(registry.operators)
+        table = {("char", ch): Literal(ch) for ch in chars if len(ch) == 1}
+        table.update((("cmd", name), Literal("\\" + name))
+                     for name, spec in registry.commands.items()
+                     if _fits(spec, 0) and not spec.deprecated and spec.category != "chem-only"
+                     and name not in _GRAMMAR_NAMES)
+        registry.__dict__["literals"] = table
+    return table
+
+
 def tokenize(source: str) -> list[Token]:
     """Total tokenization: any input yields a list of (kind, value, start,
     end) tuples ending in eof."""
@@ -147,6 +165,7 @@ class _Parser:
         self.source = source
         self.registry = registry
         self.allow_chem = allow_chem
+        self.leaves = leaf_table(registry)
         self.toks = tokenize(source)
         self.i = 0
         self.depth = 0
@@ -201,10 +220,15 @@ class _Parser:
     def sequence(self, stop: frozenset[str], eof_ok: bool,
                  in_infix: bool = False) -> list[AstNode]:
         items: list[AstNode] = []
-        toks = self.toks
+        toks, leaves = self.toks, self.leaves
         while True:
             tok = toks[self.i]
             kind, value, _, _ = tok
+            leaf = leaves.get((kind, value))
+            if leaf is not None:
+                self.i += 1
+                items.append(self.item(leaf) if toks[self.i][0] in ("sup", "sub") else leaf)
+                continue
             if kind == "cmd" and value in ("right", "end"):
                 kind = value
             if kind == "eof":
@@ -250,10 +274,13 @@ class _Parser:
         if node is None:
             tok = toks[self.i]
             kind = tok[0]
-            if kind == "lbrace":
+            node = self.leaves.get(tok[:2])
+            if node is not None:
+                self.i += 1
+            elif kind == "lbrace":
                 node = self.group()
             elif kind == "char":
-                node = self.char_literal()
+                self.unknown_char(tok)
             elif kind == "cmd":
                 node = self.command()
             elif kind in ("sup", "sub"):
@@ -289,14 +316,8 @@ class _Parser:
         self.leave()
         return Curly(tuple(items))
 
-    def char_literal(self) -> Literal:
-        tok = self.advance()
-        ch = tok[1]
-        if (ch.isascii() and (ch.isalpha() or ch.isdigit())
-                or self.registry.operator(ch) is not None):
-            return _LITERALS.get(ch) or _LITERALS.setdefault(ch, Literal(ch))
-        self.fail(E_UNKNOWN_COMMAND, f"character {ch!r} is not whitelisted", tok)
-        raise AssertionError
+    def unknown_char(self, tok: Token) -> None:  # one that `leaves` does not hold
+        self.fail(E_UNKNOWN_COMMAND, f"character {tok[1]!r} is not whitelisted", tok)
 
     def note_deprecated(self, spec: CommandSpec, tok: Token) -> None:
         if spec.deprecated:
@@ -330,9 +351,8 @@ class _Parser:
             self.fail(E_AMBIGUOUS_INFIX,
                       f"\\{name} cannot be an argument or index; brace it as {{a \\{name} b}}", tok)
         self.note_deprecated(spec, tok)
-        if spec.arity == 0:
-            token = "\\" + name
-            return _LITERALS.get(token) or _LITERALS.setdefault(token, Literal(token))
+        if spec.arity == 0:  # one that `leaves` does not hold
+            return Literal("\\" + name)
         if spec.translation_fn in RAW_ARG_FNS:
             return Fun(name, (Text(self.raw_text(tok)),))
         if spec.translation_fn == "radical" and self.peek()[:2] == ("char", "["):
@@ -346,11 +366,15 @@ class _Parser:
         """One argument: one level of nesting, braced or not."""
         tok = self.peek()
         kind, value, _, _ = tok
+        leaf = self.leaves.get((kind, value))
+        if leaf is not None and self.depth < MAX_DEPTH:  # the level it would enter fits
+            self.i += 1
+            return leaf
         if kind == "lbrace":
             return _collapse_arg(self.group())  # the group counts the level
         if kind == "char" or kind == "cmd" and value not in ("right", "end"):
             self.enter(tok)
-            node = self.char_literal() if kind == "char" else self.command()
+            node = self.command() if kind == "cmd" else self.unknown_char(tok)
             self.leave()
             return node
         self.fail(E_EMPTY_ARG, f"missing {what}", tok if kind != "eof" else owner)
@@ -512,7 +536,9 @@ class _Parser:
         """The nodes `mhchem.expand` builds for the ``\\ce{…}``/``\\pu{…}`` at
         the current token, checked as their TeX would be read (`braced`: as
         one group), each finding on the span of the whole command."""
-        from . import mhchem  # loaded at the first \\ce or \\pu
+        global mhchem
+        if mhchem is None:  # loaded at the first \\ce or \\pu
+            from . import mhchem
 
         toks, i = self.toks, self.i
         _, name, start, _ = toks[i]
@@ -568,9 +594,8 @@ class _Parser:
             elif kind is Curly:
                 groups = (node,)
             elif kind is Literal and node.token[0] != "\\":
-                ch = node.token
-                if not (ch.isascii() and ch.isalnum() or self.registry.operator(ch)):
-                    self.fail(E_UNKNOWN_COMMAND, f"character {ch!r} is not whitelisted", tok)
+                if ("char", node.token) not in self.leaves:
+                    self.unknown_char(("char", node.token, *tok[2:]))
             else:  # a command and its arguments
                 name, groups = (node.token[1:], ()) if kind is Literal else (node.command, node.args)
                 spec = self.registry.lookup(name)
@@ -608,7 +633,9 @@ def parse(source: str, registry: Registry, *, allow_chem: bool = False) -> Parse
     try:
         ast = parser.parse_formula()
     except DiagnosticError as exc:  # keep no reference to it: its traceback holds every frame
-        fail = exc.code, exc.message, exc.span  # a nested error's too, moved into `source`
+        if not parser.warnings:  # the one finding; a nested error's too, moved into `source`
+            return ParseResult(None, (exc.diagnostic,), ())
+        fail = exc.code, exc.message, exc.span
     if not (fail or parser.warnings):
         return ParseResult(ast, (), ())
     found = [span for _, span in parser.warnings] + ([fail[2]] if fail else [])

@@ -60,7 +60,9 @@ class OperatorSpec(Value, attributes=()):
 class Registry(Value):
     """Immutable after load; shared freely between concurrent parses."""
 
-    __slots__ = ("version", "commands", "operators", "__dict__")  # `digest`, `chem_ready`, `leaves`
+    # Computed at first use, in `__dict__`: `digest`, the generator's `leaves`, and
+    # the parser's `literals` (`parser.leaf_table`) and `chem_ready`.
+    __slots__ = ("version", "commands", "operators", "__dict__")
 
     def lookup(self, name: str) -> CommandSpec | None:
         """Exact-match command lookup; None means not whitelisted."""
@@ -78,7 +80,8 @@ class Registry(Value):
 
     @cached_property
     def leaves(self) -> dict:
-        """The generator's shared MathML leaf of each literal token, by token."""
+        """The generator's shared MathML leaf of each literal token, by token,
+        and of each fence or mark `mo`, by (text, *attributes)."""
         return {}
 
 

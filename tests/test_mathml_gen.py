@@ -310,6 +310,28 @@ def test_token_leaves_are_built_once_per_registry(registry, monkeypatch):
     assert from_xml(serialize(tree)) == tree
 
 
+FENCED = ["\\left(x\\right.", "\\left\\langle x\\right|", "\\begin{pmatrix}x\\end{pmatrix}",
+          "\\hat{x}", "\\underbrace{x}", "\\binom{a}{b}", "a \\choose b", "\\pmod{p}"]
+
+
+def _mos(registry, source):
+    return [n for n in convert(registry, source).iter() if n.element == "mo"]
+
+
+def test_fence_and_mark_mos_are_registry_leaves(registry):
+    fresh = parse_registry_text(dump_registry(registry))
+    for source in FENCED:
+        mos = _mos(fresh, source)
+        assert mos and all(a is b and a.markup for a, b in zip(mos, _mos(fresh, source))), source
+        assert not any(a is b for a, b in zip(mos, _mos(registry, source)))
+    # one leaf per fence or mark text (and attributes), none per formula
+    assert {key for key in fresh.leaves if isinstance(key, tuple)} == {
+        ("(",), ("⟨",), ("|",), (")",), ("^",), ("⏟",),
+        ("(", ("stretchy", "false")), (")", ("stretchy", "false"))}
+    source = "\\intent{\\left(x\\right)}{intent='f($x)'}"
+    assert convert_formula(source, registry=fresh) == convert_formula(source)
+
+
 def test_a_shared_leaf_cannot_be_edited_in_place(registry):
     before = convert_formula("x+y")
     x = _row(registry, "x+y")[0]

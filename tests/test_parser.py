@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import copy
+import json
+import string
 import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import CORPORA
 from oracles import closing_brace, command_names, tokenize_oracle
 from texmathc import ConversionFailed, check_formula, convert_formula, default_registry
 from texmathc.diagnostics import (
@@ -33,7 +36,7 @@ from texmathc.nodes import (
     Text,
 )
 from texmathc.mathml import GenOptions
-from texmathc.parser import parse, render_tex, tokenize
+from texmathc.parser import leaf_table, parse, render_tex, tokenize
 from texmathc.registry import dump_registry, parse_registry_text
 
 
@@ -272,6 +275,71 @@ def test_deprecated_warning(registry):
     assert result.ok
     assert [w.code for w in result.warnings] == [W_DEPRECATED]
     assert [d.code for d in result.diagnostics] == [W_DEPRECATED]
+
+
+# -- the per-registry leaf table -------------------------------------------
+
+
+def _without(registry, *prefixes):
+    """A registry with the rows that start with one of `prefixes` left out."""
+    rows = dump_registry(registry).splitlines()
+    return parse_registry_text("\n".join(r for r in rows if not r.startswith(prefixes)))
+
+
+def test_a_leaf_read_under_one_registry_is_not_whitelisted_by_another(registry):
+    smaller = _without(registry, "alpha\t", "+\t")
+    for source in ("\\alpha", "x+y", "\\sqrt\\alpha", "x^+", "\\sqrt[\\alpha]{x}"):
+        assert parse(source, registry).ok
+        assert first_error(smaller, source).code == E_UNKNOWN_COMMAND, source
+    # a character and a command of the same spelling are two leaves
+    assert ok(registry, ",\\,") == Sequence((Literal(","), Literal("\\,")))
+    no_command, no_operator = _without(registry, ",\t0\t"), _without(registry, ",\tmo\t")
+    assert ok(no_command, "x,y") and first_error(no_command, "x\\,y").span == (1, 3)
+    assert ok(no_operator, "x\\,y") and first_error(no_operator, "x,y").span == (1, 2)
+
+
+@pytest.mark.parametrize("source", ["a \\and b", "\\sqrt\\and", "x^\\and", "\\sqrt[\\and]{x}"])
+def test_a_deprecated_command_warns_on_every_parse(registry, source):
+    for _ in range(3):
+        assert [w.code for w in parse(source, registry).diagnostics] == [W_DEPRECATED]
+
+
+@pytest.mark.parametrize("source", ["a \\longrightleftharpoons b", "\\sqrt\\longrightleftharpoons",
+                                    "x_\\longrightleftharpoons"])
+def test_a_chem_only_leaf_read_with_chemistry_stays_chem_only(registry, source):
+    for _ in range(2):
+        assert parse(source, registry, allow_chem=True).ok
+        assert first_error(registry, source).code == E_UNKNOWN_COMMAND
+
+
+@pytest.mark.parametrize("leaf", ["x", "\\alpha", "+", "7"])
+def test_a_one_token_argument_past_the_cap_is_too_deep(registry, leaf):
+    ok(registry, leaf)
+    for outer, accepted in [(127, True), (128, False)]:
+        for source in ["\\sqrt{" * outer + "\\sqrt " + leaf + "}" * outer,
+                       "x^{" * outer + "x^" + leaf + "}" * outer]:
+            result = parse(source, registry)
+            assert result.ok == accepted, (leaf, outer)
+            assert accepted or [d.code for d in result.errors] == [E_TOO_DEEP]
+
+
+def test_the_leaf_table_holds_registry_tokens_only(registry):
+    fresh = parse_registry_text(dump_registry(registry))
+    combined = json.loads((CORPORA / "combined_423.json").read_text("utf-8"))["cases"]
+    chem = json.loads((CORPORA / "mhchem_conformance.json").read_text("utf-8"))["cases"]
+    sources = [c["input"] for c in combined + chem]
+    for source in sources + [s + " \\zzunknown é" for s in sources] + ["\\and", "日 \\x"]:
+        for allow_chem in (False, True):
+            parse(source, fresh, allow_chem=allow_chem)
+    table = leaf_table(fresh)
+    chars = set(string.ascii_letters + string.digits) | set(fresh.operators)
+    zero = {name for name, spec in fresh.commands.items() if spec.arity == 0}
+    for (kind, value), leaf in table.items():
+        assert value in {"char": chars, "cmd": zero}[kind]
+        assert leaf == Literal(value if kind == "char" else "\\" + value)
+    assert len(table) <= len(chars) + len(zero)
+    assert ("cmd", "and") not in table and ("cmd", "longrightleftharpoons") not in table
+    assert leaf_table(fresh) is table and leaf_table(registry) is not table
 
 
 def test_validate_examples(registry):

@@ -48,7 +48,7 @@ SEED = 16
 COUNT = 2000
 MAX_PIECES = 8
 NOISE_P = 0.08
-PREFIX = ("\\text{日本}", "\\text{é}", "\\text{\ud800}", "x^2", "\\and", "\\text{\r}", "é",
+PREFIX = ("\\text{日本}", "\\text{é}", "\\text{𝑥}", "x^2", "\\and", "\\text{\r}", "é",
           "\\badcmd")
 BODIES = ("x", "y", "x+x", "{x}", "\\alpha", "", "é")
 TEMPLATES = ("f($x)", "f(\\$x)", "$x", "\\$y", "f($x, \\$y)", "g@prefix(\\$x)", "", "$y",
