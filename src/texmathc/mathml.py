@@ -3,12 +3,8 @@
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import TYPE_CHECKING
 
 from .value import Value
-
-if TYPE_CHECKING:
-    import xml.etree.ElementTree as ET
 
 # The supported presentation element set (27 members; fences are expressed
 # as mrow + stretchy mo rather than mfenced).
@@ -137,51 +133,14 @@ def _write(node: MathMLNode, out: list[str]) -> None:
 
 
 def from_xml(text: str) -> MathMLNode:
-    """Read any MathML document into a MathMLNode tree.
+    """Read any MathML document into a MathMLNode tree: the comparison's walk
+    (`similarity._walk`) with no rules applied, rebuilt as a tree.
 
     Lenient by design: reference renderers emit elements and attributes
-    outside our generated subset, and comparison must still work.  Each
-    element is read by `xml_parts`.
+    outside our generated subset, and comparison must still work.
     """
     import xml.etree.ElementTree as ET  # loaded here: check and convert never read XML
 
-    return _convert(ET.fromstring(text))
+    from .similarity import CompareOptions, _build, _walk
 
-
-def _convert(element: ET.Element) -> MathMLNode:
-    name, text, attributes, children = xml_parts(element)
-    nodes = []
-    for child in children:  # a loop, not a comprehension: one frame per level
-        nodes.append(_convert(child))
-    return MathMLNode(name, dict(attributes), nodes, text)
-
-
-def xml_parts(element: ET.Element) -> tuple[str, str | None, dict[str, str], ET.Element]:
-    """(name, text, attributes, children) of a parsed element, as read.
-
-    Namespace prefixes are stripped from element and attribute names.  An
-    element with children has no text; otherwise its text is
-    whitespace-trimmed, and pure-whitespace text is none (an empty layout
-    node such as `<mrow/>`).  The children are the element itself, which
-    iterates over them, and the attributes may be the element's own dict.
-    """
-    name = element.tag
-    if "}" in name:
-        name = local_name(name)
-    attributes = element.attrib
-    if attributes and any("}" in key for key in attributes):
-        attributes = {local_name(key): value for key, value in attributes.items()}
-    if len(element):
-        return name, None, attributes, element
-    return name, token_text(element.text), attributes, element
-
-
-def token_text(text: str | None) -> str | None:
-    """Text as read and compared: whitespace-trimmed, and none when nothing
-    is left."""
-    return (text or "").strip() or None
-
-
-def local_name(name: str) -> str:
-    """`name` less the `{namespace}` prefix that ElementTree gives it."""
-    return name[name.index("}") + 1:] if name[:1] == "{" and "}" in name else name
+    return _build(*_walk(ET.fromstring(text), CompareOptions()))

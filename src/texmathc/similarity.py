@@ -12,7 +12,7 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from collections import Counter
 
-from .mathml import MathMLNode, local_name, serialize
+from .mathml import MathMLNode, serialize
 from .value import Value
 
 # Elements whose single-child mrow is structural bookkeeping, not content.
@@ -77,11 +77,14 @@ def _read(tree: MathMLNode, options: CompareOptions) -> tuple[list[int], list]:
 def _walk(root: ET.Element, options: CompareOptions) -> tuple[list[int], list]:
     """The normalized tree in postorder: the leftmost-leaf indices, 1-based
     (slot 0 unused), and the (element, text, attribute items) of every
-    node, node x at items[x - 1], each element read as `xml_parts` reads it.
+    node, node x at items[x - 1].
 
     The subtree of node x is the postorder range lmld[x]..x, so the two
-    arrays together fix the ordered tree.  The rules, applied bottom-up as
-    each node closes:
+    arrays together fix the ordered tree.  Each element is read so:
+    namespace prefixes are stripped from element and attribute names; an
+    element with children has no text; a leaf's text is whitespace-trimmed,
+    and none when nothing is left (an empty layout node such as `<mrow/>`).
+    The rules, applied bottom-up as each node closes:
 
     * a stripped element gives way to its normalized children, and so
       (under `ignore_inferred_mrow`) does an mrow left with one child;
@@ -95,8 +98,8 @@ def _walk(root: ET.Element, options: CompareOptions) -> tuple[list[int], list]:
     One loop reads the elements in document order and keeps the open ones
     on a stack, so a document of any depth walks from any caller.
     """
-    if (options.require_semantics_wrapper and local_name(root.tag) == "math"
-            and all(local_name(child.tag) != "semantics" for child in root)):
+    if (options.require_semantics_wrapper and _local_name(root.tag) == "math"
+            and all(_local_name(child.tag) != "semantics" for child in root)):
         wrapped = ET.Element(root.tag, root.attrib)
         ET.SubElement(wrapped, "semantics").extend(root)
         root = wrapped
@@ -110,7 +113,7 @@ def _walk(root: ET.Element, options: CompareOptions) -> tuple[list[int], list]:
     # node emitted below, nodes emitted as its normalized children].
     stack: list = []
     for element in root.iter():
-        name = names.get(element.tag) or names.setdefault(element.tag, local_name(element.tag))
+        name = names.get(element.tag) or names.setdefault(element.tag, _local_name(element.tag))
         children = len(element)
         if children:
             stack.append([name, element.attrib, children, len(lmld), 0])
@@ -146,14 +149,22 @@ def _walk(root: ET.Element, options: CompareOptions) -> tuple[list[int], list]:
 def _kept(attributes: dict, options: CompareOptions) -> tuple:
     """The attribute items, by local name, that `options` does not ignore."""
     if any("}" in key for key in attributes):
-        attributes = {local_name(key): value for key, value in attributes.items()}
+        attributes = {_local_name(key): value for key, value in attributes.items()}
     return tuple(item for item in attributes.items() if not options.ignores_attr(item[0]))
 
 
+def _local_name(name: str) -> str:
+    """`name` less the `{namespace}` prefix that ElementTree gives it."""
+    return name[name.index("}") + 1:] if name[:1] == "{" and "}" in name else name
+
+
 def normalize(tree: MathMLNode, options: CompareOptions) -> MathMLNode:
-    """The tree as compared (see `_walk`), rebuilt from the walk's postorder
-    output; `tree` is not changed."""
-    lmld, items = _read(tree, options)
+    """The tree as compared (see `_walk`); `tree` is not changed."""
+    return _build(*_read(tree, options))
+
+
+def _build(lmld: list[int], items: list) -> MathMLNode:
+    """The tree that the walk's postorder arrays give."""
     built: list = [None]  # built[x]: node x
     for x, (element, text, attributes) in enumerate(items, 1):
         children = []

@@ -23,6 +23,10 @@ in ``texmathc.similarity``: a normalized copy of a ``MathMLNode`` tree
 built bottom-up, then its postorder labels and leftmost leaves, and its
 F-score multiset.  ``copy_tree`` deep-copies a ``MathMLNode`` tree.
 
+``from_xml_oracle`` is the earlier XML reader, one frame per element, kept
+as the reference for the reading rules of that walk, which ``from_xml`` now
+runs with no rules applied.
+
 ``command_names`` lists the commands an AST references, for tests that
 check every parsed command against the registry.
 
@@ -40,6 +44,7 @@ escapes without their fast path: every value goes through the whole
 from __future__ import annotations
 
 import re
+import xml.etree.ElementTree as ET
 from collections import Counter
 from functools import lru_cache
 from typing import Iterator
@@ -195,6 +200,26 @@ def copy_tree(node: MathMLNode) -> MathMLNode:
         [copy_tree(child) for child in node.children],
         node.text,
     )
+
+
+def from_xml_oracle(text: str) -> MathMLNode:
+    """A MathML document read one element at a time, recursively: namespace
+    prefixes stripped from element and attribute names, no text on an element
+    with children, a leaf's text whitespace-trimmed and none when empty."""
+    return _convert(ET.fromstring(text))
+
+
+def _convert(element: ET.Element) -> MathMLNode:
+    nodes = []
+    for child in element:  # a loop, not a comprehension: one frame per level
+        nodes.append(_convert(child))
+    attributes = {_local_name(key): value for key, value in element.attrib.items()}
+    text = None if nodes else (element.text or "").strip() or None
+    return MathMLNode(_local_name(element.tag), attributes, nodes, text)
+
+
+def _local_name(name: str) -> str:
+    return name[name.index("}") + 1:] if name[:1] == "{" and "}" in name else name
 
 
 def normalize_oracle(tree: MathMLNode, options: CompareOptions) -> MathMLNode:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import CORPORA
 from oracles import (
     copy_tree,
+    from_xml_oracle,
     items_oracle,
     levenshtein_oracle,
     normalize_oracle,
@@ -255,7 +256,8 @@ def _oracle_f1(a: MathMLNode, b: MathMLNode) -> float:
 def test_walk_matches_the_reference_path(tree_a, tree_b, roots_a, roots_b, options):
     """One walk over the parsed XML gives what reading, normalizing and
     walking the normalized copy gave, and reads a dressed document as the
-    plain one."""
+    plain one; with no rules applied, it reads either as the recursive
+    reader does."""
     expected = []
     documents = []
     for tree, roots in ((tree_a, roots_a), (tree_b, roots_b)):
@@ -263,7 +265,8 @@ def test_walk_matches_the_reference_path(tree_a, tree_b, roots_a, roots_b, optio
         lmld, items = _read(dressed, options)
         again = _read(plain, options)
         assert (lmld, _multiset(items)) == (again[0], _multiset(again[1]))
-        read = from_xml(dressed)
+        read = from_xml_oracle(dressed)
+        assert from_xml(dressed) == read and from_xml(plain) == from_xml_oracle(plain)
         reference = normalize_oracle(read, options)
         labels = [None] + [(element, text or "") for element, text, _ in items]
         assert (labels, lmld) == postorder_oracle(reference)
@@ -711,16 +714,21 @@ def _from_depth(frames: int, call):
 
 
 def test_batch_compares_a_deep_document_from_a_deep_caller():
-    """Documents of any depth compare, from a caller near the recursion
-    limit too: a chain of n mrows is n deletions from its leaf, none once
-    single-child mrows give way."""
+    """Documents of any depth compare, and read into a tree, from a caller
+    near the recursion limit too: a chain of n mrows is n deletions from its
+    leaf, none once single-child mrows give way."""
+    depths = (2000, 100_000)
     pairs = [ComparePair(str(depth), _chain(depth), "<math><mi>x</mi></math>")
-             for depth in (2000, 100_000)]
+             for depth in depths]
     for options, distances in ((CompareOptions(), {"2000": 2000, "100000": 100_000}),
                                (FULL_NORMALIZATION, {"2000": 0, "100000": 0})):
         report = _from_depth(950, lambda: batch_compare(pairs, options))
         assert {row.id: row.ted for row in report.rows} == distances
         assert report.errors == () and all(row.error is None for row in report.rows)
+    for depth, pair in zip(depths, pairs):
+        tree = _from_depth(950, lambda: from_xml(pair.a))
+        assert sum(1 for _ in tree.iter()) == depth + 2  # the math root, the mrows, the leaf
+        assert _from_depth(950, lambda: tree == from_xml(pair.a))
 
 
 def test_batch_reads_an_identical_pair_once(monkeypatch):

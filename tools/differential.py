@@ -39,9 +39,10 @@ bytes or diagnostics under display {inline, block} x {plain, semantics,
 semantics + annotation} x chemistry {off, on}; the ``render_tex`` round trip
 (the corrected TeX and whether it re-parses to the same tree);
 ``expand_ce``/``expand_pu``; ``batch_compare(...).to_dict()`` under
-COMPARE_OPTIONS, on batches of BATCH pairs; ``tree_edit_distance`` (the
-distance and both node counts) and ``element_fscore`` under COMPARE_OPTIONS,
-on each pair read by ``from_xml``.
+COMPARE_OPTIONS, on batches of BATCH pairs; ``from_xml`` of each side of each
+pair (every node's element, text, attributes and child count, in document
+order); ``tree_edit_distance`` (the distance and both node counts) and
+``element_fscore`` under COMPARE_OPTIONS, on each pair read by ``from_xml``.
 
 The report gives, per entry point, how many outcomes were compared and how
 many differ, then the first SHOW differing cases of each.  The exit
@@ -265,18 +266,25 @@ def work(tree: Path, inputs_path: Path) -> None:
                  lambda: batch_compare(pairs[start:start + BATCH], options).to_dict())
     read: dict = {}  # document -> its tree, read once
 
-    def trees(a, b):
-        for document in (a, b):
-            if document not in read:
-                read[document] = from_xml(document)
-        return read[a], read[b]
+    def tree(document):
+        if document not in read:
+            read[document] = from_xml(document)
+        return read[document]
+
+    def nodes(document):  # a summary built without recursion
+        return [[node.element, node.text, node.attributes, len(node.children)]
+                for node in tree(document).iter()]
+
+    for pair_id, a, b in inputs["pairs"]:
+        emit("from_xml", f"{pair_id}/a", lambda: nodes(a))
+        emit("from_xml", f"{pair_id}/b", lambda: nodes(b))
 
     def ted(a, b, options):
-        result = tree_edit_distance(*trees(a, b), options)
+        result = tree_edit_distance(tree(a), tree(b), options)
         return [result.distance, result.node_count_a, result.node_count_b]
 
     def fscore(a, b, options):
-        report = element_fscore(*trees(a, b), options)
+        report = element_fscore(tree(a), tree(b), options)
         return [report.precision, report.recall, report.f1, report.matched,
                 report.only_in_a, report.only_in_b]
 
