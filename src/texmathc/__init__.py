@@ -40,7 +40,6 @@ __all__ = [
     "expand_pu",
     "from_xml",
     "load_registry",
-    "normalize",
     "parse",
     "parse_intent",
     "render_tex",
@@ -66,7 +65,6 @@ _LAZY = {
     "TedResult": "similarity",
     "batch_compare": "similarity",
     "element_fscore": "similarity",
-    "normalize": "similarity",
     "tree_edit_distance": "similarity",
     "cache": "cache",
 }

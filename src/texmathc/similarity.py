@@ -159,7 +159,8 @@ def _local_name(name: str) -> str:
 
 
 def normalize(tree: MathMLNode, options: CompareOptions) -> MathMLNode:
-    """The tree as compared (see `_walk`); `tree` is not changed."""
+    """The tree as compared (see `_walk`); `tree` is not changed.  Not
+    exported by the package; kept while the benchmark's tracer names it."""
     return _build(*_read(tree, options))
 
 

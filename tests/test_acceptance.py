@@ -17,6 +17,7 @@ from conftest import CORPORA, FIXTURES
 from coverage_corpus import coverage_corpus
 from oracles import (
     command_names,
+    normalize_oracle,
     preprocess_oracle,
     ted_mapping_oracle,
     ted_recursive_oracle,
@@ -38,7 +39,6 @@ from texmathc.similarity import (
     ComparePair,
     batch_compare,
     element_fscore,
-    normalize,
     tree_edit_distance,
 )
 
@@ -132,8 +132,8 @@ def test_criterion_4_table_shape():
              for p in data["pairs"]]
     report = batch_compare(pairs, options)
     expected_overall = sum(
-        ted_recursive_oracle(normalize(from_xml(p.a), options),
-                             normalize(from_xml(p.b), options))
+        ted_recursive_oracle(normalize_oracle(from_xml(p.a), options),
+                             normalize_oracle(from_xml(p.b), options))
         for p in pairs)
     assert report.overall_ted == expected_overall
     assert report.formula_count == len(pairs)

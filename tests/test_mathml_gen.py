@@ -17,13 +17,12 @@ from hypothesis import strategies as st
 from conftest import CORPORA, FIXTURES
 from oracles import escape_attr_oracle, escape_text_oracle
 import texmathc
-from texmathc import convert_formula, parse, render_tex, serialize, to_mathml
+from texmathc import convert_formula, from_xml, parse, render_tex, serialize, to_mathml
 from texmathc.mathml import (
     SUPPORTED_ELEMENTS,
     TOKEN_ELEMENTS,
     GenOptions,
     MathMLNode,
-    from_xml,
     token,
 )
 from texmathc.registry import dump_registry, parse_registry_text

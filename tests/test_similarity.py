@@ -23,9 +23,9 @@ from oracles import (
     ted_mapping_oracle,
     ted_recursive_oracle,
 )
-from texmathc import convert_formula, parse, similarity
+from texmathc import convert_formula, from_xml, parse, similarity
 from texmathc.generator import to_mathml
-from texmathc.mathml import GenOptions, MathMLNode, from_xml, serialize
+from texmathc.mathml import GenOptions, MathMLNode, serialize
 from texmathc.similarity import (
     _INFERRED_MROW_PARENTS,
     _bounds,
@@ -40,9 +40,13 @@ from texmathc.similarity import (
     batch_compare,
     element_fscore,
     format_report_table,
-    normalize,
     tree_edit_distance,
 )
+
+
+def normalize(tree: MathMLNode, options: CompareOptions) -> MathMLNode:
+    """The tree as compared: the walk of `tree`'s XML, rebuilt as a tree."""
+    return similarity._build(*similarity._read(tree, options))
 
 
 def math(*children_xml: str) -> MathMLNode:

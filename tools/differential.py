@@ -200,8 +200,7 @@ def work(tree: Path, inputs_path: Path) -> None:
     sys.setrecursionlimit(1000)  # the interpreter's default: depth verdicts depend on it
     import texmathc
     from texmathc import ConversionFailed, GenOptions, check_formula, convert_formula, parse
-    from texmathc import default_registry, expand_ce, expand_pu, render_tex
-    from texmathc.mathml import from_xml
+    from texmathc import default_registry, expand_ce, expand_pu, from_xml, render_tex
     from texmathc.similarity import (CompareOptions, ComparePair, batch_compare,
                                      element_fscore, tree_edit_distance)
 
