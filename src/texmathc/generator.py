@@ -3,8 +3,9 @@
 Each command dispatches through the translation-function id recorded in the
 registry; the functions are grouped by transformation shape (all accents
 share one, all matrix environments share one, ...), so new commands are
-normally a data change only.  Every translation function returns one node,
-and `_translate` appends it to the run being built.
+normally a data change only, and a new function is one row of `TRANSLATIONS`,
+which the registry loader also reads.  Every translation function returns one
+node, and `_translate` appends it to the run being built.
 """
 
 from __future__ import annotations
@@ -318,55 +319,34 @@ def _fn_pmod(registry, spec, args):
     ])
 
 
-TRANSLATION_FNS = {
-    "identifier": _token_fn("mi"),
-    "operator": _token_fn("mo"),
-    "bigop": _token_fn("mo"),
-    "function": _fn_function,
-    "delimiter": _token_fn("mo", stretchy="false"),
-    "space": _fn_space,
-    "text": _fn_text,
-    "operatorname": _fn_operatorname,
-    "accent": _mark_fn("mover", accent="true"),
-    "under": _mark_fn("munder"),
-    "stacked": _fn_stacked,
-    "radical": _wrap_fn("msqrt"),
-    "root": _fn_root,
-    "fraction": _fn_fraction,
-    "binom": _fn_binom,
-    "atop": _fn_atop,
-    "style": _fn_style,
-    "phantom": _wrap_fn("mphantom"),
-    "enclose": _wrap_fn("menclose", "notation"),
-    "pmod": _fn_pmod,
-}
-
-# Every translation id a registry row may name, with its arities (0 is the
-# infix form of "fraction", "binom" and "atop") and the fewest and most
+# Every translation id a registry row may name: its function, its arities (0
+# is the infix form of "fraction", "binom" and "atop"), and the fewest and most
 # parameters it reads; the loader rejects a row outside these.  "matrix" and
-# "intent" are translated from their own AST nodes (Matrix, IntentWrap), the
-# others through TRANSLATION_FNS.
-SHAPES = {
-    "identifier": ((0,), 1, 1),
-    "operator": ((0,), 1, 1),
-    "bigop": ((0,), 1, 1),
-    "function": ((0,), 1, 1),
-    "delimiter": ((0,), 1, 1),
-    "space": ((0,), 1, 1),
-    "text": ((1,), 0, 0),
-    "operatorname": ((1,), 0, 0),
-    "accent": ((1,), 1, 1),
-    "under": ((1,), 1, 1),
-    "stacked": ((2,), 1, 1),
-    "radical": ((1,), 0, 0),
-    "root": ((2,), 0, 0),
-    "fraction": ((0, 2), 0, 1),
-    "binom": ((0, 2), 2, 3),
-    "atop": ((0, 2), 0, 0),
-    "style": ((1,), 1, 1),
-    "phantom": ((1,), 0, 0),
-    "enclose": ((1,), 0, 1),
-    "pmod": ((1,), 0, 0),
-    "matrix": ((0,), 0, 2),
-    "intent": ((2,), 0, 0),
+# "intent" have no function: they are translated from their own AST nodes
+# (Matrix, IntentWrap).
+TRANSLATIONS = {
+    "identifier": (_token_fn("mi"), (0,), 1, 1),
+    "operator": (_token_fn("mo"), (0,), 1, 1),
+    "bigop": (_token_fn("mo"), (0,), 1, 1),
+    "function": (_fn_function, (0,), 1, 1),
+    "delimiter": (_token_fn("mo", stretchy="false"), (0,), 1, 1),
+    "space": (_fn_space, (0,), 1, 1),
+    "text": (_fn_text, (1,), 0, 0),
+    "operatorname": (_fn_operatorname, (1,), 0, 0),
+    "accent": (_mark_fn("mover", accent="true"), (1,), 1, 1),
+    "under": (_mark_fn("munder"), (1,), 1, 1),
+    "stacked": (_fn_stacked, (2,), 1, 1),
+    "radical": (_wrap_fn("msqrt"), (1,), 0, 0),
+    "root": (_fn_root, (2,), 0, 0),
+    "fraction": (_fn_fraction, (0, 2), 0, 1),
+    "binom": (_fn_binom, (0, 2), 2, 3),
+    "atop": (_fn_atop, (0, 2), 0, 0),
+    "style": (_fn_style, (1,), 1, 1),
+    "phantom": (_wrap_fn("mphantom"), (1,), 0, 0),
+    "enclose": (_wrap_fn("menclose", "notation"), (1,), 0, 1),
+    "pmod": (_fn_pmod, (1,), 0, 0),
+    "matrix": (None, (0,), 0, 2),
+    "intent": (None, (2,), 0, 0),
 }
+# The generator's dispatch: one subscript per command.
+TRANSLATION_FNS = {fn_id: row[0] for fn_id, row in TRANSLATIONS.items() if row[0]}

@@ -6,19 +6,6 @@ from types import MappingProxyType
 
 from .value import Value
 
-# The supported presentation element set (27 members; fences are expressed
-# as mrow + stretchy mo rather than mfenced).
-SUPPORTED_ELEMENTS = frozenset({
-    "math", "mrow", "mi", "mo", "mn", "mtext", "mspace", "ms",
-    "mfrac", "msqrt", "mroot", "msub", "msup", "msubsup",
-    "munder", "mover", "munderover", "mmultiscripts",
-    "mtable", "mtr", "mtd",
-    "mstyle", "mpadded", "mphantom", "menclose",
-    "semantics", "annotation",
-})
-
-TOKEN_ELEMENTS = frozenset({"mi", "mo", "mn", "mtext", "ms", "annotation"})
-
 
 class MathMLNode(Value, attributes=None, children=None, text=None):
     """Element name, ordered attributes, and either children or text; the one

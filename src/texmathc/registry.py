@@ -114,7 +114,7 @@ def _split_attrs(text: str, where: str) -> tuple[tuple[str, str], ...]:
 def parse_registry_text(text: str) -> Registry:
     """Parse registry file content.  Raises RegistryError naming the bad line."""
     # Imported here: the generator imports this module for its types.
-    from .generator import SHAPES
+    from .generator import TRANSLATIONS
 
     version: str | None = None
     commands: dict[str, CommandSpec] = {}
@@ -151,7 +151,7 @@ def parse_registry_text(text: str) -> Registry:
             try:
                 spec = CommandSpec(name, arity, fn, _split_params(params_text), category,
                                    flags == "deprecated")
-                _check_shape(spec, SHAPES)
+                _check_shape(spec, TRANSLATIONS)
             except RegistryError as exc:
                 raise RegistryError(f"line {lineno}: {exc}") from None
             commands[name] = spec
@@ -180,13 +180,13 @@ def parse_registry_text(text: str) -> Registry:
     return Registry(version, commands, operators)
 
 
-def _check_shape(spec: CommandSpec, shapes: dict) -> None:
+def _check_shape(spec: CommandSpec, translations: dict) -> None:
     """Raise unless the translation function of `spec` can render its arity
-    and parameters (see `generator.SHAPES`) and serves its category."""
+    and parameters (its row in `generator.TRANSLATIONS`) and serves its category."""
     fn = spec.translation_fn
-    if fn not in shapes:
+    if fn not in translations:
         raise RegistryError(f"command {spec.name!r}: unknown translation function {fn!r}")
-    arities, fewest, most = shapes[fn]
+    _, arities, fewest, most = translations[fn]
     if spec.arity not in arities:
         raise RegistryError(f"command {spec.name!r}: {fn} takes arity "
                             f"{' or '.join(map(str, arities))}, not arity {spec.arity}")

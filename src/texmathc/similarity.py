@@ -31,13 +31,6 @@ class CompareOptions(Value, ignore_inferred_mrow=False, ignored_attributes=froze
         return self.ignored_attributes == "all" or name in self.ignored_attributes
 
 
-FULL_NORMALIZATION = CompareOptions(
-    ignore_inferred_mrow=True,
-    ignored_attributes="all",
-    strip_elements=frozenset({"annotation", "semantics"}),
-)
-
-
 class FScoreReport(Value):
     __slots__ = ("precision", "recall", "f1", "matched", "only_in_a", "only_in_b")
 

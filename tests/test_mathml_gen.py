@@ -18,13 +18,7 @@ from conftest import CORPORA, FIXTURES
 from oracles import escape_attr_oracle, escape_text_oracle
 import texmathc
 from texmathc import convert_formula, from_xml, parse, render_tex, serialize, to_mathml
-from texmathc.mathml import (
-    SUPPORTED_ELEMENTS,
-    TOKEN_ELEMENTS,
-    GenOptions,
-    MathMLNode,
-    token,
-)
+from texmathc.mathml import GenOptions, MathMLNode, token
 from texmathc.registry import dump_registry, parse_registry_text
 
 SRC = str(Path(texmathc.__file__).resolve().parents[1])
@@ -225,6 +219,20 @@ WALK_SOURCES = [
     "\\operatorname{abs}(x)", "\\sqrt[3]{x}", "\\overset{a}{b}", "x \\pmod{n}",
     "\\intent{z}{intent='imaginary-part'}",
 ]
+
+
+# The supported presentation element set (27 members; fences are expressed
+# as mrow + stretchy mo rather than mfenced).
+SUPPORTED_ELEMENTS = frozenset({
+    "math", "mrow", "mi", "mo", "mn", "mtext", "mspace", "ms",
+    "mfrac", "msqrt", "mroot", "msub", "msup", "msubsup",
+    "munder", "mover", "munderover", "mmultiscripts",
+    "mtable", "mtr", "mtd",
+    "mstyle", "mpadded", "mphantom", "menclose",
+    "semantics", "annotation",
+})
+
+TOKEN_ELEMENTS = frozenset({"mi", "mo", "mn", "mtext", "ms", "annotation"})
 
 
 @pytest.mark.parametrize("source", WALK_SOURCES)

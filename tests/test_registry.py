@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from texmathc.generator import SHAPES, TRANSLATION_FNS
+from texmathc.generator import TRANSLATIONS
 from texmathc.registry import (
     Registry,
     RegistryError,
@@ -53,14 +53,14 @@ def test_lookup_absent_is_none(registry):
 def test_default_registry_breadth(registry):
     assert len(registry.commands) >= 200
     used_fns = {spec.translation_fn for spec in registry.commands.values()}
-    assert used_fns == set(SHAPES), (
+    assert used_fns == set(TRANSLATIONS), (
         "every translation function must be exercised by the shipped data")
 
 
 def test_every_fn_resolves(registry):
-    assert set(SHAPES) == set(TRANSLATION_FNS) | {"matrix", "intent"}
+    assert {fn for fn, row in TRANSLATIONS.items() if row[0] is None} == {"matrix", "intent"}
     for spec in registry.commands.values():
-        assert spec.translation_fn in SHAPES, spec.name
+        assert spec.translation_fn in TRANSLATIONS, spec.name
 
 
 def test_categories_and_arities(registry):

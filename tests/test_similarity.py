@@ -34,13 +34,19 @@ from texmathc.similarity import (
     _multiset,
     _walk,
     _ted,
-    FULL_NORMALIZATION,
     CompareOptions,
     ComparePair,
     batch_compare,
     element_fscore,
     format_report_table,
     tree_edit_distance,
+)
+
+
+FULL_NORMALIZATION = CompareOptions(
+    ignore_inferred_mrow=True,
+    ignored_attributes="all",
+    strip_elements=frozenset({"annotation", "semantics"}),
 )
 
 

@@ -86,8 +86,8 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from texmathc import check_formula, convert_formula, default_registry, parse  # noqa: E402
-from texmathc.mathml import MathMLNode, from_xml, serialize  # noqa: E402
+from texmathc import check_formula, convert_formula, default_registry, from_xml, parse  # noqa: E402
+from texmathc.mathml import MathMLNode, serialize  # noqa: E402
 from texmathc.similarity import (  # noqa: E402
     CompareOptions,
     ComparePair,
