@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -22,14 +23,18 @@ if TYPE_CHECKING:  # comparison and the cache load in the commands that use them
     from .similarity import CompareOptions
 
 
-def _read_input(args) -> str:
-    """The formula.  A file or stdin is decoded as strict UTF-8 (raising
-    UnicodeDecodeError) and only trailing whitespace is dropped, so spans
+def _read_input(args) -> str | None:
+    """The formula, or None once the error is reported.  A file or stdin is
+    decoded as strict UTF-8 and only trailing whitespace is dropped, so spans
     index the bytes read."""
-    if getattr(args, "file", None):
-        return Path(args.file).read_bytes().decode("utf-8").rstrip()
-    if args.input == "-":
-        return sys.stdin.buffer.read().decode("utf-8").rstrip()
+    try:
+        if args.file:
+            return Path(args.file).read_bytes().decode("utf-8").rstrip()
+        if args.input == "-":
+            return sys.stdin.buffer.read().decode("utf-8").rstrip()
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read input: {exc}", file=sys.stderr)
+        return None
     return args.input
 
 
@@ -48,10 +53,8 @@ def _gen_options(display: str, semantics: bool, annotate: bool) -> GenOptions:
 
 
 def cmd_check(args) -> int:
-    try:
-        source = _read_input(args)
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read input: {exc}", file=sys.stderr)
+    source = _read_input(args)
+    if source is None:
         return 2
     diagnostics = check_formula(source, chem=args.chem)
     if args.json:
@@ -63,10 +66,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    try:
-        source = _read_input(args)
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read input: {exc}", file=sys.stderr)
+    source = _read_input(args)
+    if source is None:
         return 2
     options = _gen_options(args.display, args.semantics, args.annotate_tex)
     cache = None
@@ -106,7 +107,6 @@ def cmd_corpus(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     results = []
-    passed = failed = errored = 0
     for case in cases:
         case_id = case.get("id", "?")
         expect = case.get("expect", {})
@@ -121,17 +121,13 @@ def cmd_corpus(args) -> int:
                 detail = ""
         except Exception as exc:  # manifest rows must never kill the run
             outcome, detail = "error", str(exc)
-        if outcome == "pass":
-            passed += 1
-        elif outcome == "fail":
-            failed += 1
-        else:
-            errored += 1
         results.append({"id": case_id, "outcome": outcome, "detail": detail})
     if args.update_refs:
         path.write_text(json.dumps(manifest, indent=1, ensure_ascii=False) + "\n",
                         encoding="utf-8")
         print(f"updated {path}", file=sys.stderr)
+    tally = Counter(row["outcome"] for row in results)
+    passed, failed, errored = tally["pass"], tally["fail"], tally["error"]
     summary = {"cases": len(cases), "passed": passed, "failed": failed,
                "errored": errored, "results": results}
     if args.report == "json":
@@ -147,18 +143,13 @@ def cmd_corpus(args) -> int:
 
 def _run_case(source: str, expect: dict, options: GenOptions, chem: bool,
               update: bool = False) -> tuple[str, str]:
-    if "error_code" in expect:
-        diagnostics = check_formula(source, chem=chem)
-        codes = [d.code for d in diagnostics if d.severity == ERROR]
+    if "error_code" in expect or "valid_only" in expect:
+        codes = [d.code for d in check_formula(source, chem=chem) if d.severity == ERROR]
+        if "valid_only" in expect:
+            return ("fail", f"unexpected errors: {codes}") if codes else ("pass", "")
         if expect["error_code"] in codes:
             return "pass", ""
         return "fail", f"expected {expect['error_code']}, got {codes or 'no errors'}"
-    if "valid_only" in expect:
-        diagnostics = check_formula(source, chem=chem)
-        errors = [d for d in diagnostics if d.severity == ERROR]
-        if errors:
-            return "fail", f"unexpected errors: {[d.code for d in errors]}"
-        return "pass", ""
     # mathml expectation
     output = convert_formula(source, chem=chem, options=options)
     if update:
@@ -253,22 +244,19 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     "and compare MathML structure.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_check = sub.add_parser("check", help="validate a formula")
-    p_check.add_argument("input", nargs="?", default="-",
-                         help="formula, or - for stdin")
-    p_check.add_argument("--file", help="read the formula from a file")
-    p_check.add_argument("--chem", action="store_true",
+    formula = argparse.ArgumentParser(add_help=False)  # what check and convert read
+    formula.add_argument("input", nargs="?", default="-", help="formula, or - for stdin")
+    formula.add_argument("--file", help="read the formula from a file")
+    formula.add_argument("--chem", action="store_true",
                          help="allow \\ce{...}/\\pu{...} chemistry (mhchem subset)")
+
+    p_check = sub.add_parser("check", parents=[formula], help="validate a formula")
     p_check.add_argument("--json", action="store_true",
                          help="emit diagnostics as a JSON array on stdout")
     p_check.set_defaults(func=cmd_check)
 
-    p_convert = sub.add_parser("convert", help="convert a formula to MathML")
-    p_convert.add_argument("input", nargs="?", default="-")
-    p_convert.add_argument("--file", help="read the formula from a file")
+    p_convert = sub.add_parser("convert", parents=[formula], help="convert a formula to MathML")
     p_convert.add_argument("--display", choices=["inline", "block"], default="inline")
-    p_convert.add_argument("--chem", action="store_true")
     p_convert.add_argument("--semantics", action="store_true",
                            help="wrap the output in a semantics element")
     p_convert.add_argument("--annotate-tex", action="store_true",

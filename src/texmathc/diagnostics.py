@@ -46,10 +46,6 @@ class Diagnostic(Value):
         }
 
 
-def warning(code: str, message: str, span: tuple[int, int]) -> Diagnostic:
-    return Diagnostic(WARNING, code, message, span)
-
-
 class DiagnosticError(Exception):
     """The finding that stops a stage (parser, chemistry, intent, generator).
 

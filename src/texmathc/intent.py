@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from typing import Union
+from typing import NoReturn, Union
 
 from .diagnostics import (
     E_INTENT_AMBIGUOUS_REF,
@@ -64,7 +64,8 @@ class _Scanner:
         self.pos = 0
         self.refs: dict[str, tuple[int, int]] = {}  # each reference's first `$name`
 
-    def fail(self, message: str, start: int | None = None, code: str = E_INTENT_SYNTAX) -> None:
+    def fail(self, message: str, start: int | None = None,
+             code: str = E_INTENT_SYNTAX) -> NoReturn:
         at = self.pos if start is None else start
         raise IntentError(code, message, (at, self.pos), self.text)
 
@@ -85,7 +86,6 @@ class _Scanner:
         m = _NCNAME.match(self.text, self.pos)
         if not m:
             self.fail(f"expected {what}")
-        assert m is not None
         self.pos = m.end()
         return m.group(0)
 
@@ -162,7 +162,6 @@ def _parse_primary(s: _Scanner) -> IntentExpr:
     if _NCNAME.match(s.text, s.pos):
         return Concept(s.ncname("concept"))
     s.fail("expected an intent expression")
-    raise AssertionError
 
 
 def _parse_number(s: _Scanner) -> Number:
@@ -170,7 +169,6 @@ def _parse_number(s: _Scanner) -> Number:
     m = _DIGITS.match(s.text, s.pos)
     if not m:
         s.fail("expected digits")
-    assert m is not None
     s.pos = m.end()
     value = m.group(0)
     if s.peek() == ".":
@@ -178,7 +176,6 @@ def _parse_number(s: _Scanner) -> Number:
         frac = _DIGITS.match(s.text, s.pos)
         if not frac:
             s.fail("expected digits after '.'")
-        assert frac is not None
         s.pos = frac.end()
         value += "." + frac.group(0)
     return Number(value, negative)

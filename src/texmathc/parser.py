@@ -14,6 +14,7 @@ builds, which the parser checks and inserts where it meets the command.
 from __future__ import annotations
 
 import re
+from typing import NoReturn
 
 from .diagnostics import (
     E_AMBIGUOUS_INFIX,
@@ -27,12 +28,12 @@ from .diagnostics import (
     E_UNKNOWN_COMMAND,
     ERROR,
     W_DEPRECATED,
+    WARNING,
     ChemError,
     Diagnostic,
     DiagnosticError,
     IntentError,
     byte_offsets,
-    warning,
 )
 from .nodes import (
     AstNode,
@@ -76,7 +77,7 @@ _NOT_XML = r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
 # The kind of a one-character token; any other character is a "char".
 _KINDS = {"{": "lbrace", "}": "rbrace", "^": "sup", "_": "sub", "&": "amp"}
 
-# The tokens that end a sequence of each construct, besides eof.
+# The tokens that end a sequence of each construct; only the top level ends at eof.
 _STOP_TOP: frozenset[str] = frozenset()
 _STOP_GROUP = frozenset({"rbrace"})
 _STOP_FENCE = frozenset({"right"})
@@ -177,9 +178,9 @@ class _Parser:
         return self.toks[self.i]
 
     def advance(self) -> Token:
+        # No eof guard: every caller stands on a token it has checked, never on eof.
         tok = self.toks[self.i]
-        if tok[0] != "eof":
-            self.i += 1
+        self.i += 1
         return tok
 
     def closing(self, i: int) -> int:
@@ -197,7 +198,7 @@ class _Parser:
                     return j
         return -1
 
-    def fail(self, code: str, message: str, tok: Token) -> None:
+    def fail(self, code: str, message: str, tok: Token) -> NoReturn:
         raise DiagnosticError(code, message, tok[2:], self.source)
 
     def enter(self, tok: Token) -> None:
@@ -211,14 +212,9 @@ class _Parser:
     # -- grammar -------------------------------------------------------
 
     def parse_formula(self) -> Sequence:
-        items = self.sequence(_STOP_TOP, eof_ok=True)
-        tok = self.peek()
-        if tok[0] != "eof":  # pragma: no cover - sequence consumes to eof
-            self.fail(E_UNBALANCED_BRACE, "unexpected trailing input", tok)
-        return Sequence(tuple(items))
+        return Sequence(tuple(self.sequence(_STOP_TOP)))
 
-    def sequence(self, stop: frozenset[str], eof_ok: bool,
-                 in_infix: bool = False) -> list[AstNode]:
+    def sequence(self, stop: frozenset[str], in_infix: bool = False) -> list[AstNode]:
         items: list[AstNode] = []
         toks, leaves = self.toks, self.leaves
         while True:
@@ -232,7 +228,7 @@ class _Parser:
             if kind == "cmd" and value in ("right", "end"):
                 kind = value
             if kind == "eof":
-                if eof_ok:
+                if not stop:
                     return items
                 if "right" in stop:
                     self.fail(E_BAD_DELIM, "\\left without matching \\right", tok)
@@ -262,7 +258,7 @@ class _Parser:
                                   f"multiple infix commands in one group: \\{value}", tok)
                     self.advance()
                     self.note_deprecated(spec, tok)
-                    right = self.sequence(stop, eof_ok, in_infix=True)
+                    right = self.sequence(stop, in_infix=True)
                     return [Infix(value, Sequence(tuple(items)), Sequence(tuple(right)))]
             items.append(self.item())
 
@@ -311,12 +307,12 @@ class _Parser:
     def group(self) -> Curly:
         open_tok = self.advance()
         self.enter(open_tok)
-        items = self.sequence(_STOP_GROUP, eof_ok=False)
+        items = self.sequence(_STOP_GROUP)
         self.advance()  # rbrace, guaranteed by sequence()
         self.leave()
         return Curly(tuple(items))
 
-    def unknown_char(self, tok: Token) -> None:  # one that `leaves` does not hold
+    def unknown_char(self, tok: Token) -> NoReturn:  # one that `leaves` does not hold
         self.fail(E_UNKNOWN_COMMAND, f"character {tok[1]!r} is not whitelisted", tok)
 
     def note_deprecated(self, spec: CommandSpec, tok: Token) -> None:
@@ -338,7 +334,6 @@ class _Parser:
         spec = self.registry.lookup(name)
         if spec is None:
             self.fail(E_UNKNOWN_COMMAND, f"\\{name} is not a whitelisted command", tok)
-        assert spec is not None
         if spec.category == "chem-only" and not self.allow_chem:
             self.fail(E_UNKNOWN_COMMAND, f"\\{name} requires chemistry preprocessing"
                       if name in CHEM_COMMANDS else
@@ -378,7 +373,6 @@ class _Parser:
             self.leave()
             return node
         self.fail(E_EMPTY_ARG, f"missing {what}", tok if kind != "eof" else owner)
-        raise AssertionError
 
     def radical_with_index(self, cmd_tok: Token) -> AstNode:
         self.enter(self.advance())  # "[": the index is one level
@@ -404,7 +398,7 @@ class _Parser:
     def delimited(self, left_tok: Token) -> Delimited:
         self.enter(left_tok)
         open_tok = self.read_delimiter(left_tok)
-        items = self.sequence(_STOP_FENCE, eof_ok=False)
+        items = self.sequence(_STOP_FENCE)
         right_tok = self.advance()  # the \right command
         close_tok = self.read_delimiter(right_tok)
         self.leave()
@@ -425,7 +419,6 @@ class _Parser:
                 return "\\" + value
         self.fail(E_BAD_DELIM, f"{value!r} is not a registered delimiter",
                   tok if kind != "eof" else owner)
-        raise AssertionError
 
     def environment(self, begin_tok: Token) -> Matrix:
         name = self.env_name(begin_tok)
@@ -437,35 +430,22 @@ class _Parser:
         self.enter(begin_tok)
         rows: list[tuple[AstNode, ...]] = []
         row: list[AstNode] = []
-        saw_newrow = False
         while True:
-            items = self.sequence(_STOP_CELL, eof_ok=False)
-            cell: AstNode = items[0] if len(items) == 1 else Sequence(tuple(items))
-            tok = self.advance()
-            kind = tok[0]
-            if kind == "amp":
-                row.append(cell)
-                saw_newrow = False
+            items = self.sequence(_STOP_CELL)
+            row.append(items[0] if len(items) == 1 else Sequence(tuple(items)))
+            tok = self.advance()  # &, \\ or \end
+            if tok[0] == "amp":
                 continue
-            if kind == "newrow":
-                row.append(cell)
-                rows.append(tuple(row))
-                row = []
-                saw_newrow = True
-                continue
-            # \end
-            end_name = self.env_name(tok)
-            if end_name != name:
-                self.fail(E_BAD_ENV,
-                          f"\\end{{{end_name}}} does not match \\begin{{{name}}}", tok)
-            is_empty_cell = isinstance(cell, Sequence) and not cell.children
-            if not (saw_newrow and not row and is_empty_cell):
-                row.append(cell)
-                rows.append(tuple(row))
-            break
+            rows.append(tuple(row))
+            row = []
+            if tok[0] == "cmd":
+                break
+        end_name = self.env_name(tok)
+        if end_name != name:
+            self.fail(E_BAD_ENV, f"\\end{{{end_name}}} does not match \\begin{{{name}}}", tok)
         self.leave()
-        if not rows:
-            rows = [(Sequence(()),)]
+        if len(rows) > 1 and rows[-1] == (Sequence(()),):  # a row break just before \end
+            rows.pop()
         return Matrix(name, tuple(rows))
 
     def env_name(self, owner: Token) -> str:
@@ -640,7 +620,7 @@ def parse(source: str, registry: Registry, *, allow_chem: bool = False) -> Parse
         return ParseResult(ast, (), ())
     found = [span for _, span in parser.warnings] + ([fail[2]] if fail else [])
     spans = byte_offsets(source, found)
-    warnings = tuple(warning(W_DEPRECATED, message, span)
+    warnings = tuple(Diagnostic(WARNING, W_DEPRECATED, message, span)
                      for (message, _), span in zip(parser.warnings, spans))
     errors = (Diagnostic(ERROR, fail[0], fail[1], spans[-1]),) if fail else ()
     return ParseResult(ast, errors, warnings)

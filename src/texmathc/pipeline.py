@@ -66,13 +66,12 @@ def convert_formula(source: str, *, chem: bool = False,
     result = parse(source, registry, allow_chem=chem)
     if not result.ok:
         raise ConversionFailed(list(result.diagnostics))
-    assert result.ast is not None
     try:
         tree = to_mathml(result.ast, registry, options)
     except DiagnosticError as exc:
         raise ConversionFailed([exc.within(source, 0).diagnostic]) from None
     output = serialize(tree)
-    if cache is not None and key is not None:
+    if key is not None:
         try:
             cache.put(key, output)
         except OSError as exc:

@@ -99,13 +99,13 @@ def _split_params(text: str) -> tuple[str, ...]:
     return tuple(text.split(","))
 
 
-def _split_attrs(text: str, where: str) -> tuple[tuple[str, str], ...]:
+def _split_attrs(text: str) -> tuple[tuple[str, str], ...]:
     if text == "-":
         return ()
     pairs = []
     for chunk in text.split(";"):
         if "=" not in chunk:
-            raise RegistryError(f"{where}: attribute {chunk!r} is not key=value")
+            raise RegistryError(f"attribute {chunk!r} is not key=value")
         key, _, value = chunk.partition("=")
         pairs.append((key, value))
     return tuple(pairs)
@@ -126,50 +126,47 @@ def parse_registry_text(text: str) -> Registry:
         line = raw.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
-        if line.startswith("version"):
-            version = line.split(None, 1)[1].strip() if len(line.split(None, 1)) > 1 else ""
-            if not version:
-                raise RegistryError(f"line {lineno}: empty version")
-            continue
-        if line.strip() in ("[commands]", "[operators]"):
-            section = line.strip()
-            continue
-        fields = line.split("\t")
-        if section == "[commands]":
-            if len(fields) not in (5, 6):
-                raise RegistryError(f"line {lineno}: expected 5 or 6 tab-separated fields")
-            name, arity_text, fn, params_text, category = fields[:5]
-            flags = fields[5] if len(fields) == 6 else ""
-            try:
-                arity = int(arity_text)
-            except ValueError:
-                raise RegistryError(f"line {lineno}: arity {arity_text!r} is not an integer")
-            if name in commands:
-                raise RegistryError(f"line {lineno}: duplicate command {name!r}")
-            if flags not in ("", "deprecated"):
-                raise RegistryError(f"line {lineno}: unknown flag {flags!r}")
-            try:
+        try:
+            if line.startswith("version"):
+                version = line.split(None, 1)[1].strip() if len(line.split(None, 1)) > 1 else ""
+                if not version:
+                    raise RegistryError("empty version")
+                continue
+            if line.strip() in ("[commands]", "[operators]"):
+                section = line.strip()
+                continue
+            fields = line.split("\t")
+            if section == "[commands]":
+                if len(fields) not in (5, 6):
+                    raise RegistryError("expected 5 or 6 tab-separated fields")
+                name, arity_text, fn, params_text, category = fields[:5]
+                flags = fields[5] if len(fields) == 6 else ""
+                try:
+                    arity = int(arity_text)
+                except ValueError:
+                    raise RegistryError(f"arity {arity_text!r} is not an integer") from None
+                if name in commands:
+                    raise RegistryError(f"duplicate command {name!r}")
+                if flags not in ("", "deprecated"):
+                    raise RegistryError(f"unknown flag {flags!r}")
                 spec = CommandSpec(name, arity, fn, _split_params(params_text), category,
                                    flags == "deprecated")
                 _check_shape(spec, TRANSLATIONS)
-            except RegistryError as exc:
-                raise RegistryError(f"line {lineno}: {exc}") from None
-            commands[name] = spec
-            if fn == "radical" and radical is None:
-                radical = lineno, name
-        elif section == "[operators]":
-            if len(fields) != 4:
-                raise RegistryError(f"line {lineno}: expected 4 tab-separated fields")
-            token, element, codepoint, attrs_text = fields
-            if token in operators:
-                raise RegistryError(f"line {lineno}: duplicate operator {token!r}")
-            try:
+                commands[name] = spec
+                if fn == "radical" and radical is None:
+                    radical = lineno, name
+            elif section == "[operators]":
+                if len(fields) != 4:
+                    raise RegistryError("expected 4 tab-separated fields")
+                token, element, codepoint, attrs_text = fields
+                if token in operators:
+                    raise RegistryError(f"duplicate operator {token!r}")
                 operators[token] = OperatorSpec(token, element, codepoint,
-                                                _split_attrs(attrs_text, f"line {lineno}"))
-            except RegistryError as exc:
-                raise RegistryError(f"line {lineno}: {exc}") from None
-        else:
-            raise RegistryError(f"line {lineno}: content outside any section")
+                                                _split_attrs(attrs_text))
+            else:
+                raise RegistryError("content outside any section")
+        except RegistryError as exc:
+            raise RegistryError(f"line {lineno}: {exc}") from None
 
     if version is None:
         raise RegistryError("missing version header")
@@ -200,10 +197,8 @@ def _check_shape(spec: CommandSpec, translations: dict) -> None:
         raise RegistryError(f"command {spec.name!r}: only \\intent is read as the intent macro")
 
 
-def load_registry(source: str | Path | None = None) -> Registry:
-    """Load a registry from `source`, or the embedded default when None."""
-    if source is None:
-        return default_registry()
+def load_registry(source: str | Path) -> Registry:
+    """Load a registry from the file `source` (`default_registry` is the embedded one)."""
     text = Path(source).read_text(encoding="utf-8")
     return parse_registry_text(text)
 

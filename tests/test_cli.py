@@ -261,6 +261,32 @@ def test_corpus_malformed_manifest(capsys, tmp_path, manifest):
     assert err == "error: manifest must be an object with a list of objects under \"cases\"\n"
 
 
+def test_corpus_reports_each_failed_expectation(capsys, tmp_path):
+    path = write_manifest(tmp_path, [
+        {"id": "two", "input": "x", "expect": {"valid_only": True, "error_code": "E_BAD_ENV"}},
+        {"id": "none", "input": "x", "expect": {"error_code": "E_UNKNOWN_COMMAND"}},
+        {"id": "other", "input": "\\nope", "expect": {"error_code": "E_BAD_ENV"}},
+        {"id": "invalid", "input": "\\nope", "expect": {"valid_only": True}},
+    ])
+    results = [
+        {"id": "two", "outcome": "error",
+         "detail": "case must carry exactly one expectation kind"},
+        {"id": "none", "outcome": "fail",
+         "detail": "expected E_UNKNOWN_COMMAND, got no errors"},
+        {"id": "other", "outcome": "fail",
+         "detail": "expected E_BAD_ENV, got ['E_UNKNOWN_COMMAND']"},
+        {"id": "invalid", "outcome": "fail",
+         "detail": "unexpected errors: ['E_UNKNOWN_COMMAND']"},
+    ]
+    code, out, err = run(capsys, "corpus", str(path))
+    assert (code, out) == (1, "4 cases: 0 passed, 3 failed, 1 errored\n")
+    assert err == "".join(f"{r['outcome'].upper()} {r['id']}: {r['detail']}\n" for r in results)
+    code, out, err = run(capsys, "corpus", str(path), "--report", "json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"cases": 4, "passed": 0, "failed": 3, "errored": 1,
+                               "results": results}
+
+
 def test_corpus_json_report(capsys, tmp_path):
     path = write_manifest(tmp_path, [{"id": "a", "input": "x",
                                       "expect": {"valid_only": True}}])
@@ -293,6 +319,13 @@ def test_compare_strip_normalization(capsys, tmp_path):
                        "--strip", "annotation", "--strip", "semantics")
     assert code == 0
     assert "Overall TED\t0" in out
+    styled = tmp_path / "styled.mathml"
+    styled.write_text('<math><mrow><mi mathvariant="normal">x</mi></mrow></math>',
+                      encoding="utf-8")
+    assert "f1=0.667" in run(capsys, "compare", str(plain), str(styled))[1]
+    code, out, _ = run(capsys, "compare", str(plain), str(styled), "--ignore-all-attrs")
+    assert code == 0
+    assert "f1=1.000" in out
 
 
 def test_compare_manifest_json_report(capsys, tmp_path):

@@ -151,6 +151,7 @@ def test_frozen_expansions():
     ("(H2O", E_CHEM_SYNTAX),
     ("^{2x}O", E_CHEM_SYNTAX),
     ("H^{++}", E_CHEM_SYNTAX),
+    ("Na^{+", E_CHEM_SYNTAX),
 ])
 def test_ce_rejections(body, code):
     with pytest.raises(ChemError) as err:

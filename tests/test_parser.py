@@ -79,6 +79,26 @@ def test_vmatrix_example(registry):
     ))
 
 
+@pytest.mark.parametrize(("body", "cells"), [
+    ("", [1]),
+    ("\\\\", [1]),
+    ("a\\\\", [1]),
+    ("a\\\\\\\\", [1, 1]),
+    ("a&\\\\", [2]),
+    ("a\\\\&", [1, 2]),
+    ("a\\\\{}", [1, 1]),
+])
+def test_matrix_row_shapes(registry, body, cells):
+    """A row break just before \\end adds no row; an empty matrix has one empty cell."""
+    (matrix,) = ok(registry, f"\\begin{{matrix}}{body}\\end{{matrix}}").children
+    assert [len(row) for row in matrix.rows] == cells
+
+
+def test_array_brace_that_is_not_a_column_spec_is_content():
+    assert "<mtd><mrow><mi>x</mi><mi>a</mi></mrow></mtd>" in \
+        convert_formula("\\begin{array}{x} a \\end{array}")
+
+
 def test_scripts(registry):
     assert ok(registry, "x^2") == Sequence((Script(Literal("x"), None, Literal("2")),))
     assert ok(registry, "x_1") == Sequence((Script(Literal("x"), Literal("1"), None),))
@@ -148,12 +168,16 @@ def test_bad_env(registry):
     assert first_error(registry, "\\begin{matrix} x \\end{pmatrix}").code == E_BAD_ENV
     assert first_error(registry, "a & b").code == E_BAD_ENV
     assert first_error(registry, "\\end{matrix}").code == E_BAD_ENV
+    assert first_error(registry, "\\pmatrix").format_line() == \
+        "error:E_BAD_ENV:0-8:pmatrix is an environment; use \\begin{pmatrix}"
 
 
 def test_empty_arg(registry):
     assert first_error(registry, "\\sqrt").code == E_EMPTY_ARG
     assert first_error(registry, "\\frac{a}").code == E_EMPTY_ARG
     assert first_error(registry, "x^").code == E_EMPTY_ARG
+    assert first_error(registry, "\\sqrt[a").format_line() == \
+        "error:E_EMPTY_ARG:0-5:unterminated root index"
 
 
 def test_missing_radicand_names_the_radical(registry):

@@ -91,10 +91,25 @@ def test_unknown_translation_fn_rejected():
         parse_registry_text(bad)
 
 
-def test_malformed_line_identified():
-    bad = "version 1\n[commands]\nfoo\t0\n"
-    with pytest.raises(RegistryError, match="line 3"):
-        parse_registry_text(bad)
+@pytest.mark.parametrize(("text", "message"), [
+    ("version 1\n[commands]\nfoo\t0\n", "line 3: expected 5 or 6 tab-separated fields"),
+    ("version\n[commands]\n", "line 1: empty version"),
+    ("version 1\n[commands]\nfoo\tx\tidentifier\t0061\tliteral\n",
+     "line 3: arity 'x' is not an integer"),
+    ("version 1\n[commands]\nfoo\t0\tidentifier\t0061\tliteral\tbogus\n",
+     "line 3: unknown flag 'bogus'"),
+    ("version 1\n[operators]\n+\tmo\t002B\n", "line 3: expected 4 tab-separated fields"),
+    ("version 1\n[operators]\n+\tmo\t002B\t-\n+\tmo\t002B\t-\n",
+     "line 4: duplicate operator '+'"),
+    ("version 1\nfoo\t0\tidentifier\t0061\tliteral\n", "line 2: content outside any section"),
+    ("version 1\n[operators]\n(\tmo\t0028\tstretchy\n",
+     "line 3: attribute 'stretchy' is not key=value"),
+], ids=["command-fields", "empty-version", "arity-not-integer", "unknown-flag",
+        "operator-fields", "duplicate-operator", "outside-section", "attribute-without-equals"])
+def test_malformed_line_identified(text, message):
+    with pytest.raises(RegistryError) as err:
+        parse_registry_text(text)
+    assert str(err.value) == message
 
 
 def test_arity_past_two_rejected():

@@ -72,6 +72,7 @@ one ``<mi>``.  Nothing is asserted.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import platform
@@ -305,6 +306,8 @@ def read_rows(rng: random.Random, pieces) -> list[str]:
 
 
 def main() -> int:
+    argparse.ArgumentParser(description=__doc__,
+                            formatter_class=argparse.RawDescriptionHelpFormatter).parse_args()
     print(f"# Python {platform.python_version()} ({platform.python_implementation()}), "
           f"CPU: {cpu_name()}")
     bytecode = "off" if sys.flags.dont_write_bytecode else "on"
