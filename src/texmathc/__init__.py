@@ -30,7 +30,6 @@ __all__ = [
     "ParseResult",
     "Registry",
     "TedResult",
-    "apply_intent",
     "batch_compare",
     "check_formula",
     "convert_formula",
@@ -53,7 +52,6 @@ __all__ = [
 # `import texmathc`.
 _LAZY = {
     "intent": "intent",
-    "apply_intent": "intent",
     "parse_intent": "intent",
     "mhchem": "mhchem",
     "expand_ce": "mhchem",

@@ -301,7 +301,7 @@ def _fn_style(registry, spec, args):
         t.element == "mi" and t.text is not None and t.text.isalpha() and not t.attributes
         for t in translated
     ):
-        merged = "".join(t.text or "" for t in translated)
+        merged = "".join(t.text for t in translated)
         return token("mi", merged, mathvariant=variant)
     if len(translated) == 1 and translated[0].is_token() and not translated[0].attributes:
         single = translated[0]

@@ -26,7 +26,6 @@ from .diagnostics import (
     E_TOO_DEEP,
     E_UNBALANCED_BRACE,
     E_UNKNOWN_COMMAND,
-    ERROR,
     W_DEPRECATED,
     WARNING,
     ChemError,
@@ -210,9 +209,6 @@ class _Parser:
         self.depth -= 1
 
     # -- grammar -------------------------------------------------------
-
-    def parse_formula(self) -> Sequence:
-        return Sequence(tuple(self.sequence(_STOP_TOP)))
 
     def sequence(self, stop: frozenset[str], in_infix: bool = False) -> list[AstNode]:
         items: list[AstNode] = []
@@ -609,21 +605,15 @@ class _Parser:
 def parse(source: str, registry: Registry, *, allow_chem: bool = False) -> ParseResult:
     """Validate `source` against the whitelist grammar and build the AST."""
     parser = _Parser(source, registry, allow_chem)
-    ast = fail = None  # fail: code, message and codepoint span of the error
     try:
-        ast = parser.parse_formula()
+        ast, errors = Sequence(tuple(parser.sequence(_STOP_TOP))), ()
     except DiagnosticError as exc:  # keep no reference to it: its traceback holds every frame
-        if not parser.warnings:  # the one finding; a nested error's too, moved into `source`
-            return ParseResult(None, (exc.diagnostic,), ())
-        fail = exc.code, exc.message, exc.span
-    if not (fail or parser.warnings):
-        return ParseResult(ast, (), ())
-    found = [span for _, span in parser.warnings] + ([fail[2]] if fail else [])
-    spans = byte_offsets(source, found)
-    warnings = tuple(Diagnostic(WARNING, W_DEPRECATED, message, span)
-                     for (message, _), span in zip(parser.warnings, spans))
-    errors = (Diagnostic(ERROR, fail[0], fail[1], spans[-1]),) if fail else ()
-    return ParseResult(ast, errors, warnings)
+        ast, errors = None, (exc.diagnostic,)  # a nested error's too, moved into `source`
+    if not parser.warnings:
+        return ParseResult(ast, errors, ())
+    spans = byte_offsets(source, [span for _, span in parser.warnings])
+    return ParseResult(ast, errors, tuple(Diagnostic(WARNING, W_DEPRECATED, message, span)
+                                          for (message, _), span in zip(parser.warnings, spans)))
 
 
 # -- corrected TeX ------------------------------------------------------
@@ -696,7 +686,7 @@ def _emit(node: AstNode, out: list[str]) -> None:
         if node.arg_map:
             spec += ", arg='" + ",".join(f"{a}={b}" for a, b in node.arg_map) + "'"
         out.append("{" + spec + "}")
-    else:  # pragma: no cover
+    else:
         raise TypeError(f"unknown AST node {node!r}")
 
 

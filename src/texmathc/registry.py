@@ -93,12 +93,6 @@ def decode_param(param: str) -> str:
     return param
 
 
-def _split_params(text: str) -> tuple[str, ...]:
-    if text == "-":
-        return ()
-    return tuple(text.split(","))
-
-
 def _split_attrs(text: str) -> tuple[tuple[str, str], ...]:
     if text == "-":
         return ()
@@ -149,8 +143,8 @@ def parse_registry_text(text: str) -> Registry:
                     raise RegistryError(f"duplicate command {name!r}")
                 if flags not in ("", "deprecated"):
                     raise RegistryError(f"unknown flag {flags!r}")
-                spec = CommandSpec(name, arity, fn, _split_params(params_text), category,
-                                   flags == "deprecated")
+                params = () if params_text == "-" else tuple(params_text.split(","))
+                spec = CommandSpec(name, arity, fn, params, category, flags == "deprecated")
                 _check_shape(spec, TRANSLATIONS)
                 commands[name] = spec
                 if fn == "radical" and radical is None:

@@ -429,16 +429,12 @@ def batch_compare(pairs: list[ComparePair],
     are excluded from the aggregates and surfaced in the report header.
     """
     rows: list[PairRow] = []
-    errors: list[str] = []
-    overall = 0
-    counted = 0
     for pair in sorted(pairs, key=lambda p: p.id):
         same = pair.b == pair.a
         try:
             root_a = ET.fromstring(pair.a)
             root_b = root_a if same else ET.fromstring(pair.b)
         except Exception as exc:
-            errors.append(f"{pair.id}: XML parse failure: {exc}")
             rows.append(PairRow(pair.id, None, None, error=str(exc)))
             continue
         if same:  # the root is never replaced, so each side has a node
@@ -448,16 +444,12 @@ def batch_compare(pairs: list[ComparePair],
             lmld_b, items_b = _walk(root_b, options)
             ted, f1 = _distance(lmld_a, items_a, lmld_b, items_b), _fscore(items_a, items_b).f1
         rows.append(PairRow(pair.id, ted, f1))
-        overall += ted
-        counted += 1
-    average = overall / counted if counted else 0.0
+    teds = [row.ted for row in rows if row.error is None]
     return CorpusReport(
-        formula_count=counted,
-        overall_ted=overall,
-        average_ted=average,
-        rows=tuple(rows),
-        errors=tuple(errors),
-    )
+        formula_count=len(teds), overall_ted=sum(teds),
+        average_ted=sum(teds) / len(teds) if teds else 0.0, rows=tuple(rows),
+        errors=tuple(f"{row.id}: XML parse failure: {row.error}"
+                     for row in rows if row.error is not None))
 
 
 def format_report_table(report: CorpusReport) -> str:

@@ -11,7 +11,7 @@ import pytest
 
 import texmathc
 from texmathc import ConversionFailed, convert_formula, default_registry
-from texmathc.cache import RenderCache
+from texmathc.cache import RenderCache, default_cache_dir
 from texmathc.registry import dump_registry, parse_registry_text
 
 SRC = str(Path(texmathc.__file__).resolve().parents[1])
@@ -56,6 +56,26 @@ def test_purge_counts_and_empties(tmp_path):
     assert cache.purge().entries == 3
     assert cache.stats() == (0, 0, 0)
     assert cache.purge().entries == 0
+
+
+def test_purge_steps_past_an_earlier_purged_directory(tmp_path):
+    cache = RenderCache(tmp_path / "c")
+    cache.put(RenderCache.key_for("x", "o", "v"), "<math/>")
+    earlier = tmp_path / "c.purged"
+    earlier.mkdir()
+    (earlier / "kept").write_text("old", encoding="utf-8")
+    assert cache.purge() == (1, len("<math/>"), 0)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.purged"]
+    assert (earlier / "kept").read_text(encoding="utf-8") == "old"
+
+
+def test_default_cache_dir_falls_back_to_xdg_then_home(tmp_path, monkeypatch):
+    monkeypatch.delenv("TEXMATHC_CACHE_DIR")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    assert default_cache_dir() == tmp_path / "xdg" / "texmathc"
+    monkeypatch.delenv("XDG_CACHE_HOME")
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    assert default_cache_dir() == tmp_path / "home" / ".cache" / "texmathc"
 
 
 def test_registries_sharing_a_version_do_not_share_entries(tmp_path):

@@ -189,6 +189,15 @@ def test_unusable_cache_directory_still_converts(tmp_path):
     assert skipped.startswith("cache write skipped")
 
 
+def test_a_default_registry_that_fails_to_load_exits_2(capsys, monkeypatch):
+    def broken():
+        raise ValueError("bad row")
+
+    monkeypatch.setattr("texmathc.cli.default_registry", broken)
+    code, out, err = run(capsys, "check", "x")
+    assert (code, out, err) == (2, "", "error: default registry failed to load: bad row\n")
+
+
 def test_convert_purge_convert_cycle(capsys):
     _, out1, err1 = run(capsys, "convert", "--verbose", "x^2")
     code, purged, _ = run(capsys, "cache", "purge")
@@ -237,8 +246,9 @@ def test_corpus_update_refs(capsys, tmp_path):
     path = write_manifest(tmp_path, [
         {"id": "c", "input": "x^2", "expect": {"mathml": "stale"}},
     ])
-    code, _, _ = run(capsys, "corpus", str(path), "--update-refs")
+    code, out, _ = run(capsys, "corpus", str(path), "--update-refs", "--report", "json")
     assert code == 0
+    assert json.loads(out)["results"] == [{"id": "c", "outcome": "pass", "detail": ""}]
     refreshed = json.loads(path.read_text(encoding="utf-8"))
     assert refreshed["cases"][0]["expect"]["mathml"].startswith("<math")
     code, out, _ = run(capsys, "corpus", str(path))

@@ -4,6 +4,7 @@ import copy
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -205,6 +206,18 @@ def test_annotate_requires_semantics():
 def test_bad_display_rejected():
     with pytest.raises(ValueError):
         GenOptions(display="fancy")
+
+
+@pytest.mark.parametrize("source, row, message", [
+    ("\\alpha", "alpha\t", "command 'alpha' missing from registry"),
+    ("+", "+\t", "literal '+' missing from operator directory"),
+])
+def test_generating_a_token_without_its_row_is_a_lookup_error(registry, source, row, message):
+    ast = parse(source, registry).ast
+    rows = dump_registry(registry).splitlines(keepends=True)
+    without = parse_registry_text("".join(r for r in rows if not r.startswith(row)))
+    with pytest.raises(LookupError, match=f"^{re.escape(message)}$"):
+        to_mathml(ast, without)
 
 
 def test_generation_determinism(registry):

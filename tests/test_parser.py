@@ -398,6 +398,12 @@ def test_error_spans_are_valid(registry, source):
 
 def test_render_tex_atoms(registry):
     assert render_tex(ok(registry, "x")) == "x"
+    assert render_tex(ok(registry, "\\text{}")) == "\\text{}"
+
+
+def test_render_tex_rejects_what_is_not_an_ast_node():
+    with pytest.raises(TypeError, match="unknown AST node 'x'"):
+        render_tex("x")
 
 
 def test_render_tex_script_braces(registry):
@@ -434,6 +440,7 @@ ROUND_TRIP_SOURCES = [
     "\\intent{(x,y)}{intent='open-interval($x,$y)'}",
     "\\binom{n}{k}", "{n \\choose k}", "\\pmod{p}", "\\boxed{E=mc^2}",
     "{}^{227}_{90} X", "\\underbrace{a+b}", "\\overset{!}{=}",
+    "\\text{}", "\\operatorname{}x",
 ]
 
 
