@@ -299,7 +299,3 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     args = build_arg_parser().parse_args(argv)
     return args.func(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

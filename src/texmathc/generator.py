@@ -23,6 +23,7 @@ from .nodes import (
     Script,
     Sequence,
 )
+from .parser import render_tex
 from .registry import CommandSpec, Registry, decode_param
 
 
@@ -41,8 +42,6 @@ def to_mathml(ast: AstNode, registry: Registry,
     if options.wrap_semantics:
         kids = [_group(content)]
         if options.annotate_tex:
-            from .parser import render_tex
-
             kids.append(token("annotation", render_tex(ast),
                               encoding="application/x-tex"))
         content = [elem("semantics", kids)]

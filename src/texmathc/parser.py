@@ -83,7 +83,7 @@ _STOP_FENCE = frozenset({"right"})
 _STOP_CELL = frozenset({"amp", "newrow", "end"})
 
 # Command names the grammar reads before, or instead of, a registry lookup.
-_GRAMMAR_NAMES = frozenset({"left", "right", "begin", "end", "intent"}) | CHEM_COMMANDS
+_GRAMMAR_NAMES = frozenset({"left", "right", "begin", "end"}) | CHEM_COMMANDS
 
 mhchem = None  # the module, once the first \\ce or \\pu has loaded it
 
@@ -322,8 +322,6 @@ class _Parser:
             return self.delimited(tok)
         if name == "begin":
             return self.environment(tok)
-        if name == "intent":
-            return self.intent_macro(tok)
         if self.allow_chem and name in CHEM_COMMANDS:  # an argument: one group
             self.i -= 1
             return _collapse_arg(Curly(tuple(self.chem(braced=True))))
@@ -342,6 +340,8 @@ class _Parser:
             self.fail(E_AMBIGUOUS_INFIX,
                       f"\\{name} cannot be an argument or index; brace it as {{a \\{name} b}}", tok)
         self.note_deprecated(spec, tok)
+        if spec.translation_fn == "intent":
+            return self.intent_macro(tok)
         if spec.arity == 0:  # one that `leaves` does not hold
             return Literal("\\" + name)
         if spec.translation_fn in RAW_ARG_FNS:
@@ -412,6 +412,7 @@ class _Parser:
             spec = self.registry.lookup(value)
             if spec is not None and spec.category == "delimiter":
                 self.advance()
+                self.note_deprecated(spec, tok)
                 return "\\" + value
         self.fail(E_BAD_DELIM, f"{value!r} is not a registered delimiter",
                   tok if kind != "eof" else owner)
@@ -421,6 +422,7 @@ class _Parser:
         spec = self.registry.lookup(name)
         if spec is None or spec.category != "environment":
             self.fail(E_BAD_ENV, f"unknown environment {name!r}", begin_tok)
+        self.note_deprecated(spec, begin_tok)
         if name == "array":
             self.maybe_column_spec()
         self.enter(begin_tok)
@@ -518,6 +520,10 @@ class _Parser:
 
         toks, i = self.toks, self.i
         _, name, start, _ = toks[i]
+        spec = self.registry.lookup(name)
+        if spec is None:
+            self.fail(E_UNKNOWN_COMMAND, f"\\{name} is not a whitelisted command", toks[i])
+        self.note_deprecated(spec, toks[i])
         open_kind, _, open_start, open_end = toks[i + 1]
         if open_kind != "lbrace":
             raise DiagnosticError(E_CHEM_SYNTAX, f"\\{name} requires a braced argument",

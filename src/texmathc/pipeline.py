@@ -69,7 +69,7 @@ def convert_formula(source: str, *, chem: bool = False,
     try:
         tree = to_mathml(result.ast, registry, options)
     except DiagnosticError as exc:
-        raise ConversionFailed([exc.within(source, 0).diagnostic]) from None
+        raise ConversionFailed([exc.within(source, 0).diagnostic, *result.warnings]) from None
     output = serialize(tree)
     if key is not None:
         try:

@@ -116,8 +116,7 @@ def parse_registry_text(text: str) -> Registry:
     section = None
     radical = None  # (line, name) of the first radical row
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         try:
@@ -199,8 +198,7 @@ def load_registry(source: str | Path) -> Registry:
 
 @lru_cache(maxsize=1)
 def default_registry() -> Registry:
-    text = (Path(__file__).parent / "data" / "registry.txt").read_text("utf-8")
-    return parse_registry_text(text)
+    return load_registry(Path(__file__).parent / "data" / "registry.txt")
 
 
 def dump_registry(registry: Registry) -> str:

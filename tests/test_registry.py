@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import pytest
+from coverage_corpus import example_for_command
 
+from texmathc.diagnostics import W_DEPRECATED
 from texmathc.generator import TRANSLATIONS
+from texmathc.pipeline import check_formula
 from texmathc.registry import (
     Registry,
     RegistryError,
@@ -190,3 +193,48 @@ def test_decode_param():
     assert decode_param("(") == "("
     assert decode_param("mod") == "mod"
     assert decode_param("1em") == "1em"
+
+
+def _rows_edited(registry, edit):
+    """Each command of `registry` with the registry whose row of it is `edit`ed
+    (None drops the row), skipping those the loader refuses."""
+    lines = dump_registry(registry).split("\n")
+    first = lines.index("[commands]") + 1  # one row per command, in order
+    for row, spec in enumerate(registry.commands.values(), first):
+        edited = edit(lines[row])
+        try:
+            yield spec, parse_registry_text(
+                "\n".join(lines[:row] + [edited] * (edited is not None) + lines[row + 1:]))
+        except RegistryError:
+            continue
+
+
+def test_every_command_is_admitted_by_its_row(registry):
+    """Without its row, a command's example is refused, `\\intent` and, under
+    chemistry, `\\ce` and `\\pu` too."""
+    def errors(source, chem, registry):
+        return [d for d in check_formula(source, chem=chem, registry=registry)
+                if d.severity == "error"]
+
+    admitted, refused = [], []
+    for spec, without in _rows_edited(registry, lambda row: None):
+        source, chem = example_for_command(spec)
+        assert errors(source, chem, registry) == [], spec.name
+        (refused if errors(source, chem, without) else admitted).append(spec.name)
+    assert admitted == []
+    assert len(refused) == len(registry.commands) - 1  # all but `root`, which `\sqrt[` needs
+
+
+def test_every_deprecated_row_warns(registry):
+    """Marked deprecated, each row warns where its command is read: a delimiter
+    and an environment, `\\intent`, `\\ce` and `\\pu` too.  (A row already
+    deprecated would gain a second flag, which the loader refuses.)"""
+    silent, checked = [], 0
+    for spec, marked in _rows_edited(registry, lambda row: row + "\tdeprecated"):
+        source, chem = example_for_command(spec)
+        found = [(d.code, d.message) for d in check_formula(source, chem=chem, registry=marked)]
+        if (W_DEPRECATED, f"\\{spec.name} is deprecated") not in found:
+            silent.append(spec.name)
+        checked += 1
+    assert silent == []
+    assert checked == sum(not spec.deprecated for spec in registry.commands.values())

@@ -124,6 +124,17 @@ def test_chem_diagnostics_index_the_users_input(source, code, offending, span):
     assert err.value.diagnostics == [diag]
 
 
+def test_a_failed_generation_keeps_the_warnings():
+    """`convert` reports what `check` does when an intent reference cannot
+    bind: the error and the parse's warnings after it."""
+    source = "\\and\\intent{x+x}{intent='f($x)'}"
+    diagnostics = check_formula(source)
+    assert [d.code for d in diagnostics] == [E_INTENT_AMBIGUOUS_REF, W_DEPRECATED]
+    with pytest.raises(ConversionFailed) as err:
+        convert_formula(source)
+    assert err.value.diagnostics == diagnostics
+
+
 def test_chem_errors_are_reported_in_reading_order():
     # The chemistry is expanded where the parser meets it, so an earlier
     # error wins over a later chemistry error.
@@ -323,5 +334,7 @@ def test_frozen_diagnostics():
         assert [[d.format_line() for d in check_formula(source, chem=chem)]
                 for chem in (False, True)] == case["check"], source
         assert [_converted(source, chem) for chem in (False, True)] == case["convert"], source
+        for checked, converted in zip(case["check"], case["convert"]):
+            assert converted in (None, checked), source  # `convert` fails with what `check` finds
         assert [_stage(fn, inner) for fn in (expand_ce, expand_pu, parse_intent, parse_macro)] \
             == case["stages"], inner

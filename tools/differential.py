@@ -44,6 +44,12 @@ pair (every node's element, text, attributes and child count, in document
 order); ``tree_edit_distance`` (the distance and both node counts) and
 ``element_fscore`` under COMPARE_OPTIONS, on each pair read by ``from_xml``.
 
+Every entry point runs under the default registry only, so a change to how
+the parser reads a registry row (a command admitted without its row, a
+``deprecated`` flag that does not warn) shows here only when that registry
+is affected; ``tests/test_registry.py`` covers every row removed and every
+row marked deprecated.
+
 The report gives, per entry point, how many outcomes were compared and how
 many differ, then the first SHOW differing cases of each.  The exit
 status is 1 when a difference is not listed in the ``--expect`` file, 0

@@ -11,8 +11,8 @@ run it prints, per module, the executable lines that no `call` or `line`
 event reached.  The executable lines are those of the module's compiled code
 objects, nested code included (`co_lines()`).  It takes no options.
 
-Subprocesses are not traced, so `__main__.py` and the `__main__` line of
-`cli.py` always show, whatever the tests run through `python -m texmathc`.
+Subprocesses are not traced, so `__main__.py` always shows, whatever the
+tests run through `python -m texmathc`.
 Tracing makes the run about two and a half times slower.
 """
 
