@@ -120,7 +120,7 @@ def _collapse_arg(node: AstNode) -> AstNode:
 def _fits(spec: CommandSpec, arity: int) -> bool:
     """Whether `spec` reads as a command with `arity` braced math arguments."""
     fn = spec.translation_fn
-    return (spec.arity == arity and spec.category != "environment" and fn not in RAW_ARG_FNS
+    return (spec.arity == arity and fn != "matrix" and fn not in RAW_ARG_FNS
             and (arity or fn not in INFIX_FNS))
 
 
@@ -135,7 +135,7 @@ def leaf_table(registry: Registry) -> dict[tuple[str, str], Literal]:
         table = {("char", ch): Literal(ch) for ch in chars if len(ch) == 1}
         table.update((("cmd", name), Literal("\\" + name))
                      for name, spec in registry.commands.items()
-                     if _fits(spec, 0) and not spec.deprecated and spec.category != "chem-only"
+                     if _fits(spec, 0) and not spec.deprecated and not spec.chem_only
                      and name not in _GRAMMAR_NAMES)
         registry.__dict__["literals"] = table
     return table
@@ -328,11 +328,11 @@ class _Parser:
         spec = self.registry.lookup(name)
         if spec is None:
             self.fail(E_UNKNOWN_COMMAND, f"\\{name} is not a whitelisted command", tok)
-        if spec.category == "chem-only" and not self.allow_chem:
+        if spec.chem_only and not self.allow_chem:
             self.fail(E_UNKNOWN_COMMAND, f"\\{name} requires chemistry preprocessing"
                       if name in CHEM_COMMANDS else
                       f"\\{name} is only available after chemistry preprocessing", tok)
-        if spec.category == "environment":
+        if spec.translation_fn == "matrix":
             self.fail(E_BAD_ENV, f"{name} is an environment; use \\begin{{{name}}}", tok)
         # sequence() takes an infix command that divides a group; here, as an
         # argument or in a root index, it would have nothing to divide.
@@ -410,7 +410,7 @@ class _Parser:
             self.fail(E_BAD_DELIM, "braces must be escaped as delimiters (\\{, \\})", tok)
         if kind == "cmd":
             spec = self.registry.lookup(value)
-            if spec is not None and spec.category == "delimiter":
+            if spec is not None and spec.translation_fn == "delimiter":
                 self.advance()
                 self.note_deprecated(spec, tok)
                 return "\\" + value
@@ -420,7 +420,7 @@ class _Parser:
     def environment(self, begin_tok: Token) -> Matrix:
         name = self.env_name(begin_tok)
         spec = self.registry.lookup(name)
-        if spec is None or spec.category != "environment":
+        if spec is None or spec.translation_fn != "matrix":
             self.fail(E_BAD_ENV, f"unknown environment {name!r}", begin_tok)
         self.note_deprecated(spec, begin_tok)
         if name == "array":

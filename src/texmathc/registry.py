@@ -15,31 +15,24 @@ from pathlib import Path
 
 from .value import Value
 
-CATEGORIES = frozenset(
-    {"literal", "function", "environment", "delimiter", "style", "chem-only", "intent-only"}
-)
+FLAGS = ("chem-only", "deprecated")
 MAX_ARITY = 2
 
 _HEX_PARAM = re.compile(r"^[0-9A-F]{4,6}$")
-
-# Categories the parser reads by themselves, each with its own translation function.
-_CATEGORY_FNS = {"environment": "matrix", "intent-only": "intent", "delimiter": "delimiter"}
 
 
 class RegistryError(ValueError):
     """Malformed registry data; loading fails atomically."""
 
 
-class CommandSpec(Value, deprecated=False):
+class CommandSpec(Value, chem_only=False, deprecated=False):
     """One whitelisted command: a row of the translation mapping table."""
 
-    __slots__ = ("name", "arity", "translation_fn", "params", "category", "deprecated")
+    __slots__ = ("name", "arity", "translation_fn", "params", "chem_only", "deprecated")
 
     def __post_init__(self) -> None:
         if not 0 <= self.arity <= MAX_ARITY:
             raise RegistryError(f"command {self.name!r}: arity {self.arity} out of range")
-        if self.category not in CATEGORIES:
-            raise RegistryError(f"command {self.name!r}: unknown category {self.category!r}")
 
 
 class OperatorSpec(Value, attributes=()):
@@ -130,20 +123,23 @@ def parse_registry_text(text: str) -> Registry:
                 continue
             fields = line.split("\t")
             if section == "[commands]":
-                if len(fields) not in (5, 6):
-                    raise RegistryError("expected 5 or 6 tab-separated fields")
-                name, arity_text, fn, params_text, category = fields[:5]
-                flags = fields[5] if len(fields) == 6 else ""
+                if len(fields) not in (4, 5):
+                    raise RegistryError("expected 4 or 5 tab-separated fields")
+                name, arity_text, fn, params_text = fields[:4]
+                flags = fields[4].split(",") if len(fields) == 5 else ()
                 try:
                     arity = int(arity_text)
                 except ValueError:
                     raise RegistryError(f"arity {arity_text!r} is not an integer") from None
                 if name in commands:
                     raise RegistryError(f"duplicate command {name!r}")
-                if flags not in ("", "deprecated"):
-                    raise RegistryError(f"unknown flag {flags!r}")
+                for i, flag in enumerate(flags):
+                    if flag not in FLAGS or flag in flags[:i]:
+                        raise RegistryError(f"{'unknown' if flag not in FLAGS else 'repeated'} "
+                                            f"flag {flag!r}")
                 params = () if params_text == "-" else tuple(params_text.split(","))
-                spec = CommandSpec(name, arity, fn, params, category, flags == "deprecated")
+                spec = CommandSpec(name, arity, fn, params, "chem-only" in flags,
+                                   "deprecated" in flags)
                 _check_shape(spec, TRANSLATIONS)
                 commands[name] = spec
                 if fn == "radical" and radical is None:
@@ -171,8 +167,7 @@ def parse_registry_text(text: str) -> Registry:
 
 
 def _check_shape(spec: CommandSpec, translations: dict) -> None:
-    """Raise unless the translation function of `spec` can render its arity
-    and parameters (its row in `generator.TRANSLATIONS`) and serves its category."""
+    """Raise unless the arity and parameters of `spec` fit its `generator.TRANSLATIONS` row."""
     fn = spec.translation_fn
     if fn not in translations:
         raise RegistryError(f"command {spec.name!r}: unknown translation function {fn!r}")
@@ -184,8 +179,6 @@ def _check_shape(spec: CommandSpec, translations: dict) -> None:
         wanted = str(fewest) if fewest == most else f"{fewest} to {most}"
         raise RegistryError(f"command {spec.name!r}: {len(spec.params)} parameters given, "
                             f"{fn} takes {wanted}")
-    if _CATEGORY_FNS.get(spec.category) != (fn if fn in _CATEGORY_FNS.values() else None):
-        raise RegistryError(f"command {spec.name!r}: category {spec.category} cannot use {fn}")
     if fn == "intent" and spec.name != "intent":
         raise RegistryError(f"command {spec.name!r}: only \\intent is read as the intent macro")
 
@@ -206,9 +199,10 @@ def dump_registry(registry: Registry) -> str:
     lines = [f"version {registry.version}", "", "[commands]"]
     for spec in registry.commands.values():
         params = ",".join(spec.params) if spec.params else "-"
-        fields = [spec.name, str(spec.arity), spec.translation_fn, params, spec.category]
-        if spec.deprecated:
-            fields.append("deprecated")
+        fields = [spec.name, str(spec.arity), spec.translation_fn, params]
+        flags = [flag for flag, on in zip(FLAGS, (spec.chem_only, spec.deprecated)) if on]
+        if flags:
+            fields.append(",".join(flags))
         lines.append("\t".join(fields))
     lines.append("")
     lines.append("[operators]")

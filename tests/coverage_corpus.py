@@ -14,21 +14,21 @@ def example_for_command(spec: CommandSpec) -> tuple[str, bool]:
     """(example input, needs chemistry preprocessing)."""
     name = spec.name
     cmd = "\\" + name
-    if spec.category == "chem-only":
+    fn = spec.translation_fn
+    if spec.chem_only:
         if name == "ce":
             return ("\\ce{2H2 + O2 -> 2H2O}", True)
         if name == "pu":
             return ("\\pu{123 kJ}", True)
         return (f"a {cmd} b", True)
-    if spec.category == "intent-only":
+    if fn == "intent":
         return ("\\intent{x}{intent='sample-concept'}", False)
-    if spec.category == "environment":
+    if fn == "matrix":
         return (f"\\begin{{{name}}} a & b \\\\ c & d \\end{{{name}}}", False)
-    if spec.category == "delimiter":
+    if fn == "delimiter":
         return (f"\\left{cmd} x \\right.", False)
-    if spec.category == "style":
+    if fn == "style":
         return (f"{cmd}{{AB}}", False)
-    fn = spec.translation_fn
     if spec.arity == 0:
         if fn == "bigop":
             return (f"{cmd}_{{i=1}}^{{n}} x_{{i}}", False)

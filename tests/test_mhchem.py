@@ -68,7 +68,7 @@ def test_equilibrium_arrow_uses_chem_only_command(registry):
     expansion = expand_ce("A <=> B")
     assert "\\longrightleftharpoons" in expansion
     spec = registry.lookup("longrightleftharpoons")
-    assert spec.category == "chem-only"
+    assert spec.chem_only
     # plain-mode validation must reject the expansion, chem mode accepts it
     assert any(d.code == "E_UNKNOWN_COMMAND" for d in parse(expansion, registry).diagnostics)
     assert parse(expansion, registry, allow_chem=True).diagnostics == ()
@@ -380,10 +380,10 @@ def test_expansion_characters_are_checked_in_reading_order():
 
 
 @pytest.mark.parametrize("row,source,arity", [
-    ("frac\t0\tfraction\t-\tfunction", "\\ce{1/2H2}", 2),  # infix
-    ("mathrm\t1\ttext\t-\tfunction", "\\ce{H2O}", 1),  # raw text
-    ("cdot\t0\tmatrix\t-\tenvironment", "\\pu{1 kg*m}", 0),
-    ("longrightarrow\t1\tradical\t-\tfunction", "\\ce{A -> B}", 0),  # another arity
+    ("frac\t0\tfraction\t-", "\\ce{1/2H2}", 2),  # infix
+    ("mathrm\t1\ttext\t-", "\\ce{H2O}", 1),  # raw text
+    ("cdot\t0\tmatrix\t-", "\\pu{1 kg*m}", 0),
+    ("longrightarrow\t1\tradical\t-", "\\ce{A -> B}", 0),  # another arity
 ])
 def test_a_command_registered_in_another_shape_is_rejected_by_name(row, source, arity):
     name = row.split("\t")[0]

@@ -182,7 +182,7 @@ def test_empty_arg(registry):
 
 def test_missing_radicand_names_the_radical(registry):
     assert first_error(registry, "\\sqrt[3]").message == "missing argument of \\sqrt"
-    row = "foo\t1\tradical\t-\tfunction"
+    row = "foo\t1\tradical\t-"
     foo = parse_registry_text(dump_registry(registry) + "\n[commands]\n" + row + "\n")
     (diag,) = check_formula("\\foo[3]", registry=foo)
     assert (diag.code, diag.message, diag.span) == \
@@ -292,6 +292,16 @@ def test_chem_only_allowed_after_preprocessing(registry):
     # in chem mode \ce parses to the AST of its expansion
     expansion = parse("\\mathrm{H} {}_{2} \\mathrm{O}", registry, allow_chem=True)
     assert parse("\\ce{H2O}", registry, allow_chem=True).ast == expansion.ast
+
+
+def test_character_fences_need_no_operator_row(registry):
+    """`( ) [ ] | / .` after `\\left` and `\\right` are grammar, not registry rows."""
+    lines = dump_registry(registry).split("\n")
+    lines.remove("(\tmo\t0028\tstretchy=false")
+    no_paren = parse_registry_text("\n".join(lines))
+    assert no_paren.operator("(") is None
+    assert convert_formula("\\left( x \\right)", registry=no_paren) == \
+        convert_formula("\\left( x \\right)", registry=registry)
 
 
 def test_deprecated_warning(registry):

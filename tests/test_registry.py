@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from coverage_corpus import example_for_command
 
-from texmathc.diagnostics import W_DEPRECATED
+from texmathc.diagnostics import E_UNKNOWN_COMMAND, W_DEPRECATED
 from texmathc.generator import TRANSLATIONS
 from texmathc.pipeline import check_formula
 from texmathc.registry import (
@@ -18,8 +18,8 @@ from texmathc.registry import (
 MINIMAL = """\
 version 0.test
 [commands]
-ddot\t1\taccent\t00A8\tfunction
-pmatrix\t0\tmatrix\t(,)\tenvironment
+ddot\t1\taccent\t00A8
+pmatrix\t0\tmatrix\t(,)
 [operators]
 +\tmo\t002B\t-
 (\tmo\t0028\tstretchy=false
@@ -69,10 +69,10 @@ def test_every_fn_resolves(registry):
 def test_categories_and_arities(registry):
     for spec in registry.commands.values():
         assert 0 <= spec.arity <= 2
-    assert registry.lookup("ce").category == "chem-only"
-    assert registry.lookup("pu").category == "chem-only"
-    assert registry.lookup("longrightleftharpoons").category == "chem-only"
-    assert registry.lookup("intent").category == "intent-only"
+    assert registry.lookup("ce").chem_only
+    assert registry.lookup("pu").chem_only
+    assert registry.lookup("longrightleftharpoons").chem_only
+    assert registry.lookup("intent").translation_fn == "intent"
 
 
 def test_parse_minimal_registry():
@@ -89,47 +89,71 @@ def test_empty_command_list_is_legal():
 
 
 def test_unknown_translation_fn_rejected():
-    bad = "version 1\n[commands]\nfoo\t0\tnosuchfn\t-\tliteral\n"
+    bad = "version 1\n[commands]\nfoo\t0\tnosuchfn\t-\n"
     with pytest.raises(RegistryError, match="foo"):
         parse_registry_text(bad)
 
 
 @pytest.mark.parametrize(("text", "message"), [
-    ("version 1\n[commands]\nfoo\t0\n", "line 3: expected 5 or 6 tab-separated fields"),
+    ("version 1\n[commands]\nfoo\t0\n", "line 3: expected 4 or 5 tab-separated fields"),
     ("version\n[commands]\n", "line 1: empty version"),
-    ("version 1\n[commands]\nfoo\tx\tidentifier\t0061\tliteral\n",
+    ("version 1\n[commands]\nfoo\tx\tidentifier\t0061\n",
      "line 3: arity 'x' is not an integer"),
-    ("version 1\n[commands]\nfoo\t0\tidentifier\t0061\tliteral\tbogus\n",
+    ("version 1\n[commands]\nfoo\t0\tidentifier\t0061\tbogus\n",
      "line 3: unknown flag 'bogus'"),
     ("version 1\n[operators]\n+\tmo\t002B\n", "line 3: expected 4 tab-separated fields"),
     ("version 1\n[operators]\n+\tmo\t002B\t-\n+\tmo\t002B\t-\n",
      "line 4: duplicate operator '+'"),
-    ("version 1\nfoo\t0\tidentifier\t0061\tliteral\n", "line 2: content outside any section"),
+    ("version 1\nfoo\t0\tidentifier\t0061\n", "line 2: content outside any section"),
     ("version 1\n[operators]\n(\tmo\t0028\tstretchy\n",
      "line 3: attribute 'stretchy' is not key=value"),
+    # rows of the older format, with a column between params and flags
+    ("version 1\n[commands]\nand\t0\toperator\t2227\tliteral\tdeprecated\n",
+     "line 3: expected 4 or 5 tab-separated fields"),
+    ("version 1\n[commands]\nddot\t1\taccent\t00A8\tfunction\n", "line 3: unknown flag 'function'"),
+    ("version 1\n[commands]\nfoo\t0\tidentifier\t0061\t\n", "line 3: unknown flag ''"),
+    ("version 1\n[commands]\nfoo\t0\tidentifier\t0061\tdeprecated,deprecated\n",
+     "line 3: repeated flag 'deprecated'"),
 ], ids=["command-fields", "empty-version", "arity-not-integer", "unknown-flag",
-        "operator-fields", "duplicate-operator", "outside-section", "attribute-without-equals"])
+        "operator-fields", "duplicate-operator", "outside-section", "attribute-without-equals",
+        "old-six-fields", "old-five-fields", "empty-flags", "repeated-flag"])
 def test_malformed_line_identified(text, message):
     with pytest.raises(RegistryError) as err:
         parse_registry_text(text)
     assert str(err.value) == message
 
 
+def test_row_with_both_flags(registry):
+    """A `chem-only,deprecated` row survives a dump, is refused without
+    chemistry and warns with it."""
+    head, _, tail = dump_registry(registry).partition("[commands]\n")
+    row = "foo\t0\toperator\t2227\tchem-only,deprecated"
+    both = parse_registry_text(head + "[commands]\n" + row + "\n" + tail)
+    assert row in dump_registry(both).split("\n")
+    assert parse_registry_text(dump_registry(both)) == both
+    assert [(d.code, d.message) for d in check_formula("a \\foo b", registry=both)] == [
+        (E_UNKNOWN_COMMAND, "\\foo is only available after chemistry preprocessing")]
+    assert [(d.code, d.message) for d in check_formula("a \\foo b", chem=True, registry=both)] \
+        == [(W_DEPRECATED, "\\foo is deprecated")]
+
+
 def test_arity_past_two_rejected():
     # no translation function takes three arguments
-    bad = "version 1\n[commands]\nfoo\t2\tfraction\t-\tfunction\nbar\t3\tfraction\t-\tfunction\n"
+    bad = "version 1\n[commands]\nfoo\t2\tfraction\t-\nbar\t3\tfraction\t-\n"
     with pytest.raises(RegistryError, match="line 4: command 'bar': arity 3 out of range"):
         parse_registry_text(bad)
 
 
 @pytest.mark.parametrize("row, shape", [
-    ("foo\t0\taccent\t005E\tfunction", "arity 0"),
-    ("foo\t0\ttext\t-\tfunction", "arity 0"),
-    ("foo\t0\tspace\t-\tfunction", "0 parameters given"),
-    ("foo\t1\tidentifier\t0061\tliteral", "arity 1"),
-    ("foo\t1\tfraction\t-\tfunction", "arity 1"),
-    ("foo\t1\tstyle\tbold,italic\tstyle", "2 parameters given"),
-], ids=["accent-0", "text-0", "space-no-param", "identifier-1", "fraction-1", "style-2-params"])
+    ("foo\t0\taccent\t005E", "arity 0"),
+    ("foo\t0\ttext\t-", "arity 0"),
+    ("foo\t0\tspace\t-", "0 parameters given"),
+    ("foo\t1\tidentifier\t0061", "arity 1"),
+    ("foo\t1\tfraction\t-", "arity 1"),
+    ("foo\t1\tstyle\tbold,italic", "2 parameters given"),
+    ("foo\t2\tintent\t-", "only \\\\intent"),
+], ids=["accent-0", "text-0", "space-no-param", "identifier-1", "fraction-1", "style-2-params",
+        "intent-foo"])
 def test_row_its_function_cannot_render_rejected(registry, row, shape):
     """Such a row added to the default registry used to load, pass `check`
     and crash `convert`."""
@@ -138,25 +162,11 @@ def test_row_its_function_cannot_render_rejected(registry, row, shape):
         parse_registry_text(head + "[commands]\n" + row + "\n" + tail)
 
 
-@pytest.mark.parametrize("row, rule", [
-    ("foo\t0\tmatrix\t-\tfunction", "category function"),
-    ("foo\t0\tidentifier\t0061\tenvironment", "category environment"),
-    ("foo\t2\tintent\t-\tintent-only", "only \\\\intent"),
-    ("foo\t0\tfraction\t-\tdelimiter", "category delimiter"),
-], ids=["matrix-function", "identifier-environment", "intent-foo", "fraction-delimiter"])
-def test_row_its_category_cannot_use_rejected(registry, row, rule):
-    """Such a row added to the default registry used to load, pass `check`
-    and crash `convert` (or, for the environment, never be usable)."""
-    head, _, tail = dump_registry(registry).partition("[commands]\n")
-    with pytest.raises(RegistryError, match=f"line 4: command 'foo': .*{rule}"):
-        parse_registry_text(head + "[commands]\n" + row + "\n" + tail)
-
-
 def test_radical_without_root_rejected(registry):
     """Without a `root` row, `\\sqrt[3]{x}` passed `check` and crashed `convert`."""
     lines = dump_registry(registry).split("\n")
-    lines.remove("root\t2\troot\t-\tfunction")
-    sqrt_line = lines.index("sqrt\t1\tradical\t-\tfunction") + 1
+    lines.remove("root\t2\troot\t-")
+    sqrt_line = lines.index("sqrt\t1\tradical\t-") + 1
     with pytest.raises(RegistryError, match=f"line {sqrt_line}: command 'sqrt': .*'root'"):
         parse_registry_text("\n".join(lines))
 
@@ -168,8 +178,8 @@ def test_missing_version_rejected():
 
 def test_duplicate_command_rejected():
     bad = ("version 1\n[commands]\n"
-           "foo\t0\tidentifier\t0041\tliteral\n"
-           "foo\t0\tidentifier\t0042\tliteral\n")
+           "foo\t0\tidentifier\t0041\n"
+           "foo\t0\tidentifier\t0042\n")
     with pytest.raises(RegistryError, match="duplicate"):
         parse_registry_text(bad)
 
@@ -228,9 +238,12 @@ def test_every_command_is_admitted_by_its_row(registry):
 def test_every_deprecated_row_warns(registry):
     """Marked deprecated, each row warns where its command is read: a delimiter
     and an environment, `\\intent`, `\\ce` and `\\pu` too.  (A row already
-    deprecated would gain a second flag, which the loader refuses.)"""
+    deprecated would repeat its flag, which the loader refuses.)"""
+    def mark(row):
+        return row + (",deprecated" if row.count("\t") == 4 else "\tdeprecated")
+
     silent, checked = [], 0
-    for spec, marked in _rows_edited(registry, lambda row: row + "\tdeprecated"):
+    for spec, marked in _rows_edited(registry, mark):
         source, chem = example_for_command(spec)
         found = [(d.code, d.message) for d in check_formula(source, chem=chem, registry=marked)]
         if (W_DEPRECATED, f"\\{spec.name} is deprecated") not in found:

@@ -79,12 +79,10 @@ def test_conversion_failed_round_trips(round_trip):
     (lambda: GenOptions(display="wide"), ValueError,
      "display must be inline or block, got 'wide'"),
     (lambda: GenOptions(annotate_tex=True), ValueError, "annotate_tex requires wrap_semantics"),
-    (lambda: CommandSpec("foo", 3, "fraction", (), "function"), RegistryError,
+    (lambda: CommandSpec("foo", 3, "fraction", ()), RegistryError,
      "command 'foo': arity 3 out of range"),
-    (lambda: CommandSpec("foo", -1, "fraction", (), "function"), RegistryError,
+    (lambda: CommandSpec("foo", -1, "fraction", ()), RegistryError,
      "command 'foo': arity -1 out of range"),
-    (lambda: CommandSpec("foo", 0, "identifier", ("0061",), "letters"), RegistryError,
-     "command 'foo': unknown category 'letters'"),
     (lambda: OperatorSpec("+", "mtext", "002B"), RegistryError,
      "operator '\\+': element must be mo/mi/mn"),
     (lambda: MathMLNode("mi", {}, [MathMLNode("mn", {}, [], "1")], "x"), ValueError,
@@ -138,7 +136,7 @@ def test_reprs_are_unchanged():
         "GenOptions(display='inline', wrap_semantics=False, annotate_tex=False)")
     assert repr(default_registry().lookup("and")) == (
         "CommandSpec(name='and', arity=0, translation_fn='operator', params=('2227',), "
-        "category='literal', deprecated=True)")
+        "chem_only=False, deprecated=True)")
     assert repr(default_registry().operator("(")) == (
         "OperatorSpec(token='(', element='mo', codepoint='0028', "
         "attributes=(('stretchy', 'false'),))")

@@ -28,6 +28,11 @@ Inputs, built once from SEED:
 * COUNT // 10 ``\\ce``/``\\pu`` commands, each followed by one of
   CHEM_TAILS (scripts, primes) and inside a ``\\sqrt[…]`` index, alone and
   beside other items;
+* GENERATION_FAILURES, sources that parse but whose intent references
+  ``to_mathml`` refuses (``E_INTENT_UNBOUND_REF``, ``E_INTENT_AMBIGUOUS_REF``):
+  a name bound nowhere, one bound twice, the same after a deprecated
+  command, a name an ``arg`` pair gives an absent identifier, and the name
+  of a command for its identifier;
 * COUNT // 3 chemistry bodies for ``expand_ce``/``expand_pu``;
 * MathML pairs: the two-renderer pairs, neighbouring reference outputs of
   the combined corpus, seeded random trees against one another, against
@@ -103,6 +108,10 @@ CHAINS = {
 CHEM_CORES = ("\\ce{H}", "\\ce{->}", "\\ce{}", "x^\\ce{2}", "\\ce{H2}_3", "\\ce{H}^2",
               "\\pu{1 s2}^3", "\\sqrt[\\ce{H}]{x}", "\\sqrt\\ce{H2O}")
 CHEM_TAILS = ("_2", "^2", "'", "''", "_{2}^{3}", "^{+}", "^2_3'", " x", "^\\ce{H}")
+GENERATION_FAILURES = ("\\intent{x+y}{intent='f($z)'}", "\\intent{x+x}{intent='f($x)'}",
+                       "\\and\\intent{x+x}{intent='f($x)'}",
+                       "\\intent{a+b}{intent='f($y)', arg='x=y'}",
+                       "\\intent{\\alpha}{intent='f($alpha)'}")
 LEAVES = ("mi", "mo", "mn")
 INNER = ("mrow", "mrow", "msqrt", "mfrac", "msup", "semantics", "annotation", "mstyle")
 TEXTS = ("a", "b", "x", "+", "=", "1", "2")
@@ -175,6 +184,7 @@ def build_inputs(seed: int, count: int) -> dict:
     sources.append("\\intent{x}{intent='" + "f(" * 129 + "a" + ")" * 129 + "'}")
     digits = "1" * LONG_DIGITS
     sources += [digits, f"x^{{{digits}}}", f"\\pu{{1e{digits} m}}", f"\\pu{{1.5e-{digits}}}"]
+    sources += GENERATION_FAILURES
 
     bodies = [body(rng, k % 3) for k in range(count // 3)]
     bodies += [s[4:-1] for s in corpus if s.startswith(("\\ce{", "\\pu{")) and s.endswith("}")]
