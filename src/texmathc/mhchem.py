@@ -60,6 +60,12 @@ _LIT = {token: Literal(token) for token in [
     *("\\" + name for name, arity in EMITTED_COMMANDS.items() if not arity)]}
 _EMPTY = Curly(())
 
+# The atoms that expansions share, by key: an element run's name, or
+# `sub^sup` for a script on an empty base.  Only keys of at most two letters
+# or digits besides the "^" are kept (26 * 53 runs and 342 scripts), so the
+# table stays small whatever the bodies are; longer atoms are built at each use.
+_ATOMS: dict[str, AstNode] = {}
+
 
 def _err(message: str, text: str, start: int, end: int) -> ChemError:
     return ChemError(E_CHEM_SYNTAX, message, (start, end), text)
@@ -74,9 +80,17 @@ def _mathrm(text: str) -> Fun:
     return Fun("mathrm", (_arg(text),))
 
 
-def _on_empty(sub: str, sup: str) -> Script:
-    """``{}_{sub}^{sup}``, a script left out when empty."""
-    return Script(_EMPTY, _arg(sub) if sub else None, _arg(sup) if sup else None)
+def _atom(key: str) -> AstNode:
+    """``\\mathrm{key}``, or for a key `sub^sup` the script ``{}_{sub}^{sup}``
+    with an empty one left out."""
+    atom = _ATOMS.get(key)
+    if atom is None:
+        sub, caret, sup = key.partition("^")
+        atom = (Script(_EMPTY, _arg(sub) if sub else None, _arg(sup) if sup else None)
+                if caret else _mathrm(key))
+        if len(key) <= 2 + len(caret):
+            _ATOMS[key] = atom
+    return atom
 
 
 def expand(body: str, command: str) -> list[list[AstNode]]:
@@ -123,7 +137,7 @@ def _ce_chunks(body: str) -> list[list[AstNode]]:
         ch = body[i]
         if "A" <= ch <= "Z":  # the most common token first
             m = _ELEMENTS.match(body, i)
-            kind, chunk, i = "element", [_mathrm("".join(m[0].split()))], m.end()
+            kind, chunk, i = "element", [_atom("".join(m[0].split()))], m.end()
         elif ch.isspace():
             i += 1
             continue
@@ -137,7 +151,7 @@ def _ce_chunks(body: str) -> list[list[AstNode]]:
             # stands between species starts.
             spaced = body[i - 1:i].isspace()
             if not spaced and prev in _CHARGEABLE and not (nxt.isalnum() or nxt == "("):
-                kind, chunk = "charge", [_on_empty("", "+")]
+                kind, chunk = "charge", [_atom("^+")]
             else:
                 kind, chunk = "plus", [_LIT["+"]]
             i += 1
@@ -151,7 +165,7 @@ def _ce_chunks(body: str) -> list[list[AstNode]]:
             if after.isupper() or after == "(" and not _STATE.match(body, j):
                 kind, chunk = "bond", [_LIT["-"]]
             elif not body[i - 1:i].isspace():
-                kind, chunk = "charge", [_on_empty("", "-")]
+                kind, chunk = "charge", [_atom("^-")]
             else:
                 raise _err("'-' must bond two species or trail as a charge", body, i, i + 1)
             i += 1
@@ -175,7 +189,7 @@ def _ce_chunks(body: str) -> list[list[AstNode]]:
             kind, chunk, i = _scan_caret(body, i, prev in _SPECIES_START)
         elif ch == "_":
             digits, i = _scan_script_digits(body, i + 1, "subscript")
-            kind, chunk = "count", [_on_empty(digits, "")]
+            kind, chunk = "count", [_atom(digits + "^")]
         elif "0" <= ch <= "9":
             if prev in _SPECIES_START:
                 m = _COEFF.match(body, i)
@@ -185,7 +199,7 @@ def _ce_chunks(body: str) -> list[list[AstNode]]:
                     chunk = [Fun("frac", (_arg(num), _arg(den))), _LIT["\\,"]]
             elif prev == "element" or prev == "close":
                 m = _NUMBER.match(body, i)
-                kind, chunk = "count", [_on_empty(m[0], "")]
+                kind, chunk = "count", [_atom(m[0] + "^")]
             else:
                 raise _err("unexpected number", body, i, _NUMBER.match(body, i).end())
             i = m.end()
@@ -222,7 +236,7 @@ def _scan_caret(body: str, i: int, species_start: bool) -> tuple[str, list[AstNo
             number, j = _scan_script_digits(body, j + 1, "atomic number")
         if not body[j:j + 1].isupper():
             raise _err("isotope prescript must precede an element", body, i, j)
-        return "isotope", [_on_empty(number, mass)], j
+        return "isotope", [_atom(number + "^" + mass)], j
     j = i + 1
     if body[j:j + 1] == "{":
         end = body.find("}", j)
@@ -231,11 +245,11 @@ def _scan_caret(body: str, i: int, species_start: bool) -> tuple[str, list[AstNo
         content = body[j + 1:end]
         if not _CHARGE.fullmatch(content):
             raise _err(f"malformed charge {content!r}", body, i, end)
-        return "charge", [_on_empty("", content)], end + 1
+        return "charge", [_atom("^" + content)], end + 1
     m = _CHARGE.match(body, j)
     if not m:
         raise _err("malformed charge", body, i, j + 1)
-    return "charge", [_on_empty("", m[0])], m.end()
+    return "charge", [_atom("^" + m[0])], m.end()
 
 
 # -- \pu ------------------------------------------------------------------

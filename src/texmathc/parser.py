@@ -5,15 +5,19 @@ backtracking across brace groups, so every failure can point at the exact
 offending token.  One successful parse yields the tree used both for
 validation verdicts and for MathML generation.
 
-A token is a plain tuple (kind, value, start, end); `tokenize` builds them
-with one regex scan, and brace groups are matched on the token list, never
-on the text.  A chemistry expansion arrives as the nodes `mhchem.expand`
-builds, which the parser checks and inserts where it meets the command.
+A token is its text; `tokenize` lists them with one regex scan, and brace
+groups are matched on the token list, never on the text.  A token's
+codepoint span is computed only for what needs one (a diagnostic, a
+warning, a ``\\ce``/``\\pu`` body, a raw argument, an ``\\intent`` spec), by
+`token_ends` at the first such need in a parse.  A chemistry expansion
+arrives as the nodes `mhchem.expand` builds, which the parser checks and
+inserts where it meets the command.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import accumulate
 from typing import NoReturn
 
 from .diagnostics import (
@@ -63,24 +67,29 @@ RAW_ARG_FNS = frozenset({"text", "operatorname"})
 
 # The chemistry commands, expanded in place when chemistry is allowed.
 CHEM_COMMANDS = frozenset({"ce", "pu"})
+_CHEM_TOKENS = frozenset("\\" + name for name in CHEM_COMMANDS)
 
-# One piece per token: the whitespace before it (`str.isspace`), then a
-# command (a backslash and ASCII letters, one other character, or nothing at
-# the end of the input) or one other character.
-_PIECE = re.compile(r"\s*(?:\\(?:[A-Za-z]+|.?)|\S)", re.S)
+# A token: a command (a backslash and ASCII letters, one other character, or
+# nothing at the end of the input) or one other character.  `_TOKEN` finds
+# each with the whitespace before it (`str.isspace`) left out, `_PIECE` with
+# it kept.
+_TEXT = r"\\(?:[A-Za-z]+|.?)|\S"
+_TOKEN = re.compile(rf"\s*({_TEXT})", re.S)
+_PIECE = re.compile(rf"\s*(?:{_TEXT})", re.S)
 
 # The code points outside XML 1.0's Char production.  `re` compiles it at the
 # first raw argument: the wide ranges take about 1 ms, which import would pay.
 _NOT_XML = r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
 
-# The kind of a one-character token; any other character is a "char".
-_KINDS = {"{": "lbrace", "}": "rbrace", "^": "sup", "_": "sub", "&": "amp"}
+# The one-character tokens that are not characters: grammar, or `\` alone.
+_MARKS = frozenset("{}^_&\\")
 
-# The tokens that end a sequence of each construct; only the top level ends at eof.
-_STOP_TOP: frozenset[str] = frozenset()
-_STOP_GROUP = frozenset({"rbrace"})
-_STOP_FENCE = frozenset({"right"})
-_STOP_CELL = frozenset({"amp", "newrow", "end"})
+# The tokens that end a sequence (eof is ""), and those each construct stops at.
+_ENDS = frozenset({"", "}", "&", "\\\\", "\\right", "\\end"})
+_STOP_TOP = frozenset({""})
+_STOP_GROUP = frozenset({"}"})
+_STOP_FENCE = frozenset({"\\right"})
+_STOP_CELL = frozenset({"&", "\\\\", "\\end"})
 
 # Command names the grammar reads before, or instead of, a registry lookup.
 _GRAMMAR_NAMES = frozenset({"left", "right", "begin", "end"}) | CHEM_COMMANDS
@@ -89,11 +98,10 @@ mhchem = None  # the module, once the first \\ce or \\pu has loaded it
 
 _CMD_TAIL = re.compile(r"\\[A-Za-z]+$")
 
-# A token is the tuple (kind, value, start, end).  The kind is cmd, char,
-# lbrace, rbrace, sup, sub, amp, newrow or eof; a command's value is its name
-# without the backslash, any other value is the token's text; start and end
-# are codepoint offsets into the source.
-Token = tuple[str, str, int, int]
+# A token is its text: a command with its backslash (`\alpha`, `\,`, `\` alone
+# at the end of the input), `\\` (a row break), or one character; the list
+# ends in "" (eof).  Its span is found by its index in `token_ends`.
+Token = str
 
 
 class ParseResult(Value):
@@ -124,40 +132,33 @@ def _fits(spec: CommandSpec, arity: int) -> bool:
             and (arity or fn not in INFIX_FNS))
 
 
-def leaf_table(registry: Registry) -> dict[tuple[str, str], Literal]:
+def leaf_table(registry: Registry) -> dict[Token, Literal]:
     """The one shared Literal of each token that reads as a bare leaf under
-    `registry`, by (kind, value): each whitelisted character, and each arity-0
+    `registry`, by its text: each whitelisted character, and each arity-0
     command that is not deprecated, chem-only, infix, an environment or a name
     the grammar reads.  Built at the registry's first parse and kept in it."""
     table = registry.__dict__.get("literals")
     if table is None:
         chars = [ch for ch in map(chr, range(128)) if ch.isalnum()] + list(registry.operators)
-        table = {("char", ch): Literal(ch) for ch in chars if len(ch) == 1}
-        table.update((("cmd", name), Literal("\\" + name))
-                     for name, spec in registry.commands.items()
-                     if _fits(spec, 0) and not spec.deprecated and not spec.chem_only
-                     and name not in _GRAMMAR_NAMES)
-        registry.__dict__["literals"] = table
+        texts = [ch for ch in chars if len(ch) == 1]
+        texts += ["\\" + name for name, spec in registry.commands.items()
+                  if _fits(spec, 0) and not spec.deprecated and not spec.chem_only
+                  and name not in _GRAMMAR_NAMES]
+        table = registry.__dict__["literals"] = {  # no row makes a grammar token a leaf
+            text: Literal(text) for text in texts if text not in _MARKS and text not in _ENDS}
     return table
 
 
 def tokenize(source: str) -> list[Token]:
-    """Total tokenization: any input yields a list of (kind, value, start,
-    end) tuples ending in eof."""
-    toks: list[Token] = []
-    append = toks.append
-    end = 0
-    for piece in _PIECE.findall(source):
-        end += len(piece)
-        text = piece.lstrip()
-        if text[0] != "\\":
-            append((_KINDS.get(text, "char"), text, end - 1, end))
-        elif text == "\\\\":
-            append(("newrow", text, end - 2, end))
-        else:
-            append(("cmd", text[1:], end - len(text), end))
-    append(("eof", "", len(source), len(source)))
+    """Total tokenization: any input yields its token texts, then eof ("")."""
+    toks = _TOKEN.findall(source)
+    toks.append("")
     return toks
+
+
+def token_ends(source: str) -> list[int]:
+    """The codepoint offset where each token of `source` ends, eof included."""
+    return [*accumulate(map(len, _PIECE.findall(source))), len(source)]
 
 
 class _Parser:
@@ -167,43 +168,47 @@ class _Parser:
         self.allow_chem = allow_chem
         self.leaves = leaf_table(registry)
         self.toks = tokenize(source)
+        self.ends: list[int] | None = None  # `token_ends`, at the first span
         self.i = 0
         self.depth = 0
         self.warnings: list[tuple[str, tuple[int, int]]] = []  # message, codepoint span
 
     # -- token plumbing ------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.toks[self.i]
+    def span(self, first: int, last: int | None = None) -> tuple[int, int]:
+        """The codepoint span of the tokens from index `first` to `last`."""
+        ends = self.ends
+        if ends is None:
+            ends = self.ends = token_ends(self.source)
+        return ends[first] - len(self.toks[first]), ends[first if last is None else last]
 
-    def advance(self) -> Token:
+    def advance(self) -> int:
         # No eof guard: every caller stands on a token it has checked, never on eof.
-        tok = self.toks[self.i]
         self.i += 1
-        return tok
+        return self.i - 1
 
     def closing(self, i: int) -> int:
-        """Index of the rbrace token matching the lbrace at `i`, or -1 when
-        unclosed.  An escaped brace (``\\{``, ``\\}``) is a command token."""
+        """Index of the "}" matching the "{" at `i`, or -1 when unclosed.  An
+        escaped brace (``\\{``, ``\\}``) is a command token."""
         toks = self.toks
         depth = 0
-        for j in range(i, len(toks)):
-            kind = toks[j][0]
-            if kind == "lbrace":
-                depth += 1
-            elif kind == "rbrace":
-                depth -= 1
-                if depth == 0:
-                    return j
-        return -1
+        while True:  # past each "}" in turn, with the "{" before it
+            try:
+                close = toks.index("}", i)
+            except ValueError:
+                return -1
+            depth += toks[i:close].count("{") - 1
+            if depth == 0:
+                return close
+            i = close + 1
 
-    def fail(self, code: str, message: str, tok: Token) -> NoReturn:
-        raise DiagnosticError(code, message, tok[2:], self.source)
+    def fail(self, code: str, message: str, first: int, last: int | None = None) -> NoReturn:
+        raise DiagnosticError(code, message, self.span(first, last), self.source)
 
-    def enter(self, tok: Token) -> None:
+    def enter(self, first: int, last: int | None = None) -> None:
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            self.fail(E_TOO_DEEP, f"nesting exceeds {MAX_DEPTH} levels", tok)
+            self.fail(E_TOO_DEEP, f"nesting exceeds {MAX_DEPTH} levels", first, last)
 
     def leave(self) -> None:
         self.depth -= 1
@@ -214,49 +219,49 @@ class _Parser:
         items: list[AstNode] = []
         toks, leaves = self.toks, self.leaves
         while True:
-            tok = toks[self.i]
-            kind, value, _, _ = tok
-            leaf = leaves.get((kind, value))
+            text = toks[self.i]
+            leaf = leaves.get(text)
             if leaf is not None:
                 self.i += 1
-                items.append(self.item(leaf) if toks[self.i][0] in ("sup", "sub") else leaf)
+                items.append(self.item(leaf) if toks[self.i] in ("^", "_") else leaf)
                 continue
-            if kind == "cmd" and value in ("right", "end"):
-                kind = value
-            if kind == "eof":
-                if not stop:
+            if text in _ENDS:
+                if text in stop:
                     return items
-                if "right" in stop:
-                    self.fail(E_BAD_DELIM, "\\left without matching \\right", tok)
-                if "end" in stop:
-                    self.fail(E_BAD_ENV, "\\begin without matching \\end", tok)
-                self.fail(E_UNBALANCED_BRACE, "missing closing brace", tok)
-            if kind in ("rbrace", "amp", "newrow", "right", "end"):
-                if kind in stop:
-                    return items
-                if kind == "rbrace":
-                    if "right" in stop:
-                        self.fail(E_BAD_DELIM, "missing \\right before closing brace", tok)
-                    self.fail(E_UNBALANCED_BRACE, "unexpected closing brace", tok)
-                if kind in ("amp", "newrow"):
-                    self.fail(E_BAD_ENV, "alignment token outside environment", tok)
-                if kind == "right":
-                    self.fail(E_BAD_DELIM, "\\right without matching \\left", tok)
-                self.fail(E_BAD_ENV, "\\end without matching \\begin", tok)
-            if kind == "cmd":
-                if self.allow_chem and value in CHEM_COMMANDS:
+                self.misplaced(stop)
+            if text[0] == "\\":
+                if self.allow_chem and text in _CHEM_TOKENS:
                     items += self.chem_atoms(braced=False)
                     continue
-                spec = self.registry.lookup(value)
+                spec = self.registry.lookup(text[1:])
                 if spec is not None and spec.arity == 0 and spec.translation_fn in INFIX_FNS:
                     if in_infix:
                         self.fail(E_AMBIGUOUS_INFIX,
-                                  f"multiple infix commands in one group: \\{value}", tok)
-                    self.advance()
-                    self.note_deprecated(spec, tok)
+                                  f"multiple infix commands in one group: {text}", self.i)
+                    self.note_deprecated(spec, self.advance())
                     right = self.sequence(stop, in_infix=True)
-                    return [Infix(value, Sequence(tuple(items)), Sequence(tuple(right)))]
+                    return [Infix(text[1:], Sequence(tuple(items)), Sequence(tuple(right)))]
             items.append(self.item())
+
+    def misplaced(self, stop: frozenset[str]) -> NoReturn:
+        """Fail on the token at hand, one that ends another construct than `stop`'s."""
+        at = self.i
+        text = self.toks[at]
+        if not text:
+            if "\\right" in stop:
+                self.fail(E_BAD_DELIM, "\\left without matching \\right", at)
+            if "\\end" in stop:
+                self.fail(E_BAD_ENV, "\\begin without matching \\end", at)
+            self.fail(E_UNBALANCED_BRACE, "missing closing brace", at)
+        if text == "}":
+            if "\\right" in stop:
+                self.fail(E_BAD_DELIM, "missing \\right before closing brace", at)
+            self.fail(E_UNBALANCED_BRACE, "unexpected closing brace", at)
+        if text in ("&", "\\\\"):
+            self.fail(E_BAD_ENV, "alignment token outside environment", at)
+        if text == "\\right":
+            self.fail(E_BAD_DELIM, "\\right without matching \\left", at)
+        self.fail(E_BAD_ENV, "\\end without matching \\begin", at)
 
     def item(self, node: AstNode | None = None) -> AstNode:
         """An atom (group, character or command), or `node`, and its scripts."""
@@ -264,36 +269,36 @@ class _Parser:
         sub: AstNode | None = None
         sup: AstNode | None = None
         if node is None:
-            tok = toks[self.i]
-            kind = tok[0]
-            node = self.leaves.get(tok[:2])
+            at = self.i
+            text = toks[at]
+            node = self.leaves.get(text)
             if node is not None:
-                self.i += 1
-            elif kind == "lbrace":
+                self.i = at + 1
+            elif text == "{":
                 node = self.group()
-            elif kind == "char":
-                self.unknown_char(tok)
-            elif kind == "cmd":
+            elif text[:1] == "\\" and text != "\\\\":
                 node = self.command()
-            elif kind in ("sup", "sub"):
-                self.fail(E_EMPTY_ARG, "script without a base", tok)
+            elif text in ("^", "_"):
+                self.fail(E_EMPTY_ARG, "script without a base", at)
+            elif text in _ENDS:
+                self.fail(E_UNKNOWN_COMMAND, f"unexpected token {text!r}", at)
             else:
-                self.fail(E_UNKNOWN_COMMAND, f"unexpected token {tok[1]!r}", tok)
+                self.unknown_char(text, at)
         elif type(node) is Script:  # its scripts were read with it, as in its TeX
             node, sub, sup = node.base, node.sub, node.sup
         while True:
-            tok = toks[self.i]
-            kind = tok[0]
-            if kind == "sup":
+            at = self.i
+            text = toks[at]
+            if text == "^":
                 if sup is not None:
-                    self.fail(E_DOUBLE_SCRIPT, "double superscript", tok)
-                self.advance()
-                sup = self.argument(tok, "superscript")
-            elif kind == "sub":
+                    self.fail(E_DOUBLE_SCRIPT, "double superscript", at)
+                self.i = at + 1
+                sup = self.argument(at, "superscript")
+            elif text == "_":
                 if sub is not None:
-                    self.fail(E_DOUBLE_SCRIPT, "double subscript", tok)
-                self.advance()
-                sub = self.argument(tok, "subscript")
+                    self.fail(E_DOUBLE_SCRIPT, "double subscript", at)
+                self.i = at + 1
+                sub = self.argument(at, "subscript")
             else:
                 break
         if sub is None and sup is None:
@@ -301,213 +306,210 @@ class _Parser:
         return Script(node, sub, sup)
 
     def group(self) -> Curly:
-        open_tok = self.advance()
-        self.enter(open_tok)
+        self.enter(self.advance())
         items = self.sequence(_STOP_GROUP)
-        self.advance()  # rbrace, guaranteed by sequence()
+        self.i += 1  # "}", guaranteed by sequence()
         self.leave()
         return Curly(tuple(items))
 
-    def unknown_char(self, tok: Token) -> NoReturn:  # one that `leaves` does not hold
-        self.fail(E_UNKNOWN_COMMAND, f"character {tok[1]!r} is not whitelisted", tok)
+    def unknown_char(self, char: str, first: int, last: int | None = None) -> NoReturn:
+        # one that `leaves` does not hold
+        self.fail(E_UNKNOWN_COMMAND, f"character {char!r} is not whitelisted", first, last)
 
-    def note_deprecated(self, spec: CommandSpec, tok: Token) -> None:
+    def note_deprecated(self, spec: CommandSpec, first: int, last: int | None = None) -> None:
         if spec.deprecated:
-            self.warnings.append((f"\\{spec.name} is deprecated", tok[2:]))
+            self.warnings.append((f"\\{spec.name} is deprecated", self.span(first, last)))
 
     def command(self) -> AstNode:
-        tok = self.advance()
-        name = tok[1]
+        at = self.advance()
+        name = self.toks[at][1:]
         if name == "left":
-            return self.delimited(tok)
+            return self.delimited(at)
         if name == "begin":
-            return self.environment(tok)
+            return self.environment(at)
         if self.allow_chem and name in CHEM_COMMANDS:  # an argument: one group
-            self.i -= 1
+            self.i = at
             return _collapse_arg(Curly(tuple(self.chem(braced=True))))
         spec = self.registry.lookup(name)
         if spec is None:
-            self.fail(E_UNKNOWN_COMMAND, f"\\{name} is not a whitelisted command", tok)
+            self.fail(E_UNKNOWN_COMMAND, f"\\{name} is not a whitelisted command", at)
         if spec.chem_only and not self.allow_chem:
             self.fail(E_UNKNOWN_COMMAND, f"\\{name} requires chemistry preprocessing"
                       if name in CHEM_COMMANDS else
-                      f"\\{name} is only available after chemistry preprocessing", tok)
+                      f"\\{name} is only available after chemistry preprocessing", at)
         if spec.translation_fn == "matrix":
-            self.fail(E_BAD_ENV, f"{name} is an environment; use \\begin{{{name}}}", tok)
+            self.fail(E_BAD_ENV, f"{name} is an environment; use \\begin{{{name}}}", at)
         # sequence() takes an infix command that divides a group; here, as an
         # argument or in a root index, it would have nothing to divide.
         if spec.arity == 0 and spec.translation_fn in INFIX_FNS:
             self.fail(E_AMBIGUOUS_INFIX,
-                      f"\\{name} cannot be an argument or index; brace it as {{a \\{name} b}}", tok)
-        self.note_deprecated(spec, tok)
+                      f"\\{name} cannot be an argument or index; brace it as {{a \\{name} b}}", at)
+        self.note_deprecated(spec, at)
         if spec.translation_fn == "intent":
-            return self.intent_macro(tok)
+            return self.intent_macro(at)
         if spec.arity == 0:  # one that `leaves` does not hold
             return Literal("\\" + name)
         if spec.translation_fn in RAW_ARG_FNS:
-            return Fun(name, (Text(self.raw_text(tok)),))
-        if spec.translation_fn == "radical" and self.peek()[:2] == ("char", "["):
-            return self.radical_with_index(tok)
+            return Fun(name, (Text(self.raw_text(at)),))
+        if spec.translation_fn == "radical" and self.toks[self.i] == "[":
+            return self.radical_with_index(at)
         args = []
         for k in range(spec.arity):  # a loop, not a comprehension: fewer frames per level
-            args.append(self.argument(tok, f"argument {k + 1} of \\{name}"))
+            args.append(self.argument(at, f"argument {k + 1} of \\{name}"))
         return Fun(name, tuple(args))
 
-    def argument(self, owner: Token, what: str) -> AstNode:
+    def argument(self, owner: int, what: str) -> AstNode:
         """One argument: one level of nesting, braced or not."""
-        tok = self.peek()
-        kind, value, _, _ = tok
-        leaf = self.leaves.get((kind, value))
+        at = self.i
+        text = self.toks[at]
+        leaf = self.leaves.get(text)
         if leaf is not None and self.depth < MAX_DEPTH:  # the level it would enter fits
-            self.i += 1
+            self.i = at + 1
             return leaf
-        if kind == "lbrace":
+        if text == "{":
             return _collapse_arg(self.group())  # the group counts the level
-        if kind == "char" or kind == "cmd" and value not in ("right", "end"):
-            self.enter(tok)
-            node = self.command() if kind == "cmd" else self.unknown_char(tok)
+        if text not in _ENDS and text not in ("^", "_"):  # a character or a command
+            self.enter(at)
+            node = self.command() if text[0] == "\\" else self.unknown_char(text, at)
             self.leave()
             return node
-        self.fail(E_EMPTY_ARG, f"missing {what}", tok if kind != "eof" else owner)
+        self.fail(E_EMPTY_ARG, f"missing {what}", at if text else owner)
 
-    def radical_with_index(self, cmd_tok: Token) -> AstNode:
+    def radical_with_index(self, owner: int) -> AstNode:
         self.enter(self.advance())  # "[": the index is one level
+        toks = self.toks
         items: list[AstNode] = []
         while True:
-            tok = self.peek()
-            if tok[:2] == ("char", "]"):
-                self.advance()
+            text = toks[self.i]
+            if text == "]":
+                self.i += 1
                 break
-            if tok[0] == "eof":
-                self.fail(E_EMPTY_ARG, "unterminated root index", cmd_tok)
-            if self.allow_chem and tok[0] == "cmd" and tok[1] in CHEM_COMMANDS:  # one group
+            if not text:
+                self.fail(E_EMPTY_ARG, "unterminated root index", owner)
+            if self.allow_chem and text in _CHEM_TOKENS:  # one group
                 items.append(_collapse_arg(Curly(tuple(self.chem_atoms(braced=True)))))
             else:
                 items.append(self.item())
         self.leave()
-        radicand = self.argument(cmd_tok, f"argument of \\{cmd_tok[1]}")
+        name = toks[owner][1:]
+        radicand = self.argument(owner, f"argument of \\{name}")
         if not items:
-            return Fun(cmd_tok[1], (radicand,))
+            return Fun(name, (radicand,))
         index = _collapse_arg(items[0]) if len(items) == 1 else Curly(tuple(items))
         return Fun("root", (index, radicand))
 
-    def delimited(self, left_tok: Token) -> Delimited:
-        self.enter(left_tok)
-        open_tok = self.read_delimiter(left_tok)
+    def delimited(self, left: int) -> Delimited:
+        self.enter(left)
+        open_delim = self.read_delimiter(left)
         items = self.sequence(_STOP_FENCE)
-        right_tok = self.advance()  # the \right command
-        close_tok = self.read_delimiter(right_tok)
+        close_delim = self.read_delimiter(self.advance())  # after the \right command
         self.leave()
-        return Delimited(open_tok, close_tok, Sequence(tuple(items)))
+        return Delimited(open_delim, close_delim, Sequence(tuple(items)))
 
-    def read_delimiter(self, owner: Token) -> str:
-        tok = self.peek()
-        kind, value, _, _ = tok
-        if kind == "char" and value in CHAR_DELIMS:
-            self.advance()
-            return value
-        if kind == "lbrace" or kind == "rbrace":
-            self.fail(E_BAD_DELIM, "braces must be escaped as delimiters (\\{, \\})", tok)
-        if kind == "cmd":
+    def read_delimiter(self, owner: int) -> str:
+        at = self.i
+        text = value = self.toks[at]
+        if text in CHAR_DELIMS:
+            self.i = at + 1
+            return text
+        if text in ("{", "}"):
+            self.fail(E_BAD_DELIM, "braces must be escaped as delimiters (\\{, \\})", at)
+        if text[:1] == "\\" and text != "\\\\":
+            value = text[1:]
             spec = self.registry.lookup(value)
             if spec is not None and spec.translation_fn == "delimiter":
-                self.advance()
-                self.note_deprecated(spec, tok)
-                return "\\" + value
-        self.fail(E_BAD_DELIM, f"{value!r} is not a registered delimiter",
-                  tok if kind != "eof" else owner)
+                self.i = at + 1
+                self.note_deprecated(spec, at)
+                return text
+        self.fail(E_BAD_DELIM, f"{value!r} is not a registered delimiter", at if text else owner)
 
-    def environment(self, begin_tok: Token) -> Matrix:
-        name = self.env_name(begin_tok)
+    def environment(self, begin: int) -> Matrix:
+        name = self.env_name(begin)
         spec = self.registry.lookup(name)
         if spec is None or spec.translation_fn != "matrix":
-            self.fail(E_BAD_ENV, f"unknown environment {name!r}", begin_tok)
-        self.note_deprecated(spec, begin_tok)
+            self.fail(E_BAD_ENV, f"unknown environment {name!r}", begin)
+        self.note_deprecated(spec, begin)
         if name == "array":
             self.maybe_column_spec()
-        self.enter(begin_tok)
+        self.enter(begin)
         rows: list[tuple[AstNode, ...]] = []
         row: list[AstNode] = []
         while True:
             items = self.sequence(_STOP_CELL)
             row.append(items[0] if len(items) == 1 else Sequence(tuple(items)))
-            tok = self.advance()  # &, \\ or \end
-            if tok[0] == "amp":
+            at = self.advance()  # &, \\ or \end
+            if self.toks[at] == "&":
                 continue
             rows.append(tuple(row))
             row = []
-            if tok[0] == "cmd":
+            if self.toks[at] == "\\end":
                 break
-        end_name = self.env_name(tok)
+        end_name = self.env_name(at)
         if end_name != name:
-            self.fail(E_BAD_ENV, f"\\end{{{end_name}}} does not match \\begin{{{name}}}", tok)
+            self.fail(E_BAD_ENV, f"\\end{{{end_name}}} does not match \\begin{{{name}}}", at)
         self.leave()
         if len(rows) > 1 and rows[-1] == (Sequence(()),):  # a row break just before \end
             rows.pop()
         return Matrix(name, tuple(rows))
 
-    def env_name(self, owner: Token) -> str:
-        tok = self.peek()
-        if tok[0] != "lbrace":
-            self.fail(E_BAD_ENV, "expected {environment-name}", tok if tok[0] != "eof" else owner)
-        self.advance()
+    def env_name(self, owner: int) -> str:
+        toks = self.toks
+        if toks[self.i] != "{":
+            self.fail(E_BAD_ENV, "expected {environment-name}",
+                      self.i if toks[self.i] else owner)
+        self.i += 1
         letters: list[str] = []
         while True:
-            tok = self.peek()
-            kind, value, _, _ = tok
-            if kind == "rbrace":
-                self.advance()
+            text = toks[self.i]
+            if text == "}":
+                self.i += 1
                 break
-            if kind == "char" and value.isascii() and (value.isalpha() or value == "*"):
-                letters.append(value)
-                self.advance()
+            if text.isascii() and (text.isalpha() or text == "*"):  # one character
+                letters.append(text)
+                self.i += 1
                 continue
-            self.fail(E_BAD_ENV, "malformed environment name",
-                      tok if kind != "eof" else owner)
+            self.fail(E_BAD_ENV, "malformed environment name", self.i if text else owner)
         return "".join(letters)
 
     def maybe_column_spec(self) -> None:
         # `\begin{array}{c|c}` — the alignment spec is accepted and discarded.
-        tok = self.peek()
-        if tok[0] != "lbrace":
+        toks = self.toks
+        if toks[self.i] != "{":
             return
         j = self.i + 1
-        while j < len(self.toks):
-            kind, value, _, _ = self.toks[j]
-            if kind == "rbrace":
-                self.i = j + 1
-                return
-            if kind == "char" and value in "clr|":
-                j += 1
-                continue
-            return  # not a column spec; leave it to be parsed as content
+        while toks[j] in ("c", "l", "r", "|"):
+            j += 1
+        if toks[j] == "}":
+            self.i = j + 1
+        # otherwise not a column spec; leave it to be parsed as content
 
-    def raw_group(self, owner: Token) -> str:
+    def raw_group(self, owner: int) -> str:
         """A brace-balanced raw argument, as its text in the source."""
-        tok = self.peek()
-        kind, value, start, _ = tok
-        if kind == "char":
-            self.advance()
-            return value
-        if kind != "lbrace":
-            self.fail(E_EMPTY_ARG, f"missing argument of \\{owner[1]}",
-                      tok if kind != "eof" else owner)
-        close = self.closing(self.i)
+        at = self.i
+        text = self.toks[at]
+        if text != "{":
+            if text and text[0] != "\\" and text not in _MARKS:  # one character
+                self.i = at + 1
+                return text
+            self.fail(E_EMPTY_ARG, f"missing argument of {self.toks[owner]}",
+                      at if text else owner)
+        close = self.closing(at)
         if close < 0:
-            self.fail(E_UNBALANCED_BRACE, "unterminated argument", tok)
+            self.fail(E_UNBALANCED_BRACE, "unterminated argument", at)
         self.i = close + 1
-        return self.source[start + 1:self.toks[close][2]]
+        start, end = self.span(at, close)
+        return self.source[start + 1:end - 1]
 
-    def raw_text(self, owner: Token) -> str:
+    def raw_text(self, owner: int) -> str:
         """`raw_group`, for text that the output carries as it is: a
         character that XML cannot carry is not whitelisted, on its own span."""
-        kind, _, start, _ = self.peek()
+        at = self.i
         text = self.raw_group(owner)
         bad = re.search(_NOT_XML, text)
         if bad:
-            at = start + (kind == "lbrace") + bad.start()
-            self.fail(E_UNKNOWN_COMMAND, f"character {bad.group()!r} is not whitelisted",
-                      ("char", bad.group(), at, at + 1))
+            start = self.span(at)[0] + (self.toks[at] == "{") + bad.start()
+            raise DiagnosticError(E_UNKNOWN_COMMAND, f"character {bad.group()!r} is not "
+                                  "whitelisted", (start, start + 1), self.source)
         return text
 
     def chem(self, braced: bool) -> list[AstNode]:
@@ -518,30 +520,29 @@ class _Parser:
         if mhchem is None:  # loaded at the first \\ce or \\pu
             from . import mhchem
 
-        toks, i = self.toks, self.i
-        _, name, start, _ = toks[i]
+        toks, at = self.toks, self.i
+        name = toks[at][1:]
         spec = self.registry.lookup(name)
         if spec is None:
-            self.fail(E_UNKNOWN_COMMAND, f"\\{name} is not a whitelisted command", toks[i])
-        self.note_deprecated(spec, toks[i])
-        open_kind, _, open_start, open_end = toks[i + 1]
-        if open_kind != "lbrace":
+            self.fail(E_UNKNOWN_COMMAND, f"\\{name} is not a whitelisted command", at)
+        self.note_deprecated(spec, at)
+        if toks[at + 1] != "{":
             raise DiagnosticError(E_CHEM_SYNTAX, f"\\{name} requires a braced argument",
-                                  (start, open_start), self.source)
-        close = self.closing(i + 1)
+                                  (self.span(at)[0], self.span(at + 1)[0]), self.source)
+        close = self.closing(at + 1)
         if close < 0:
             raise DiagnosticError(E_UNBALANCED_BRACE, f"unterminated \\{name} argument",
-                                  (start, len(self.source)), self.source)
-        body_end = toks[close][2]
+                                  (self.span(at)[0], len(self.source)), self.source)
+        body_start, body_end = self.span(at + 1, close)
+        body_start += 1
         try:
-            chunks = mhchem.expand(self.source[open_end:body_end], name)
+            chunks = mhchem.expand(self.source[body_start:body_end - 1], name)
         except ChemError as exc:
-            raise exc.within(self.source, open_end) from None
+            raise exc.within(self.source, body_start) from None
         self.i = close + 1
-        tok = ("cmd", name, start, body_end + 1)
         nodes = [node for chunk in chunks for node in chunk]
         if braced:
-            self.enter(tok)
+            self.enter(at, close)
         # Whether the registry holds every command an expansion writes, in that
         # shape and not deprecated, and every character; kept in it, as its digest
         # is.  If so, only the depth cap can object, and the groups are one level.
@@ -553,7 +554,7 @@ class _Parser:
                 for command, arity in mhchem.EMITTED_COMMANDS.items()
             ) and all(map(registry.operator, mhchem.EMITTED_CHARACTERS))
         if self.depth >= MAX_DEPTH or not ready:
-            self.check_chem(nodes, tok)
+            self.check_chem(nodes, at, close)
         if braced:
             self.leave()
         return nodes
@@ -561,50 +562,52 @@ class _Parser:
     def chem_atoms(self, braced: bool) -> list[AstNode]:
         """`chem`, and a script after the command on the expansion's last atom."""
         nodes = self.chem(braced)
-        if nodes and self.toks[self.i][0] in ("sup", "sub"):
+        if nodes and self.toks[self.i] in ("^", "_"):
             nodes.append(self.item(nodes.pop()))
         return nodes
 
-    def check_chem(self, nodes: list[AstNode] | tuple[AstNode, ...], tok: Token) -> None:
+    def check_chem(self, nodes: list[AstNode] | tuple[AstNode, ...], first: int, last: int) -> None:
         """Check expansion nodes as their TeX is read: each command and
-        character against the registry, each brace group against the cap."""
+        character against the registry, each brace group against the cap;
+        each finding on the tokens `first` to `last`, the whole command."""
         for node in nodes:
             kind, groups = type(node), ()
             if kind is Script:
-                self.check_chem((node.base,), tok)
+                self.check_chem((node.base,), first, last)
                 groups = [group for group in (node.sub, node.sup) if group is not None]
             elif kind is Curly:
                 groups = (node,)
             elif kind is Literal and node.token[0] != "\\":
-                if ("char", node.token) not in self.leaves:
-                    self.unknown_char(("char", node.token, *tok[2:]))
+                if node.token not in self.leaves:
+                    self.unknown_char(node.token, first, last)
             else:  # a command and its arguments
                 name, groups = (node.token[1:], ()) if kind is Literal else (node.command, node.args)
                 spec = self.registry.lookup(name)
                 if spec is None:
-                    self.fail(E_UNKNOWN_COMMAND, f"\\{name} is not a whitelisted command", tok)
+                    self.fail(E_UNKNOWN_COMMAND, f"\\{name} is not a whitelisted command",
+                              first, last)
                 if not _fits(spec, len(groups)):
                     self.fail(E_UNKNOWN_COMMAND, f"\\{name} is registered with another shape "
-                              f"than \\{tok[1]} writes (arity {len(groups)})", tok)
-                self.note_deprecated(spec, tok)
+                              f"than {self.toks[first]} writes (arity {len(groups)})", first, last)
+                self.note_deprecated(spec, first, last)
             for group in groups:
-                self.enter(tok)
-                self.check_chem(group.children if type(group) is Curly else (group,), tok)
+                self.enter(first, last)
+                self.check_chem(group.children if type(group) is Curly else (group,), first, last)
                 self.leave()
 
-    def intent_macro(self, tok: Token) -> IntentWrap:
+    def intent_macro(self, at: int) -> IntentWrap:
         # Loaded at the outermost \intent, not at the innermost of a chain.
         from . import intent as intent_mod
 
-        body = self.argument(tok, "argument 1 of \\intent")
-        spec_kind, _, spec_start, _ = self.peek()
-        raw = self.raw_group(tok)
-        at = spec_start + (spec_kind == "lbrace")  # codepoint of raw[0]
+        body = self.argument(at, "argument 1 of \\intent")
+        spec_at = self.i
+        raw = self.raw_group(at)
+        start = self.span(spec_at)[0] + (self.toks[spec_at] == "{")  # codepoint of raw[0]
         try:
             intent_raw, arg_map, refs = intent_mod.parse_macro(raw)
         except IntentError as exc:
-            raise exc.within(self.source, at) from None
-        spans = tuple((name, (s + at, e + at)) for name, (s, e) in refs.items())
+            raise exc.within(self.source, start) from None
+        spans = tuple((name, (s + start, e + start)) for name, (s, e) in refs.items())
         return IntentWrap(body, intent_raw, arg_map, spans)
 
 

@@ -295,7 +295,8 @@ _LETTERS = re.compile(r"[A-Za-z]+")
 
 
 def tokenize_oracle(source: str) -> list[tuple[str, str, int, int]]:
-    """The parser's tokens as (kind, value, start, end), ending in eof."""
+    """The parser's tokens as (kind, value, start, end), ending in eof: the
+    tuple that a token text of `tokenize` and its `token_ends` offset give."""
     toks: list[tuple[str, str, int, int]] = []
     i = 0
     n = len(source)

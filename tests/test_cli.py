@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -50,6 +51,35 @@ def test_check_and_convert_agree_on_unbound_intent_reference(capsys):
         assert code == 1
         assert out == ""
         assert err.startswith("error:E_INTENT_UNBOUND_REF:21-24:")
+
+
+def _diagnostic_rows():
+    """The README's table of diagnostic codes: (code, example, chem, line)."""
+    from conftest import REPO_ROOT
+
+    readme = (REPO_ROOT / "README.md").read_text("utf-8")
+    section = readme.split("### Diagnostic codes\n", 1)[1].split("\n#", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        if line.startswith("| `"):  # not the header or the rule under it
+            code, _, _, example, chem, printed = line.strip("| ").split(" | ")
+            rows.append((code.strip("`"), example, chem, printed.strip("`")))
+    return rows
+
+
+def test_readme_gives_every_diagnostic_code_a_checked_example(capsys):
+    from texmathc import diagnostics
+
+    rows = _diagnostic_rows()
+    codes = [value for name, value in vars(diagnostics).items() if re.fullmatch("[EW]_[A-Z_]+", name)]
+    assert len(codes) == 13 and sorted(code for code, *_ in rows) == sorted(codes)
+    for code, example, chem, printed in rows:
+        source = "".join(piece * int(count or 1)
+                         for piece, count in re.findall(r"`([^`]+)`(?:×(\d+))?", example))
+        assert chem in ("yes", "no") and source, code
+        status, out, err = run(capsys, "check", *(["--chem"] if chem == "yes" else []), source)
+        assert (status, out, err) == (int(code[0] == "E"), "", printed + "\n"), code
+        assert printed.split(":")[1] == code
 
 
 def test_check_json_on_stdout(capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import json
+import string
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import CORPORA, FIXTURES
 from oracles import preprocess_oracle
 from texmathc import check_formula, convert_formula, default_registry, parse, render_tex
+from texmathc import mhchem
 from texmathc.diagnostics import E_CHEM_SYNTAX, E_UNBALANCED_BRACE, ChemError, DiagnosticError
 from texmathc.mhchem import (
     EMITTED_CHARACTERS,
@@ -498,3 +500,18 @@ def test_expansions_hold_only_the_declared_commands_and_characters():
                 _command_and_characters(node, commands, characters)
     assert commands == set(EMITTED_COMMANDS.items())
     assert characters == set(EMITTED_CHARACTERS)
+
+
+def test_shared_atoms_stay_bounded_and_expand_as_before():
+    # element runs of at most two letters and script keys `sub^sup` of at
+    # most three characters are shared; longer ones are built at each use
+    names = [a + b for a in string.ascii_uppercase for b in ["", *string.ascii_letters]]
+    bodies = [f"{name}{k}^{{{k % 10}{'+-'[k % 2]}}}" for k, name in enumerate(names)]
+    bodies += [f"^{{{k}}}_{{{k % 100}}}U + ^{k % 10}_{k % 7}H" for k in range(0, 1000, 7)]
+    bodies += ["NaCl" * 50, "H" + "9" * 40 + "O_{" + "7" * 40 + "}^{" + "3" * 30 + "+}"]
+    first = [expand_ce(body) for body in bodies]
+    assert first == [preprocess_oracle(f"\\ce{{{body}}}") for body in bodies]
+    assert set(names) <= set(mhchem._ATOMS)
+    assert len(mhchem._ATOMS) <= 26 * 53 + 342
+    assert all(len(key) <= 3 for key in mhchem._ATOMS)
+    assert [expand_ce(body) for body in bodies] == first

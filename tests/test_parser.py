@@ -36,7 +36,7 @@ from texmathc.nodes import (
     Text,
 )
 from texmathc.mathml import GenOptions
-from texmathc.parser import leaf_table, parse, render_tex, tokenize
+from texmathc.parser import leaf_table, parse, render_tex, token_ends, tokenize
 from texmathc.registry import dump_registry, parse_registry_text
 
 
@@ -368,12 +368,25 @@ def test_the_leaf_table_holds_registry_tokens_only(registry):
     table = leaf_table(fresh)
     chars = set(string.ascii_letters + string.digits) | set(fresh.operators)
     zero = {name for name, spec in fresh.commands.items() if spec.arity == 0}
-    for (kind, value), leaf in table.items():
-        assert value in {"char": chars, "cmd": zero}[kind]
-        assert leaf == Literal(value if kind == "char" else "\\" + value)
+    for text, leaf in table.items():
+        assert text[1:] in zero if text.startswith("\\") else text in chars
+        assert leaf == Literal(text)
     assert len(table) <= len(chars) + len(zero)
-    assert ("cmd", "and") not in table and ("cmd", "longrightleftharpoons") not in table
+    assert "\\and" not in table and "\\longrightleftharpoons" not in table
     assert leaf_table(fresh) is table and leaf_table(registry) is not table
+
+
+def test_rows_for_grammar_tokens_make_no_leaves(registry):
+    # the table is keyed by token text, so an operator row for `&`, `{`, `}`,
+    # `^`, `_` or `\`, or a command row for `\\`, names a grammar token
+    rows = "".join(f"{ch}\tmo\t{ord(ch):04X}\t-\n" for ch in "&{}^_\\")
+    grammar = parse_registry_text(dump_registry(registry)
+                                  .replace("[operators]\n", "[operators]\n" + rows, 1)
+                                  .replace("[commands]\n", "[commands]\n\\\t0\toperator\t2227\n", 1))
+    assert set("&{}^_\\") <= set(grammar.operators) and "\\" in grammar.commands
+    assert not set(leaf_table(grammar)) & {"&", "{", "}", "^", "_", "\\", "\\\\"}
+    for source in ["a & b", "x\\", "{a}^2_b", "a \\\\ b", "a}", "\\begin{matrix}a & b \\\\ c\\end{matrix}"]:
+        assert parse(source, grammar) == parse(source, registry), source
 
 
 def test_validate_examples(registry):
@@ -546,7 +559,20 @@ _TOKEN_PIECES = st.sampled_from([
 @example("a\\\u3000b", False)
 def test_tokenize_matches_oracle(source, lone_backslash):
     source += "\\" if lone_backslash else ""
-    assert tokenize(source) == tokenize_oracle(source)
+    texts, ends = tokenize(source), token_ends(source)
+    assert len(texts) == len(ends) and texts[-1] == ""
+    tokens = []
+    for text, end in zip(texts, ends):
+        if not text:
+            kind = "eof"
+        elif text == "\\\\":
+            kind = "newrow"
+        elif text[0] == "\\":
+            kind = "cmd"
+        else:
+            kind = {"{": "lbrace", "}": "rbrace", "^": "sup", "_": "sub", "&": "amp"}.get(text, "char")
+        tokens.append((kind, text[1:] if kind == "cmd" else text, end - len(text), end))
+    assert tokens == tokenize_oracle(source)
 
 
 _RAW_PIECES = st.sampled_from(["\\text{", "{", "}", "\\{", "\\}", "\\\\", "\\", "x", "é"])

@@ -338,3 +338,26 @@ def test_frozen_diagnostics():
             assert converted in (None, checked), source  # `convert` fails with what `check` finds
         assert [_stage(fn, inner) for fn in (expand_ce, expand_pu, parse_intent, parse_macro)] \
             == case["stages"], inner
+
+
+@pytest.mark.parametrize("space", [" ", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"])
+def test_token_offsets_count_non_ascii_whitespace(space):
+    # a span, a `\ce` body, a raw argument and an `\intent` spec are each taken
+    # at token offsets that count every whitespace code point before them
+    w = len(space.encode("utf-8"))
+
+    def lines(source, chem=False):
+        return [d.format_line() for d in check_formula(source, chem=chem)]
+
+    assert lines(f"x{space}\\bad") == [
+        f"error:E_UNKNOWN_COMMAND:{1 + w}-{5 + w}:\\bad is not a whitelisted command"]
+    assert lines(f"x{space}\\and") == [f"warning:W_DEPRECATED:{1 + w}-{5 + w}:\\and is deprecated"]
+    assert lines(f"{space}\\ce{space}{{{space}H@O}}", chem=True) == [
+        f"error:E_CHEM_SYNTAX:{5 + 3 * w}-{6 + 3 * w}:unsupported character '@' in \\ce"]
+    assert lines(f"\\text{space}{{a\x00}}") == [
+        f"error:E_UNKNOWN_COMMAND:{7 + w}-{8 + w}:character '\\x00' is not whitelisted"]
+    assert lines(f"\\intent{{x}}{space}{{intent='f($y)'}}") == [
+        f"error:E_INTENT_UNBOUND_REF:{21 + w}-{23 + w}:"
+        "intent reference $y matches no identifier in the formula"]
+    assert convert_formula(f"{space}\\ce{space}{{H2O}}{space}\\text{space}{{a b}}", chem=True) \
+        == convert_formula("\\ce{H2O}\\text{a b}", chem=True)

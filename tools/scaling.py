@@ -23,7 +23,8 @@ Front end, timed through the public entry points (cache off):
 * raw argument: one ``\\text{...}`` of about SIZES characters whose content
   is whole copies of TEXT_PIECE (words, spaces, escaped braces and a
   balanced group), the path of a raw argument: its braces are matched on the
-  token list and its text is taken from the source.
+  token texts, and its text is sliced from the source at the token offsets
+  that the parse computes for it.
 
 Chemistry against plain TeX, ``parse`` alone (tokenize, expand, check,
 build the tree), best of PARSE_REPEAT rounds: for each of CHEM_SIZES, one
