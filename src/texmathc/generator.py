@@ -128,17 +128,14 @@ def _mo(text: str, registry: Registry, **attributes: str) -> MathMLNode:
 
 
 def _leaf(tok: str, registry: Registry) -> MathMLNode:
-    if tok.startswith("\\"):
-        spec = _spec(tok[1:], registry)
-        return TRANSLATION_FNS[spec.translation_fn](registry, spec, ())
     if tok.isdigit():
         return token("mn", tok)
     if tok.isascii() and tok.isalpha():
         return token("mi", tok)
-    op = registry.operator(tok)
-    if op is None:  # prevented by whitelist validation
-        raise LookupError(f"literal {tok!r} missing from operator directory")
-    return MathMLNode(op.element, dict(op.attributes), [], op.text)
+    spec = _spec(tok[1:], registry) if tok.startswith("\\") else registry.characters.get(tok)
+    if spec is None:  # prevented by whitelist validation
+        raise LookupError(f"literal {tok!r} missing from registry")
+    return TRANSLATION_FNS[spec.translation_fn](registry, spec, ())
 
 
 # (has a sub, has a sup) -> element; the limits stand under a big operator.
@@ -318,34 +315,38 @@ def _fn_pmod(registry, spec, args):
     ])
 
 
-# Every translation id a registry row may name: its function, its arities (0
-# is the infix form of "fraction", "binom" and "atop"), and the fewest and most
-# parameters it reads; the loader rejects a row outside these.  "matrix" and
-# "intent" have no function: they are translated from their own AST nodes
+# Every translation id a registry row may name: its function, the number of
+# arguments it renders, whether it takes them from either side of its command
+# (infix), and the fewest and most parameters it reads.  The loader gives each
+# row the arity and infix of its function, and rejects a row whose parameters
+# do not fit; a character row must name a function of no arguments.  "matrix"
+# and "intent" have no function: they are translated from their own AST nodes
 # (Matrix, IntentWrap).
 TRANSLATIONS = {
-    "identifier": (_token_fn("mi"), (0,), 1, 1),
-    "operator": (_token_fn("mo"), (0,), 1, 1),
-    "bigop": (_token_fn("mo"), (0,), 1, 1),
-    "function": (_fn_function, (0,), 1, 1),
-    "delimiter": (_token_fn("mo", stretchy="false"), (0,), 1, 1),
-    "space": (_fn_space, (0,), 1, 1),
-    "text": (_fn_text, (1,), 0, 0),
-    "operatorname": (_fn_operatorname, (1,), 0, 0),
-    "accent": (_mark_fn("mover", accent="true"), (1,), 1, 1),
-    "under": (_mark_fn("munder"), (1,), 1, 1),
-    "stacked": (_fn_stacked, (2,), 1, 1),
-    "radical": (_wrap_fn("msqrt"), (1,), 0, 0),
-    "root": (_fn_root, (2,), 0, 0),
-    "fraction": (_fn_fraction, (0, 2), 0, 1),
-    "binom": (_fn_binom, (0, 2), 2, 3),
-    "atop": (_fn_atop, (0, 2), 0, 0),
-    "style": (_fn_style, (1,), 1, 1),
-    "phantom": (_wrap_fn("mphantom"), (1,), 0, 0),
-    "enclose": (_wrap_fn("menclose", "notation"), (1,), 0, 1),
-    "pmod": (_fn_pmod, (1,), 0, 0),
-    "matrix": (None, (0,), 0, 2),
-    "intent": (None, (2,), 0, 0),
+    "identifier": (_token_fn("mi"), 0, False, 1, 1),
+    "operator": (_token_fn("mo"), 0, False, 1, 1),
+    "bigop": (_token_fn("mo"), 0, False, 1, 1),
+    "function": (_fn_function, 0, False, 1, 1),
+    "delimiter": (_token_fn("mo", stretchy="false"), 0, False, 1, 1),
+    "space": (_fn_space, 0, False, 1, 1),
+    "text": (_fn_text, 1, False, 0, 0),
+    "operatorname": (_fn_operatorname, 1, False, 0, 0),
+    "accent": (_mark_fn("mover", accent="true"), 1, False, 1, 1),
+    "under": (_mark_fn("munder"), 1, False, 1, 1),
+    "stacked": (_fn_stacked, 2, False, 1, 1),
+    "radical": (_wrap_fn("msqrt"), 1, False, 0, 0),
+    "root": (_fn_root, 2, False, 0, 0),
+    "fraction": (_fn_fraction, 2, False, 0, 1),
+    "over": (_fn_fraction, 2, True, 0, 1),
+    "binom": (_fn_binom, 2, False, 2, 3),
+    "choose": (_fn_binom, 2, True, 2, 3),
+    "atop": (_fn_atop, 2, True, 0, 0),
+    "style": (_fn_style, 1, False, 1, 1),
+    "phantom": (_wrap_fn("mphantom"), 1, False, 0, 0),
+    "enclose": (_wrap_fn("menclose", "notation"), 1, False, 0, 1),
+    "pmod": (_fn_pmod, 1, False, 0, 0),
+    "matrix": (None, 0, False, 0, 2),
+    "intent": (None, 2, False, 0, 0),
 }
 # The generator's dispatch: one subscript per command.
 TRANSLATION_FNS = {fn_id: row[0] for fn_id, row in TRANSLATIONS.items() if row[0]}

@@ -59,9 +59,6 @@ MAX_DEPTH = 128
 # Single characters accepted as \left / \right delimiters without a backslash.
 CHAR_DELIMS = frozenset("()[]|/.")
 
-# Arity-0 commands with these translation functions act as infix operators.
-INFIX_FNS = frozenset({"fraction", "binom", "atop"})
-
 # Commands whose argument is raw text rather than math.
 RAW_ARG_FNS = frozenset({"text", "operatorname"})
 
@@ -128,19 +125,17 @@ def _collapse_arg(node: AstNode) -> AstNode:
 def _fits(spec: CommandSpec, arity: int) -> bool:
     """Whether `spec` reads as a command with `arity` braced math arguments."""
     fn = spec.translation_fn
-    return (spec.arity == arity and fn != "matrix" and fn not in RAW_ARG_FNS
-            and (arity or fn not in INFIX_FNS))
+    return spec.arity == arity and not spec.infix and fn != "matrix" and fn not in RAW_ARG_FNS
 
 
 def leaf_table(registry: Registry) -> dict[Token, Literal]:
     """The one shared Literal of each token that reads as a bare leaf under
     `registry`, by its text: each whitelisted character, and each arity-0
-    command that is not deprecated, chem-only, infix, an environment or a name
-    the grammar reads.  Built at the registry's first parse and kept in it."""
+    command that is not deprecated, chem-only, an environment or a name the
+    grammar reads.  Built at the registry's first parse and kept in it."""
     table = registry.__dict__.get("literals")
     if table is None:
-        chars = [ch for ch in map(chr, range(128)) if ch.isalnum()] + list(registry.operators)
-        texts = [ch for ch in chars if len(ch) == 1]
+        texts = [ch for ch in map(chr, range(128)) if ch.isalnum()] + list(registry.characters)
         texts += ["\\" + name for name, spec in registry.commands.items()
                   if _fits(spec, 0) and not spec.deprecated and not spec.chem_only
                   and name not in _GRAMMAR_NAMES]
@@ -234,7 +229,7 @@ class _Parser:
                     items += self.chem_atoms(braced=False)
                     continue
                 spec = self.registry.lookup(text[1:])
-                if spec is not None and spec.arity == 0 and spec.translation_fn in INFIX_FNS:
+                if spec is not None and spec.infix:
                     if in_infix:
                         self.fail(E_AMBIGUOUS_INFIX,
                                   f"multiple infix commands in one group: {text}", self.i)
@@ -341,7 +336,7 @@ class _Parser:
             self.fail(E_BAD_ENV, f"{name} is an environment; use \\begin{{{name}}}", at)
         # sequence() takes an infix command that divides a group; here, as an
         # argument or in a root index, it would have nothing to divide.
-        if spec.arity == 0 and spec.translation_fn in INFIX_FNS:
+        if spec.infix:
             self.fail(E_AMBIGUOUS_INFIX,
                       f"\\{name} cannot be an argument or index; brace it as {{a \\{name} b}}", at)
         self.note_deprecated(spec, at)
@@ -552,7 +547,7 @@ class _Parser:
             ready = registry.__dict__["chem_ready"] = all(
                 (spec := registry.lookup(command)) and _fits(spec, arity) and not spec.deprecated
                 for command, arity in mhchem.EMITTED_COMMANDS.items()
-            ) and all(map(registry.operator, mhchem.EMITTED_CHARACTERS))
+            ) and all(char in registry.characters for char in mhchem.EMITTED_CHARACTERS)
         if self.depth >= MAX_DEPTH or not ready:
             self.check_chem(nodes, at, close)
         if braced:

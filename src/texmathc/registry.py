@@ -1,4 +1,4 @@
-"""Data-driven whitelist of supported commands and literal operator tokens.
+"""Data-driven whitelist of supported commands and characters.
 
 The registry is loaded from a tab-separated text file (see ``data/registry.txt``
 for the shipped default).  New macros are added by editing the table, not the
@@ -16,7 +16,7 @@ from pathlib import Path
 from .value import Value
 
 FLAGS = ("chem-only", "deprecated")
-MAX_ARITY = 2
+_SECTIONS = {"[commands]": "command", "[characters]": "character"}
 
 _HEX_PARAM = re.compile(r"^[0-9A-F]{4,6}$")
 
@@ -26,28 +26,10 @@ class RegistryError(ValueError):
 
 
 class CommandSpec(Value, chem_only=False, deprecated=False):
-    """One whitelisted command: a row of the translation mapping table."""
+    """One row of the translation mapping table: a whitelisted command, or a
+    character.  `arity` and `infix` are those of its translation function."""
 
-    __slots__ = ("name", "arity", "translation_fn", "params", "chem_only", "deprecated")
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.arity <= MAX_ARITY:
-            raise RegistryError(f"command {self.name!r}: arity {self.arity} out of range")
-
-
-class OperatorSpec(Value, attributes=()):
-    """Mapping of a literal source token to its MathML token element."""
-
-    # element: mo, mi or mn; codepoint: uppercase hex of the emitted character(s)
-    __slots__ = ("token", "element", "codepoint", "attributes")
-
-    def __post_init__(self) -> None:
-        if self.element not in ("mo", "mi", "mn"):
-            raise RegistryError(f"operator {self.token!r}: element must be mo/mi/mn")
-
-    @property
-    def text(self) -> str:
-        return decode_param(self.codepoint)
+    __slots__ = ("name", "translation_fn", "params", "arity", "infix", "chem_only", "deprecated")
 
 
 class Registry(Value):
@@ -55,14 +37,11 @@ class Registry(Value):
 
     # Computed at first use, in `__dict__`: `digest`, the generator's `leaves`, and
     # the parser's `literals` (`parser.leaf_table`) and `chem_ready`.
-    __slots__ = ("version", "commands", "operators", "__dict__")
+    __slots__ = ("version", "commands", "characters", "__dict__")
 
     def lookup(self, name: str) -> CommandSpec | None:
         """Exact-match command lookup; None means not whitelisted."""
         return self.commands.get(name)
-
-    def operator(self, token: str) -> OperatorSpec | None:
-        return self.operators.get(token)
 
     @cached_property
     def digest(self) -> str:
@@ -86,101 +65,84 @@ def decode_param(param: str) -> str:
     return param
 
 
-def _split_attrs(text: str) -> tuple[tuple[str, str], ...]:
-    if text == "-":
-        return ()
-    pairs = []
-    for chunk in text.split(";"):
-        if "=" not in chunk:
-            raise RegistryError(f"attribute {chunk!r} is not key=value")
-        key, _, value = chunk.partition("=")
-        pairs.append((key, value))
-    return tuple(pairs)
-
-
 def parse_registry_text(text: str) -> Registry:
     """Parse registry file content.  Raises RegistryError naming the bad line."""
     # Imported here: the generator imports this module for its types.
     from .generator import TRANSLATIONS
 
     version: str | None = None
-    commands: dict[str, CommandSpec] = {}
-    operators: dict[str, OperatorSpec] = {}
-    section = None
+    tables: dict[str, dict[str, CommandSpec]] = {"command": {}, "character": {}}
+    kind = None  # the kind of row the current section holds
     radical = None  # (line, name) of the first radical row
 
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
+        head = line.strip()
+        if not head or head.startswith("#"):
             continue
         try:
-            if line.startswith("version"):
-                version = line.split(None, 1)[1].strip() if len(line.split(None, 1)) > 1 else ""
-                if not version:
+            if head.startswith("[") and head.endswith("]") and "\t" not in line:
+                if head not in _SECTIONS:
+                    raise RegistryError(f"unknown section {head!r}")
+                kind = _SECTIONS[head]
+                continue
+            if kind is None:
+                word, *rest = head.split(None, 1)
+                if word != "version":
+                    raise RegistryError("content outside any section")
+                if version is not None:
+                    raise RegistryError("repeated version")
+                if not rest:
                     raise RegistryError("empty version")
+                version = rest[0]
                 continue
-            if line.strip() in ("[commands]", "[operators]"):
-                section = line.strip()
-                continue
-            fields = line.split("\t")
-            if section == "[commands]":
-                if len(fields) not in (4, 5):
-                    raise RegistryError("expected 4 or 5 tab-separated fields")
-                name, arity_text, fn, params_text = fields[:4]
-                flags = fields[4].split(",") if len(fields) == 5 else ()
-                try:
-                    arity = int(arity_text)
-                except ValueError:
-                    raise RegistryError(f"arity {arity_text!r} is not an integer") from None
-                if name in commands:
-                    raise RegistryError(f"duplicate command {name!r}")
-                for i, flag in enumerate(flags):
-                    if flag not in FLAGS or flag in flags[:i]:
-                        raise RegistryError(f"{'unknown' if flag not in FLAGS else 'repeated'} "
-                                            f"flag {flag!r}")
-                params = () if params_text == "-" else tuple(params_text.split(","))
-                spec = CommandSpec(name, arity, fn, params, "chem-only" in flags,
-                                   "deprecated" in flags)
-                _check_shape(spec, TRANSLATIONS)
-                commands[name] = spec
-                if fn == "radical" and radical is None:
-                    radical = lineno, name
-            elif section == "[operators]":
-                if len(fields) != 4:
-                    raise RegistryError("expected 4 tab-separated fields")
-                token, element, codepoint, attrs_text = fields
-                if token in operators:
-                    raise RegistryError(f"duplicate operator {token!r}")
-                operators[token] = OperatorSpec(token, element, codepoint,
-                                                _split_attrs(attrs_text))
-            else:
-                raise RegistryError("content outside any section")
+            spec = _read_row(kind, line.split("\t"), TRANSLATIONS)
+            table = tables[kind]
+            if spec.name in table:
+                raise RegistryError(f"duplicate {kind} {spec.name!r}")
+            table[spec.name] = spec
+            if spec.translation_fn == "radical" and radical is None:
+                radical = lineno, spec.name
         except RegistryError as exc:
             raise RegistryError(f"line {lineno}: {exc}") from None
 
+    commands = tables["command"]
     if version is None:
         raise RegistryError("missing version header")
     if radical and getattr(commands.get("root"), "translation_fn", None) != "root":
         raise RegistryError(f"line {radical[0]}: command {radical[1]!r}: an index needs "
                             "a 'root' row with translation function root")
 
-    return Registry(version, commands, operators)
+    return Registry(version, commands, tables["character"])
 
 
-def _check_shape(spec: CommandSpec, translations: dict) -> None:
-    """Raise unless the arity and parameters of `spec` fit its `generator.TRANSLATIONS` row."""
-    fn = spec.translation_fn
+def _read_row(kind: str, fields: list[str], translations: dict) -> CommandSpec:
+    """The `name fn params [flags]` row `fields` of a `kind` section, with the
+    arity and infix of its `generator.TRANSLATIONS` row; raise unless it fits."""
+    if len(fields) not in (3, 4):
+        raise RegistryError("expected 3 or 4 tab-separated fields")
+    name, fn, params_text, *flags = fields
     if fn not in translations:
-        raise RegistryError(f"command {spec.name!r}: unknown translation function {fn!r}")
-    _, arities, fewest, most = translations[fn]
-    if spec.arity not in arities:
-        raise RegistryError(f"command {spec.name!r}: {fn} takes arity "
-                            f"{' or '.join(map(str, arities))}, not arity {spec.arity}")
-    if not fewest <= len(spec.params) <= most:
+        raise RegistryError(f"{kind} {name!r}: unknown translation function {fn!r}")
+    function, arity, infix, fewest, most = translations[fn]
+    params = () if params_text == "-" else tuple(params_text.split(","))
+    if not fewest <= len(params) <= most:
         wanted = str(fewest) if fewest == most else f"{fewest} to {most}"
-        raise RegistryError(f"command {spec.name!r}: {len(spec.params)} parameters given, "
+        raise RegistryError(f"{kind} {name!r}: {len(params)} parameters given, "
                             f"{fn} takes {wanted}")
-    if fn == "intent" and spec.name != "intent":
-        raise RegistryError(f"command {spec.name!r}: only \\intent is read as the intent macro")
+    if fn == "intent" and name != "intent":
+        raise RegistryError(f"{kind} {name!r}: only \\intent is read as the intent macro")
+    if kind == "character":
+        if len(name) != 1:
+            raise RegistryError(f"character {name!r}: a character row names one character")
+        if function is None or arity:
+            raise RegistryError(f"character {name!r}: {fn} does not render a bare character")
+        if flags:
+            raise RegistryError(f"character {name!r}: a character row takes no flags")
+    flags = flags[0].split(",") if flags else ()
+    for i, flag in enumerate(flags):
+        if flag not in FLAGS or flag in flags[:i]:
+            raise RegistryError(f"{'unknown' if flag not in FLAGS else 'repeated'} flag {flag!r}")
+    return CommandSpec(name, fn, params, arity, infix, "chem-only" in flags, "deprecated" in flags)
 
 
 def load_registry(source: str | Path) -> Registry:
@@ -196,18 +158,15 @@ def default_registry() -> Registry:
 
 def dump_registry(registry: Registry) -> str:
     """Serialize back to the file format; load(dump(load(x))) == load(x)."""
-    lines = [f"version {registry.version}", "", "[commands]"]
-    for spec in registry.commands.values():
-        params = ",".join(spec.params) if spec.params else "-"
-        fields = [spec.name, str(spec.arity), spec.translation_fn, params]
-        flags = [flag for flag, on in zip(FLAGS, (spec.chem_only, spec.deprecated)) if on]
-        if flags:
-            fields.append(",".join(flags))
-        lines.append("\t".join(fields))
-    lines.append("")
-    lines.append("[operators]")
-    for op in registry.operators.values():
-        attrs = ";".join(f"{k}={v}" for k, v in op.attributes) if op.attributes else "-"
-        lines.append("\t".join([op.token, op.element, op.codepoint, attrs]))
+    lines = [f"version {registry.version}"]
+    for section, specs in zip(_SECTIONS, (registry.commands, registry.characters)):
+        lines += ["", section]
+        for spec in specs.values():
+            params = ",".join(spec.params) if spec.params else "-"
+            fields = [spec.name, spec.translation_fn, params]
+            flags = [flag for flag, on in zip(FLAGS, (spec.chem_only, spec.deprecated)) if on]
+            if flags:
+                fields.append(",".join(flags))
+            lines.append("\t".join(fields))
     lines.append("")
     return "\n".join(lines)

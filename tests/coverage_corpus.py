@@ -29,13 +29,13 @@ def example_for_command(spec: CommandSpec) -> tuple[str, bool]:
         return (f"\\left{cmd} x \\right.", False)
     if fn == "style":
         return (f"{cmd}{{AB}}", False)
+    if spec.infix:
+        return (f"{{a {cmd} b}}", False)
     if spec.arity == 0:
         if fn == "bigop":
             return (f"{cmd}_{{i=1}}^{{n}} x_{{i}}", False)
         if fn == "function":
             return (f"{cmd} x", False)
-        if fn in ("fraction", "binom", "atop"):  # infix forms
-            return (f"{{a {cmd} b}}", False)
         return (f"a {cmd} b", False)
     if spec.arity == 1:
         if fn in ("text", "operatorname"):

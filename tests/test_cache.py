@@ -81,7 +81,7 @@ def test_default_cache_dir_falls_back_to_xdg_then_home(tmp_path, monkeypatch):
 def test_registries_sharing_a_version_do_not_share_entries(tmp_path):
     text = dump_registry(default_registry())
     beta = parse_registry_text(
-        text.replace("alpha\t0\tidentifier\t03B1", "alpha\t0\tidentifier\t03B2"))
+        text.replace("alpha\tidentifier\t03B1", "alpha\tidentifier\t03B2"))
     assert beta.version == default_registry().version
     cache = RenderCache(tmp_path / "c")
     alpha_out = convert_formula("\\alpha", registry=default_registry(), cache=cache)

@@ -210,7 +210,7 @@ def test_bad_display_rejected():
 
 @pytest.mark.parametrize("source, row, message", [
     ("\\alpha", "alpha\t", "command 'alpha' missing from registry"),
-    ("+", "+\t", "literal '+' missing from operator directory"),
+    ("+", "+\t", "literal '+' missing from registry"),
 ])
 def test_generating_a_token_without_its_row_is_a_lookup_error(registry, source, row, message):
     ast = parse(source, registry).ast

@@ -382,10 +382,10 @@ def test_expansion_characters_are_checked_in_reading_order():
 
 
 @pytest.mark.parametrize("row,source,arity", [
-    ("frac\t0\tfraction\t-", "\\ce{1/2H2}", 2),  # infix
-    ("mathrm\t1\ttext\t-", "\\ce{H2O}", 1),  # raw text
-    ("cdot\t0\tmatrix\t-", "\\pu{1 kg*m}", 0),
-    ("longrightarrow\t1\tradical\t-", "\\ce{A -> B}", 0),  # another arity
+    ("frac\tover\t-", "\\ce{1/2H2}", 2),  # infix
+    ("mathrm\ttext\t-", "\\ce{H2O}", 1),  # raw text
+    ("cdot\tmatrix\t-", "\\pu{1 kg*m}", 0),
+    ("longrightarrow\tradical\t-", "\\ce{A -> B}", 0),  # another arity
 ])
 def test_a_command_registered_in_another_shape_is_rejected_by_name(row, source, arity):
     name = row.split("\t")[0]

@@ -182,7 +182,7 @@ def test_empty_arg(registry):
 
 def test_missing_radicand_names_the_radical(registry):
     assert first_error(registry, "\\sqrt[3]").message == "missing argument of \\sqrt"
-    row = "foo\t1\tradical\t-"
+    row = "foo\tradical\t-"
     foo = parse_registry_text(dump_registry(registry) + "\n[commands]\n" + row + "\n")
     (diag,) = check_formula("\\foo[3]", registry=foo)
     assert (diag.code, diag.message, diag.span) == \
@@ -297,9 +297,9 @@ def test_chem_only_allowed_after_preprocessing(registry):
 def test_character_fences_need_no_operator_row(registry):
     """`( ) [ ] | / .` after `\\left` and `\\right` are grammar, not registry rows."""
     lines = dump_registry(registry).split("\n")
-    lines.remove("(\tmo\t0028\tstretchy=false")
+    lines.remove("(\tdelimiter\t0028")
     no_paren = parse_registry_text("\n".join(lines))
-    assert no_paren.operator("(") is None
+    assert "(" not in no_paren.characters
     assert convert_formula("\\left( x \\right)", registry=no_paren) == \
         convert_formula("\\left( x \\right)", registry=registry)
 
@@ -327,7 +327,7 @@ def test_a_leaf_read_under_one_registry_is_not_whitelisted_by_another(registry):
         assert first_error(smaller, source).code == E_UNKNOWN_COMMAND, source
     # a character and a command of the same spelling are two leaves
     assert ok(registry, ",\\,") == Sequence((Literal(","), Literal("\\,")))
-    no_command, no_operator = _without(registry, ",\t0\t"), _without(registry, ",\tmo\t")
+    no_command, no_operator = _without(registry, ",\tspace\t"), _without(registry, ",\toperator\t")
     assert ok(no_command, "x,y") and first_error(no_command, "x\\,y").span == (1, 3)
     assert ok(no_operator, "x\\,y") and first_error(no_operator, "x,y").span == (1, 2)
 
@@ -366,7 +366,7 @@ def test_the_leaf_table_holds_registry_tokens_only(registry):
         for allow_chem in (False, True):
             parse(source, fresh, allow_chem=allow_chem)
     table = leaf_table(fresh)
-    chars = set(string.ascii_letters + string.digits) | set(fresh.operators)
+    chars = set(string.ascii_letters + string.digits) | set(fresh.characters)
     zero = {name for name, spec in fresh.commands.items() if spec.arity == 0}
     for text, leaf in table.items():
         assert text[1:] in zero if text.startswith("\\") else text in chars
@@ -377,13 +377,13 @@ def test_the_leaf_table_holds_registry_tokens_only(registry):
 
 
 def test_rows_for_grammar_tokens_make_no_leaves(registry):
-    # the table is keyed by token text, so an operator row for `&`, `{`, `}`,
+    # the table is keyed by token text, so a character row for `&`, `{`, `}`,
     # `^`, `_` or `\`, or a command row for `\\`, names a grammar token
-    rows = "".join(f"{ch}\tmo\t{ord(ch):04X}\t-\n" for ch in "&{}^_\\")
+    rows = "".join(f"{ch}\toperator\t{ord(ch):04X}\n" for ch in "&{}^_\\")
     grammar = parse_registry_text(dump_registry(registry)
-                                  .replace("[operators]\n", "[operators]\n" + rows, 1)
-                                  .replace("[commands]\n", "[commands]\n\\\t0\toperator\t2227\n", 1))
-    assert set("&{}^_\\") <= set(grammar.operators) and "\\" in grammar.commands
+                                  .replace("[characters]\n", "[characters]\n" + rows, 1)
+                                  .replace("[commands]\n", "[commands]\n\\\toperator\t2227\n", 1))
+    assert set("&{}^_\\") <= set(grammar.characters) and "\\" in grammar.commands
     assert not set(leaf_table(grammar)) & {"&", "{", "}", "^", "_", "\\", "\\\\"}
     for source in ["a & b", "x\\", "{a}^2_b", "a \\\\ b", "a}", "\\begin{matrix}a & b \\\\ c\\end{matrix}"]:
         assert parse(source, grammar) == parse(source, registry), source

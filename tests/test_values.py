@@ -8,7 +8,6 @@ import pickle
 import pytest
 
 from texmathc import (
-    CommandSpec,
     ConversionFailed,
     Diagnostic,
     GenOptions,
@@ -20,7 +19,6 @@ from texmathc import (
 )
 from texmathc.mathml import token
 from texmathc.nodes import IntentWrap, Literal, Sequence
-from texmathc.registry import OperatorSpec, RegistryError
 
 INTENT = r"\intent{x+y}{intent='plus($a,$b)', arg='x=a,y=b'}"
 
@@ -39,7 +37,6 @@ def _values():
         "GenOptions": GenOptions("block", True, True),
         "MathMLNode": from_xml(convert_formula(INTENT)),
         "CommandSpec": registry.lookup("and"),
-        "OperatorSpec": registry.operator("("),
         "Registry": registry,
     }
 
@@ -79,12 +76,6 @@ def test_conversion_failed_round_trips(round_trip):
     (lambda: GenOptions(display="wide"), ValueError,
      "display must be inline or block, got 'wide'"),
     (lambda: GenOptions(annotate_tex=True), ValueError, "annotate_tex requires wrap_semantics"),
-    (lambda: CommandSpec("foo", 3, "fraction", ()), RegistryError,
-     "command 'foo': arity 3 out of range"),
-    (lambda: CommandSpec("foo", -1, "fraction", ()), RegistryError,
-     "command 'foo': arity -1 out of range"),
-    (lambda: OperatorSpec("+", "mtext", "002B"), RegistryError,
-     "operator '\\+': element must be mo/mi/mn"),
     (lambda: MathMLNode("mi", {}, [MathMLNode("mn", {}, [], "1")], "x"), ValueError,
      "<mi> cannot carry both text and children"),
 ])
@@ -95,7 +86,7 @@ def test_construction_checks_its_fields(make, error, message):
 
 @pytest.mark.parametrize("name, field", [
     ("Diagnostic", "code"), ("ParseResult", "ast"), ("GenOptions", "display"),
-    ("CommandSpec", "name"), ("OperatorSpec", "token"), ("Registry", "version"),
+    ("CommandSpec", "name"), ("Registry", "version"),
 ])
 def test_frozen_fields_cannot_be_assigned(name, field):
     value = _values()[name]
@@ -135,11 +126,8 @@ def test_reprs_are_unchanged():
     assert repr(GenOptions()) == (
         "GenOptions(display='inline', wrap_semantics=False, annotate_tex=False)")
     assert repr(default_registry().lookup("and")) == (
-        "CommandSpec(name='and', arity=0, translation_fn='operator', params=('2227',), "
-        "chem_only=False, deprecated=True)")
-    assert repr(default_registry().operator("(")) == (
-        "OperatorSpec(token='(', element='mo', codepoint='0028', "
-        "attributes=(('stretchy', 'false'),))")
+        "CommandSpec(name='and', translation_fn='operator', params=('2227',), arity=0, "
+        "infix=False, chem_only=False, deprecated=True)")
     assert repr(MathMLNode("mi", {}, [], "x")) == (
         "MathMLNode(element='mi', attributes={}, children=[], text='x')")
     assert repr(parse("x", default_registry())) == (
