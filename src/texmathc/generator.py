@@ -35,7 +35,8 @@ def to_mathml(ast: AstNode, registry: Registry,
     becomes the leaf that `registry` holds for it, shared between trees and
     read-only (see `mathml.shared`): replace one in its parent's children to
     change it.
-    An unbound intent reference raises `IntentError` with no text (see `within`)."""
+    Raises only on an AST that `parse` did not make: an intent reference that
+    does not bind raises `IntentError` with no text (see `within`)."""
     options = options or GenOptions()
     content: list[MathMLNode] = []
     _translate(ast, registry, content)

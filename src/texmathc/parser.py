@@ -166,6 +166,7 @@ class _Parser:
         self.ends: list[int] | None = None  # `token_ends`, at the first span
         self.i = 0
         self.depth = 0
+        self.intents = False  # whether an \intent was read, whose references bind at the end
         self.warnings: list[tuple[str, tuple[int, int]]] = []  # message, codepoint span
 
     # -- token plumbing ------------------------------------------------
@@ -594,6 +595,7 @@ class _Parser:
         # Loaded at the outermost \intent, not at the innermost of a chain.
         from . import intent as intent_mod
 
+        self.intents = True
         body = self.argument(at, "argument 1 of \\intent")
         spec_at = self.i
         raw = self.raw_group(at)
@@ -607,12 +609,17 @@ class _Parser:
 
 
 def parse(source: str, registry: Registry, *, allow_chem: bool = False) -> ParseResult:
-    """Validate `source` against the whitelist grammar and build the AST."""
+    """Validate `source` against the whitelist grammar and build the AST; a clean
+    parse that read an ``\\intent`` generates the tree to bind its references."""
     parser = _Parser(source, registry, allow_chem)
     try:
         ast, errors = Sequence(tuple(parser.sequence(_STOP_TOP))), ()
+        if parser.intents:
+            from .generator import to_mathml  # here: the generator imports this module
+            to_mathml(ast, registry)
     except DiagnosticError as exc:  # keep no reference to it: its traceback holds every frame
-        ast, errors = None, (exc.diagnostic,)  # a nested error's too, moved into `source`
+        # a nested error is already moved into `source`; a reference's has no text yet
+        ast, errors = None, (exc.diagnostic or exc.within(source, 0).diagnostic,)
     if not parser.warnings:
         return ParseResult(ast, errors, ())
     spans = byte_offsets(source, [span for _, span in parser.warnings])

@@ -1,11 +1,11 @@
 """End-to-end orchestration: validate (expanding chemistry), generate, serialize, cache;
-the generator's error, a codepoint span of the source, is located in bytes here."""
+every diagnostic comes from `parse`, so a formula that parses always converts."""
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from .diagnostics import Diagnostic, DiagnosticError
+from .diagnostics import Diagnostic
 from .generator import to_mathml
 from .mathml import GenOptions, serialize
 from .parser import parse
@@ -29,15 +29,7 @@ class ConversionFailed(Exception):
 def check_formula(source: str, *, chem: bool = False,
                   registry: Registry | None = None) -> list[Diagnostic]:
     """All diagnostics for `source`; empty means valid with no warnings."""
-    registry = registry or default_registry()
-    result = parse(source, registry, allow_chem=chem)
-    if result.ok and "\\intent" in source:
-        # Intent references bind to the generated tree: the check `convert` makes.
-        try:
-            to_mathml(result.ast, registry, GenOptions())
-        except DiagnosticError as exc:
-            return [exc.within(source, 0).diagnostic, *result.warnings]
-    return list(result.diagnostics)
+    return list(parse(source, registry or default_registry(), allow_chem=chem).diagnostics)
 
 
 def convert_formula(source: str, *, chem: bool = False,
@@ -66,11 +58,7 @@ def convert_formula(source: str, *, chem: bool = False,
     result = parse(source, registry, allow_chem=chem)
     if not result.ok:
         raise ConversionFailed(list(result.diagnostics))
-    try:
-        tree = to_mathml(result.ast, registry, options)
-    except DiagnosticError as exc:
-        raise ConversionFailed([exc.within(source, 0).diagnostic, *result.warnings]) from None
-    output = serialize(tree)
+    output = serialize(to_mathml(result.ast, registry, options))
     if key is not None:
         try:
             cache.put(key, output)

@@ -134,6 +134,9 @@ def _read_row(kind: str, fields: list[str], translations: dict) -> CommandSpec:
     if kind == "character":
         if len(name) != 1:
             raise RegistryError(f"character {name!r}: a character row names one character")
+        if name.isspace() or name.isascii() and name.isalnum():
+            raise RegistryError(f"character {name!r}: an ASCII letter or digit, or whitespace, "
+                                "is never read by its row")
         if function is None or arity:
             raise RegistryError(f"character {name!r}: {fn} does not render a bare character")
         if flags:

@@ -4,7 +4,7 @@ One pass over the 552 corpus formulas (the 423 combined cases and the 129
 mhchem conformance inputs), as the corpus benchmark runs it: check each
 source, convert it under its own options, and check it with an unknown
 command appended.  The counts are what the library does in that pass, read
-by wrapping `tokenize`, `token_ends` and `to_mathml` where the pipeline
+by wrapping `tokenize`, `token_ends` and `to_mathml` where the library
 calls them.  A change that moves a count edits it here and says why.
 """
 
@@ -14,7 +14,7 @@ import json
 from collections import Counter
 
 from conftest import CORPORA
-from texmathc import check_formula, convert_formula, parser, pipeline
+from texmathc import check_formula, convert_formula, generator, parser, pipeline
 from texmathc.mathml import GenOptions
 
 
@@ -31,7 +31,7 @@ def _errors(source, chem):
 
 def test_corpus_pass_counts(monkeypatch):
     counts, step = Counter(), ""
-    tokenize, token_ends, to_mathml = parser.tokenize, parser.token_ends, pipeline.to_mathml
+    tokenize, token_ends, to_mathml = parser.tokenize, parser.token_ends, generator.to_mathml
 
     def counted_tokenize(source):
         tokens = tokenize(source)
@@ -50,6 +50,7 @@ def test_corpus_pass_counts(monkeypatch):
     monkeypatch.setattr(parser, "tokenize", counted_tokenize)
     monkeypatch.setattr(parser, "token_ends", counted_token_ends)
     monkeypatch.setattr(pipeline, "to_mathml", counted_to_mathml)
+    monkeypatch.setattr(generator, "to_mathml", counted_to_mathml)  # as `parse` imports it
     formulas = _formulas()
     assert len(formulas) == 552
     for source, chem, display in formulas:
@@ -61,12 +62,13 @@ def test_corpus_pass_counts(monkeypatch):
         step = "unknown"
         assert _errors(source + " \\zzbenchunknown", chem) == ["E_UNKNOWN_COMMAND"]
     # 12,924 tokens: each source read twice, its variant once; 3,580 nodes in
-    # the 552 converted trees, and 10 more where the two `\intent` sources are checked;
+    # the 552 converted trees, and 10 more each time `parse` generates one of the
+    # two `\intent` sources to bind its references: once in check, once in convert;
     # token offsets only where a parse needs a span: 150 sources (140 with
     # chemistry, 5 with a raw argument, 3 that warn, 2 with `\intent`) in each of
     # check and convert, and every variant, whose unknown command fails
     assert counts == {
         "check tokens": 4_124, "convert tokens": 4_124, "unknown tokens": 4_676,
         "check offsets": 150, "convert offsets": 150, "unknown offsets": 552,
-        "convert nodes": 3_580, "check nodes": 10, "output bytes": 60_118,
+        "convert nodes": 3_590, "check nodes": 10, "output bytes": 60_118,
     }

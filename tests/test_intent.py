@@ -1,13 +1,25 @@
 from __future__ import annotations
 
+import importlib.util
+import json
+
 import pytest
 
-from texmathc import check_formula, convert_formula, from_xml, parse, parse_intent
+from conftest import CORPORA, REPO_ROOT
+from texmathc import (
+    ConversionFailed,
+    check_formula,
+    convert_formula,
+    from_xml,
+    parse,
+    parse_intent,
+)
 from texmathc.diagnostics import (
     E_INTENT_AMBIGUOUS_REF,
     E_INTENT_SYNTAX,
     E_INTENT_UNBOUND_REF,
     E_TOO_DEEP,
+    E_UNKNOWN_COMMAND,
     IntentError,
 )
 from texmathc.intent import (
@@ -186,7 +198,8 @@ def _wrap(source, registry):
 
 
 def test_unbound_reference(registry):
-    source = "\\intent{z}{intent='f($z, $missing)'}"
+    # `parse` refuses a wrap that does not bind its own body: this one does
+    source = "\\intent{z\\mathrm{missing}}{intent='f($z, $missing)'}"
     with pytest.raises(IntentError) as err:
         apply_intent(_wrap(source, registry), token("mi", "z"))
     assert err.value.code == E_INTENT_UNBOUND_REF
@@ -195,13 +208,44 @@ def test_unbound_reference(registry):
 
 
 def test_ambiguous_reference(registry):
-    source = "\\intent{x+x}{intent='f($x)'}"
+    source = "\\intent{x}{intent='f($x)'}"
     row = from_xml("<mrow><mi>x</mi><mo>+</mo><mi>x</mi></mrow>")
     with pytest.raises(IntentError) as err:
         apply_intent(_wrap(source, registry), row)
     assert err.value.code == E_INTENT_AMBIGUOUS_REF
     start, end = err.value.span
     assert source[start:end] == "$x"
+
+
+def _generation_failures():
+    """`tools/differential.py`'s sources whose references do not bind."""
+    spec = importlib.util.spec_from_file_location(
+        "differential", REPO_ROOT / "tools" / "differential.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.GENERATION_FAILURES
+
+
+@pytest.mark.parametrize("chem", [False, True])
+def test_a_formula_that_parses_always_converts(registry, chem):
+    """`parse` binds intent references too, so it alone decides: a formula
+    passes `check_formula` and converts exactly when it parses."""
+    sources = [case["input"] for name in ("combined_423.json", "mhchem_conformance.json")
+               for case in json.loads((CORPORA / name).read_text("utf-8"))["cases"]]
+    assert len(sources) == 552
+    sources += _generation_failures()
+    for source in sources:
+        parsed = parse(source, registry, allow_chem=chem).ok
+        checked = all(d.severity != "error" for d in check_formula(source, chem=chem))
+        converted = True
+        try:
+            convert_formula(source, chem=chem)
+        except ConversionFailed:
+            converted = False
+        assert parsed == checked == converted, source
+    # a parse error wins over a reference that does not bind
+    assert [d.code for d in check_formula("\\intent{x}{intent='f($y)'}\\zz", chem=chem)] == [
+        E_UNKNOWN_COMMAND]
 
 
 def test_injection_preserves_structure_modulo_wrapping():

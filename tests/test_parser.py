@@ -134,7 +134,7 @@ def test_intent_macro_ast(registry):
 
 
 def test_intent_macro_escaped_dollar(registry):
-    ast = ok(registry, "\\intent{z}{intent='f(\\$a)'}")
+    ast = ok(registry, "\\intent{a}{intent='f(\\$a)'}")
     wrap = ast.children[0]
     assert wrap.intent_raw == "f($a)"
 
@@ -241,6 +241,7 @@ NESTINGS = {
     "unbraced fraction": lambda n: "\\frac a" * n + "x",
     "script": lambda n: "x^{" * n + "x" + "}" * n,
     "intent": lambda n: "\\intent{" * n + "x" + "}{intent='a'}" * n,
+    "intent, bound reference": lambda n: "\\intent{" * n + "x" + "}{intent='f($x)'}" * n,
     "intent expression": lambda n: "\\intent{x}{intent='" + "f(" * n + "a" + ")" * n + "'}",
     "fence": lambda n: "\\left(" * n + "x" + "\\right)" * n,
     "matrix": lambda n: "\\begin{pmatrix}" * n + "x" + "\\end{pmatrix}" * n,

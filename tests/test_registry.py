@@ -100,6 +100,9 @@ def test_unknown_translation_fn_rejected():
         parse_registry_text(bad)
 
 
+_NEVER_READ = "an ASCII letter or digit, or whitespace, is never read by its row"
+
+
 @pytest.mark.parametrize(("text", "message"), [
     ("version 1\n[commands]\nfoo\tidentifier\n", "line 3: expected 3 or 4 tab-separated fields"),
     ("version\n[commands]\n", "line 1: empty version"),
@@ -143,12 +146,22 @@ def test_unknown_translation_fn_rejected():
      "line 3: character '~': accent does not render a bare character"),
     ("version 1\n[characters]\n+\toperator\t002B\tdeprecated\n",
      "line 3: character '+': a character row takes no flags"),
+    # nor one the tokenizer reads without a row (a letter, a digit) or skips (whitespace)
+    ("version 1\n[characters]\na\toperator\t002B\n",
+     f"line 3: character 'a': {_NEVER_READ}"),
+    ("version 1\n[characters]\n7\toperator\t0037\n",
+     f"line 3: character '7': {_NEVER_READ}"),
+    ("version 1\n[characters]\n \toperator\t0020\n",
+     f"line 3: character ' ': {_NEVER_READ}"),
+    ("version 1\n[characters]\n\u00a0\toperator\t00A0\n",
+     f"line 3: character '\\xa0': {_NEVER_READ}"),
 ], ids=["command-fields", "empty-version", "arity-not-integer", "unknown-flag",
         "operator-fields", "duplicate-operator", "outside-section", "attribute-without-equals",
         "old-six-fields", "old-five-fields", "empty-flags", "repeated-flag", "old-arity-column",
         "old-operators-section", "old-operator-row", "versionmark-row", "version-in-a-section",
         "repeated-version", "character-name-two", "character-name-empty", "character-matrix",
-        "character-infix", "character-with-argument", "character-flag"])
+        "character-infix", "character-with-argument", "character-flag",
+        "character-letter", "character-digit", "character-space", "character-no-break-space"])
 def test_malformed_line_identified(text, message):
     with pytest.raises(RegistryError) as err:
         parse_registry_text(text)

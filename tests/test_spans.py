@@ -27,11 +27,11 @@ from texmathc.diagnostics import (
     E_UNKNOWN_COMMAND,
     W_DEPRECATED,
     DiagnosticError,
-    IntentError,
 )
-from texmathc.generator import to_mathml
-from texmathc.intent import parse_intent, parse_macro
+from texmathc.intent import apply_intent, parse_intent, parse_macro
+from texmathc.mathml import token
 from texmathc.mhchem import expand_ce, expand_pu
+from texmathc.nodes import IntentWrap, Literal
 
 
 def _error(fn, text):
@@ -226,11 +226,10 @@ def test_intent_reference_errors_point_at_the_reference(source, code, reference)
 
 
 def test_generator_error_is_located_in_bytes_of_the_source(registry):
-    """`to_mathml` holds only the tree; `within` locates its error in the source."""
+    """A reference binds only on the generated tree, which holds no source;
+    `parse` generates it and locates the error in bytes of the source."""
     source = "\\text{日本}\\intent{x}{intent='f($y)'}"
-    with pytest.raises(IntentError) as err:
-        to_mathml(parse(source, registry).ast, registry)
-    diag = err.value.within(source, 0).diagnostic
+    (diag,) = parse(source, registry).errors
     assert (diag.code, diag.span) == (E_INTENT_UNBOUND_REF, (34, 36))
     assert _slice(source, diag.span) == "$y"
 
@@ -246,13 +245,15 @@ def _raised(fn, *args, **kwargs):
     return err.value
 
 
-def test_errors_cross_a_process_boundary(registry):
+def test_errors_cross_a_process_boundary():
     """A caller converting in a process pool gets the diagnostics back."""
+    intent_raw, arg_map, refs = parse_macro("intent='f($y)'")
+    wrap = IntentWrap(Literal("x"), intent_raw, arg_map, tuple(refs.items()))  # parse refuses it
     errors = [
         _raised(convert_formula, "\\zz"),
         _raised(expand_ce, "H@"),
         _raised(parse_intent, "f($x"),
-        _raised(to_mathml, parse("\\intent{x}{intent='f($y)'}", registry).ast, registry),
+        _raised(apply_intent, wrap, token("mi", "x")),
     ]
     assert [type(e).__name__ for e in errors] == [
         "ConversionFailed", "ChemError", "IntentError", "IntentError"]

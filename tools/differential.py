@@ -28,11 +28,12 @@ Inputs, built once from SEED:
 * COUNT // 10 ``\\ce``/``\\pu`` commands, each followed by one of
   CHEM_TAILS (scripts, primes) and inside a ``\\sqrt[…]`` index, alone and
   beside other items;
-* GENERATION_FAILURES, sources that parse but whose intent references
-  ``to_mathml`` refuses (``E_INTENT_UNBOUND_REF``, ``E_INTENT_AMBIGUOUS_REF``):
-  a name bound nowhere, one bound twice, the same after a deprecated
-  command, a name an ``arg`` pair gives an absent identifier, and the name
-  of a command for its identifier;
+* GENERATION_FAILURES, sources that are well formed but whose intent
+  references do not bind to the generated tree, so that ``parse`` refuses
+  them after generating it (``E_INTENT_UNBOUND_REF``,
+  ``E_INTENT_AMBIGUOUS_REF``): a name bound nowhere, one bound twice, the
+  same after a deprecated command, a name an ``arg`` pair gives an absent
+  identifier, and the name of a command for its identifier;
 * COUNT // 3 chemistry bodies for ``expand_ce``/``expand_pu``;
 * MathML pairs: the two-renderer pairs, neighbouring reference outputs of
   the combined corpus, seeded random trees against one another, against
