@@ -1,11 +1,12 @@
 """AST-to-MathML visitor.
 
-Each command dispatches through the translation-function id recorded in the
-registry; the functions are grouped by transformation shape (all accents
-share one, all matrix environments share one, ...), so new commands are
-normally a data change only, and a new function is one row of `TRANSLATIONS`,
-which the registry loader also reads.  Every translation function returns one
-node, and `_translate` appends it to the run being built.
+ASCII letters and digits are built in (`registry.BUILT_IN`); every other
+token and command renders through the translation function its row names.
+The functions are grouped by shape (all accents share one, ...), so a new
+command is normally a data change only and a new function is one row of
+`TRANSLATIONS`, which the registry loader also reads.  A parameter is read
+as written, except that `_token_fn` and `_mo`, which render one as text,
+decode a hex codepoint.  Each function returns one node for `_translate`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .nodes import (
     Sequence,
 )
 from .parser import render_tex
-from .registry import CommandSpec, Registry, decode_param
+from .registry import BUILT_IN, DIGITS, CommandSpec, Registry, decode_param
 
 
 def to_mathml(ast: AstNode, registry: Registry,
@@ -80,18 +81,18 @@ def _translate(node, registry: Registry, out: list[MathMLNode]) -> None:
     while i < n:
         item = items[i]
         i += 1
-        if type(item) is not Literal or len(item.token) != 1 or not item.token.isdigit():
+        if type(item) is not Literal or item.token not in DIGITS:
             out.append(_NODES[type(item)](item, registry))
             continue
         digits, seen_dot = [item.token], False
         while i < n and type(items[i]) is Literal:
             tok = items[i].token
-            if len(tok) == 1 and tok.isdigit():
+            if tok in DIGITS:
                 digits.append(tok)
                 i += 1
                 continue
             after = items[i + 1] if tok == "." and not seen_dot and i + 1 < n else None
-            if type(after) is not Literal or len(after.token) != 1 or not after.token.isdigit():
+            if type(after) is not Literal or after.token not in DIGITS:
                 break
             digits += (".", after.token)
             seen_dot = True
@@ -121,18 +122,17 @@ def _literal(node: Literal, registry: Registry) -> MathMLNode:
     return leaf
 
 
-def _mo(text: str, registry: Registry, **attributes: str) -> MathMLNode:
-    """The registry's one read-only `mo` of a fence or mark, whose text a
-    registry row or the grammar's delimiters give; keyed apart from tokens."""
+def _mo(param: str, registry: Registry, **attributes: str) -> MathMLNode:
+    """The registry's one read-only `mo` of a fence or mark: a row's parameter,
+    decoded, or a grammar delimiter; keyed by that text, apart from tokens."""
+    text = decode_param(param)
     key, leaves = (text, *attributes.items()), registry.leaves
     return leaves.get(key) or leaves.setdefault(key, shared(token("mo", text, **attributes)))
 
 
 def _leaf(tok: str, registry: Registry) -> MathMLNode:
-    if tok.isdigit():
-        return token("mn", tok)
-    if tok.isascii() and tok.isalpha():
-        return token("mi", tok)
+    if tok in BUILT_IN:
+        return token(BUILT_IN[tok], tok)
     spec = _spec(tok[1:], registry) if tok.startswith("\\") else registry.characters.get(tok)
     if spec is None:  # prevented by whitelist validation
         raise LookupError(f"literal {tok!r} missing from registry")
@@ -168,9 +168,7 @@ def _delimited(node: Delimited, registry: Registry) -> MathMLNode:
 
 
 def _delim_text(tok: str, registry: Registry) -> str:
-    if tok.startswith("\\"):
-        return decode_param(_spec(tok[1:], registry).params[0])
-    return tok
+    return _spec(tok[1:], registry).params[0] if tok.startswith("\\") else tok
 
 
 _TABLE_ATTRS = {
@@ -188,10 +186,10 @@ def _matrix_env(node: Matrix, registry: Registry) -> MathMLNode:
     table = MathMLNode("mtable", dict(_TABLE_ATTRS.get(node.env, {})), rows)
     if not open_fence and not close_fence:
         return table
-    row = [_mo(decode_param(open_fence), registry)] if open_fence else []
+    row = [_mo(open_fence, registry)] if open_fence else []
     row.append(table)
     if close_fence:
-        row.append(_mo(decode_param(close_fence), registry))
+        row.append(_mo(close_fence, registry))
     return elem("mrow", row)
 
 
@@ -223,6 +221,13 @@ def _token_fn(element: str, **attributes: str):
     return translate
 
 
+def _raw_text_fn(element: str, **attributes: str):
+    """A command whose one argument is raw text (the parser's Text), kept as written."""
+    def translate(registry, spec, args):
+        return token(element, args[0].content, **attributes)
+    return translate
+
+
 def _wrap_fn(element: str, *param_names: str):
     """A command that wraps its one argument; its parameters become attributes."""
     def translate(registry, spec, args):
@@ -234,25 +239,13 @@ def _wrap_fn(element: str, *param_names: str):
 def _mark_fn(element: str, **attributes: str):
     """A command that sets the mark its first parameter names over or under its argument."""
     def translate(registry, spec, args):
-        mark = _mo(decode_param(spec.params[0]), registry)
+        mark = _mo(spec.params[0], registry)
         return elem(element, [_slot(args[0], registry), mark], **attributes)
     return translate
 
 
-def _fn_function(registry, spec, args):
-    return token("mi", spec.params[0])
-
-
 def _fn_space(registry, spec, args):
     return elem("mspace", width=spec.params[0])
-
-
-def _fn_text(registry, spec, args):  # args[0] is the parser's Text
-    return token("mtext", args[0].content)
-
-
-def _fn_operatorname(registry, spec, args):
-    return token("mi", args[0].content, mathvariant="normal")
 
 
 def _fn_stacked(registry, spec, args):
@@ -327,11 +320,11 @@ TRANSLATIONS = {
     "identifier": (_token_fn("mi"), 0, False, 1, 1),
     "operator": (_token_fn("mo"), 0, False, 1, 1),
     "bigop": (_token_fn("mo"), 0, False, 1, 1),
-    "function": (_fn_function, 0, False, 1, 1),
+    "function": (_token_fn("mi"), 0, False, 1, 1),
     "delimiter": (_token_fn("mo", stretchy="false"), 0, False, 1, 1),
     "space": (_fn_space, 0, False, 1, 1),
-    "text": (_fn_text, 1, False, 0, 0),
-    "operatorname": (_fn_operatorname, 1, False, 0, 0),
+    "text": (_raw_text_fn("mtext"), 1, False, 0, 0),
+    "operatorname": (_raw_text_fn("mi", mathvariant="normal"), 1, False, 0, 0),
     "accent": (_mark_fn("mover", accent="true"), 1, False, 1, 1),
     "under": (_mark_fn("munder"), 1, False, 1, 1),
     "stacked": (_fn_stacked, 2, False, 1, 1),

@@ -22,6 +22,7 @@ from .diagnostics import (
 )
 from .mathml import MathMLNode
 from .parser import MAX_DEPTH
+from .registry import DIGITS
 from .value import Value
 
 HINTS = frozenset({
@@ -157,7 +158,7 @@ def _parse_primary(s: _Scanner) -> IntentExpr:
         if name not in STRUCTURE_KINDS:
             s.fail(f"unknown structure kind {name!r}", start - 1)
         return Structure(name)
-    if ch == "-" or ch.isdigit():
+    if ch == "-" or ch in DIGITS:
         return _parse_number(s)
     if _NCNAME.match(s.text, s.pos):
         return Concept(s.ncname("concept"))
@@ -300,9 +301,6 @@ def _parse_arg_binding(text: str) -> tuple[tuple[str, str], ...]:
 # -- attribute injection --------------------------------------------------
 
 
-_REF_TARGET_ELEMENTS = ("mi", "mn")
-
-
 def apply_intent(node, subtree: MathMLNode) -> MathMLNode:
     """Attach ``intent``/``arg`` attributes to a generated MathML subtree.
 
@@ -330,7 +328,7 @@ def apply_intent(node, subtree: MathMLNode) -> MathMLNode:
         targets = by_intent_name.get(name, [name])
         matches = [  # (parent, index): the token is replaced, as it may be shared
             (parent, i) for parent in root.iter() for i, tok in enumerate(parent.children)
-            if tok.element in _REF_TARGET_ELEMENTS and tok.text in targets
+            if tok.element == "mi" and tok.text in targets
         ]
         if not matches:
             raise IntentError(

@@ -21,6 +21,7 @@ import re
 from .diagnostics import E_CHEM_SYNTAX, ChemError
 from .nodes import AstNode, Curly, Fun, Literal, Script, Sequence
 from .parser import render_tex
+from .registry import BUILT_IN
 
 _ELEMENTS = re.compile(r"[A-Z][a-z]?(?:\s*[A-Z][a-z]?)*")  # a run: one upright name
 _DIGITS = re.compile(r"[0-9]+")
@@ -56,7 +57,7 @@ EMITTED_CHARACTERS = "+-()/=."
 
 # One shared node per token an expansion holds (nodes are frozen).
 _LIT = {token: Literal(token) for token in [
-    *"0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz", *EMITTED_CHARACTERS,
+    *BUILT_IN, *EMITTED_CHARACTERS,
     *("\\" + name for name, arity in EMITTED_COMMANDS.items() if not arity)]}
 _EMPTY = Curly(())
 

@@ -51,7 +51,7 @@ from .nodes import (
     Sequence,
     Text,
 )
-from .registry import CommandSpec, Registry
+from .registry import BUILT_IN, LETTERS, CommandSpec, Registry
 from .value import Value
 
 MAX_DEPTH = 128
@@ -135,7 +135,7 @@ def leaf_table(registry: Registry) -> dict[Token, Literal]:
     grammar reads.  Built at the registry's first parse and kept in it."""
     table = registry.__dict__.get("literals")
     if table is None:
-        texts = [ch for ch in map(chr, range(128)) if ch.isalnum()] + list(registry.characters)
+        texts = [*BUILT_IN, *registry.characters]
         texts += ["\\" + name for name, spec in registry.commands.items()
                   if _fits(spec, 0) and not spec.deprecated and not spec.chem_only
                   and name not in _GRAMMAR_NAMES]
@@ -460,7 +460,7 @@ class _Parser:
             if text == "}":
                 self.i += 1
                 break
-            if text.isascii() and (text.isalpha() or text == "*"):  # one character
+            if text in LETTERS or text == "*":
                 letters.append(text)
                 self.i += 1
                 continue

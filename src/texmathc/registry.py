@@ -3,8 +3,8 @@
 The registry is loaded from a tab-separated text file (see ``data/registry.txt``
 for the shipped default).  New macros are added by editing the table, not the
 code: each record names the generator function that renders it plus the
-parameters that function needs (codepoints as uppercase hex, fences and
-widths literally).
+parameters that function needs (a codepoint as uppercase hex where one is
+rendered as text, widths and variants literally).
 """
 
 from __future__ import annotations
@@ -19,6 +19,12 @@ FLAGS = ("chem-only", "deprecated")
 _SECTIONS = {"[commands]": "command", "[characters]": "character"}
 
 _HEX_PARAM = re.compile(r"^[0-9A-F]{4,6}$")
+
+# The built-in tokens, which no row is read for: each ASCII digit is an `mn`
+# and each ASCII letter an `mi`, and only digits join a number.
+DIGITS = frozenset("0123456789")
+LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+BUILT_IN = {**dict.fromkeys(sorted(DIGITS), "mn"), **dict.fromkeys(sorted(LETTERS), "mi")}
 
 
 class RegistryError(ValueError):
@@ -131,10 +137,12 @@ def _read_row(kind: str, fields: list[str], translations: dict) -> CommandSpec:
                             f"{fn} takes {wanted}")
     if fn == "intent" and name != "intent":
         raise RegistryError(f"{kind} {name!r}: only \\intent is read as the intent macro")
+    if kind == "command" and len(name) > 1 and not LETTERS.issuperset(name):
+        raise RegistryError(f"command {name!r}: no token names it (not ASCII letters)")
     if kind == "character":
         if len(name) != 1:
             raise RegistryError(f"character {name!r}: a character row names one character")
-        if name.isspace() or name.isascii() and name.isalnum():
+        if name.isspace() or name in BUILT_IN:
             raise RegistryError(f"character {name!r}: an ASCII letter or digit, or whitespace, "
                                 "is never read by its row")
         if function is None or arity:

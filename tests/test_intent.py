@@ -128,6 +128,14 @@ def test_hint_without_application_rejected():
         parse_intent("plus@infix")
 
 
+@pytest.mark.parametrize("text", ["\u00b2", "\u0663"])
+def test_a_number_starts_with_an_ascii_digit(text):
+    """`str.isdigit` accepts `²` and `٣`, but a number is read as ASCII digits."""
+    with pytest.raises(IntentError) as err:
+        parse_intent(text)
+    assert err.value.message == "expected an intent expression"
+
+
 # -- macro options ----------------------------------------------------------
 
 

@@ -220,6 +220,58 @@ def test_generating_a_token_without_its_row_is_a_lookup_error(registry, source, 
         to_mathml(ast, without)
 
 
+def _with_rows(registry, section, *rows):
+    """`registry` with `rows` added at the top of `section`."""
+    head, _, tail = dump_registry(registry).partition(section + "\n")
+    return parse_registry_text(head + section + "\n" + "".join(r + "\n" for r in rows) + tail)
+
+
+def test_hex_parameters_render_as_their_characters(registry):
+    """Each single-character parameter written as its codepoint renders the
+    same bytes: a parameter is decoded wherever it is rendered as text, so
+    `\\binom`'s fences are not `0028` and `0029`."""
+    lines = dump_registry(registry).split("\n")
+    rewritten = 0
+    for i, line in enumerate(lines):
+        fields = line.split("\t")
+        params = fields[2].split(",") if len(fields) > 2 and fields[2] != "-" else []
+        if any(len(p) == 1 for p in params):
+            fields[2] = ",".join(f"{ord(p):04X}" if len(p) == 1 else p for p in params)
+            lines[i] = "\t".join(fields)
+            rewritten += 1
+    assert rewritten == 9
+    hexed = parse_registry_text("\n".join(lines))
+    combined = json.loads((CORPORA / "combined_423.json").read_text("utf-8"))["cases"]
+    mhchem = json.loads((CORPORA / "mhchem_conformance.json").read_text("utf-8"))["cases"]
+    formulas = [(c["input"], bool(c["options"].get("chem")), c["options"].get("display", "inline"))
+                for c in combined] + [(c["input"], True, "inline") for c in mhchem]
+    assert len(formulas) == 552
+    for source, chem, display in formulas:
+        options = GenOptions(display=display)
+        assert convert_formula(source, chem=chem, options=options, registry=hexed) == \
+            convert_formula(source, chem=chem, options=options, registry=registry), source
+
+
+@pytest.mark.parametrize("source, mathml", [
+    ("1\u00b2", "<mrow><mn>1</mn><mo>\u00b2</mo></mrow>"),
+    ("x\u00b2", "<mrow><mi>x</mi><mo>\u00b2</mo></mrow>"),
+    ("\u0663", "<mi>\u0663</mi>"),
+    ("\u0663\u0663", "<mrow><mi>\u0663</mi><mi>\u0663</mi></mrow>"),
+])
+def test_only_ascii_letters_and_digits_are_built_in(registry, source, mathml):
+    """A `[characters]` row for a character that `str.isdigit` accepts renders
+    through its function: it is neither an `mn` nor part of a number."""
+    rows = _with_rows(registry, "[characters]", "\u00b2\toperator\t00B2",
+                      "\u0663\tidentifier\t0663")
+    assert convert_formula(source, registry=rows) == f'<math display="inline">{mathml}</math>'
+
+
+def test_a_function_row_decodes_its_name(registry):
+    rows = _with_rows(registry, "[commands]", "foo\tfunction\t2113")
+    assert convert_formula("\\foo", registry=rows) == \
+        '<math display="inline"><mi>\u2113</mi></math>'
+
+
 def test_generation_determinism(registry):
     source = "\\frac{-b \\pm \\sqrt{b^2-4ac}}{2a}"
     assert serialize(convert(registry, source)) == serialize(convert(registry, source))

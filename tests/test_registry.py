@@ -101,6 +101,7 @@ def test_unknown_translation_fn_rejected():
 
 
 _NEVER_READ = "an ASCII letter or digit, or whitespace, is never read by its row"
+_NO_TOKEN = "no token names it (not ASCII letters)"
 
 
 @pytest.mark.parametrize(("text", "message"), [
@@ -155,13 +156,22 @@ _NEVER_READ = "an ASCII letter or digit, or whitespace, is never read by its row
      f"line 3: character ' ': {_NEVER_READ}"),
     ("version 1\n[characters]\n\u00a0\toperator\t00A0\n",
      f"line 3: character '\\xa0': {_NEVER_READ}"),
+    # a command of two or more characters that no token names: `\\a1` is `\\a` then `1`
+    ("version 1\n[commands]\na1\tidentifier\t03B1\n", f"line 3: command 'a1': {_NO_TOKEN}"),
+    ("version 1\n[commands]\ntwo words\tidentifier\t03B1\n",
+     f"line 3: command 'two words': {_NO_TOKEN}"),
+    ("version 1\n[commands]\n<=\toperator\t2264\n", f"line 3: command '<=': {_NO_TOKEN}"),
+    ("version 1\n[commands]\n\u03b1\u03b2\tidentifier\t03B1\n",
+     f"line 3: command '\u03b1\u03b2': {_NO_TOKEN}"),
 ], ids=["command-fields", "empty-version", "arity-not-integer", "unknown-flag",
         "operator-fields", "duplicate-operator", "outside-section", "attribute-without-equals",
         "old-six-fields", "old-five-fields", "empty-flags", "repeated-flag", "old-arity-column",
         "old-operators-section", "old-operator-row", "versionmark-row", "version-in-a-section",
         "repeated-version", "character-name-two", "character-name-empty", "character-matrix",
         "character-infix", "character-with-argument", "character-flag",
-        "character-letter", "character-digit", "character-space", "character-no-break-space"])
+        "character-letter", "character-digit", "character-space", "character-no-break-space",
+        "command-letters-and-digit", "command-two-words", "command-two-marks",
+        "command-non-ascii-letters"])
 def test_malformed_line_identified(text, message):
     with pytest.raises(RegistryError) as err:
         parse_registry_text(text)
